@@ -17,41 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .beamforming import alternating_optimize, min_power_for_snr
-from .channel import ScenarioConfig, realize
+from . import experiments
+from .channel import realize
 from .experiments import (
-    INTERFERENCE_SCHEMES,
-    POWER_DISTANCE_SCHEMES,
-    POWER_N_SCHEMES,
+    STUDIES,
     ConfigError,
     ConfigErrorCode,
     ExperimentConfig,
     ExperimentResult,
-    run_interference_vs_n,
-    run_power_vs_distance,
-    run_power_vs_n,
 )
 from .numerics import SeededRng
 from .reflection import ConstraintSet
-
-EXPERIMENT_SUBCOMMANDS = ("power-vs-distance", "power-vs-n", "interference-vs-n")
-
-_EXPERIMENT_DEFAULTS = {
-    "power-vs-distance": dict(
-        sweep=("d", (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)),
-        schemes=POWER_DISTANCE_SCHEMES,
-        n_realizations=500,
-    ),
-    "power-vs-n": dict(
-        sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
-        schemes=POWER_N_SCHEMES,
-        n_realizations=500,
-    ),
-    "interference-vs-n": dict(
-        sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
-        schemes=INTERFERENCE_SCHEMES,
-        n_realizations=200,
-    ),
-}
 
 _SCENARIO_FLOAT_KEYS = (
     "pl_exponent_bs_irs",
@@ -140,15 +116,14 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
 
     Lines are 'key = value'; '#' starts a comment.  Unset keys take the
     defaults (five transmit antennas, forty elements, exponents 2.2/3.2,
-    -80 dBm noise, 20 dB target SNR); sweep, schemes, and realization
-    count defaults depend on the experiment.
+    -80 dBm noise, 20 dB target SNR); the experiment's entry in ``STUDIES``
+    sets the sweep, schemes, realization count and scenario defaults.
     """
+    study = STUDIES.get(experiment, STUDIES["power-vs-distance"])
     scen_kwargs: dict = {}
-    top_kwargs: dict = {}
-    defaults = _EXPERIMENT_DEFAULTS.get(experiment, _EXPERIMENT_DEFAULTS["power-vs-distance"])
-    sweep = defaults["sweep"]
-    schemes = defaults["schemes"]
-    n_realizations = defaults["n_realizations"]
+    top_kwargs: dict = dict(
+        sweep=study.sweep, schemes=study.schemes, n_realizations=study.n_realizations
+    )
 
     if path is not None:
         p = Path(path)
@@ -175,14 +150,12 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
                     scen_kwargs[key] = _parse_point(value, key, lineno)
                 elif key in _TOP_FLOAT_KEYS:
                     top_kwargs[key] = _parse_float(key, value, lineno)
-                elif key == "n_realizations":
-                    n_realizations = _parse_int(key, value, lineno)
-                elif key == "master_seed":
-                    top_kwargs["master_seed"] = _parse_int(key, value, lineno)
+                elif key in ("n_realizations", "master_seed"):
+                    top_kwargs[key] = _parse_int(key, value, lineno)
                 elif key == "schemes":
-                    schemes = tuple(s.strip() for s in value.split(",") if s.strip())
+                    top_kwargs[key] = tuple(s.strip() for s in value.split(",") if s.strip())
                 elif key == "sweep":
-                    sweep = _parse_sweep(value, lineno)
+                    top_kwargs[key] = _parse_sweep(value, lineno)
                 else:
                     raise ConfigError(ConfigErrorCode.UNKNOWN_KEY, f"unknown key {key!r}", lineno)
             except ValueError as exc:
@@ -191,16 +164,10 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
                 raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{key}: {exc}", lineno) from None
 
     try:
-        scenario = ScenarioConfig(**scen_kwargs)
+        scenario = replace(study.scenario, **scen_kwargs)
     except ValueError as exc:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, str(exc)) from None
-    return ExperimentConfig(
-        scenario=scenario,
-        sweep=sweep,
-        schemes=schemes,
-        n_realizations=n_realizations,
-        **top_kwargs,
-    )
+    return ExperimentConfig(scenario=scenario, **top_kwargs)
 
 
 def _parse_int(key: str, value: str, line: int) -> int:
@@ -286,11 +253,7 @@ def run(inv: CliInvocation) -> int:
     try:
         if inv.subcommand == "solve-once":
             return _solve_once(cfg)
-        runner = {
-            "power-vs-distance": run_power_vs_distance,
-            "power-vs-n": run_power_vs_n,
-            "interference-vs-n": run_interference_vs_n,
-        }[inv.subcommand]
+        runner = getattr(experiments, STUDIES[inv.subcommand].runner)
         result = runner(cfg, workers=inv.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -317,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Link-level studies of a passive reflecting surface",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in EXPERIMENT_SUBCOMMANDS + ("solve-once",):
+    for name in tuple(STUDIES) + ("solve-once",):
         sp = sub.add_parser(name)
         sp.add_argument("--config", dest="config_path", default=None, help="key=value config file")
         sp.add_argument("--out", dest="out_path", default=None, help="output CSV path")
@@ -327,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="realization count override",
         )
         sp.add_argument("--quiet", action="store_true", help="suppress the summary printout")
-        sp.add_argument("--workers", type=int, default=1, help="parallel workers (same output)")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="shards realizations over processes; output byte-identical")
     return parser
 
 

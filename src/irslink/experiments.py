@@ -4,14 +4,17 @@ and residual interference versus element count.
 Every study draws its channels from streams keyed by the realization
 index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
-order and of the worker count.
+order and of the worker count.  One driver runs every study in ``STUDIES``;
+with more than one worker it shards the realizations over processes
+started with the ``spawn`` method.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,8 +34,7 @@ from .numerics import SeededRng, db_to_linear
 from .reflection import ConstraintSet, effective_channel, project
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
-POWER_N_SCHEMES = ("continuous", "b1", "b2")
-INTERFERENCE_SCHEMES = ("joint_amp_phase", "phase_only", "no_irs")
+_DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
 
 
 class ConfigErrorCode(enum.Enum):
@@ -67,7 +69,7 @@ class ExperimentConfig:
     """Inputs of one Monte Carlo study."""
 
     scenario: ScenarioConfig = ScenarioConfig()
-    sweep: tuple[str, tuple[float, ...]] = ("d", (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0))
+    sweep: tuple[str, tuple[float, ...]] = ("d", _DEFAULT_DISTANCES)
     schemes: tuple[str, ...] = POWER_DISTANCE_SCHEMES
     n_realizations: int = 500
     master_seed: int = 1
@@ -130,26 +132,6 @@ def channel_stream(master_seed: int, realization: int) -> SeededRng:
     return SeededRng(master_seed, realization)
 
 
-def _check_schemes(requested, allowed) -> None:
-    unknown = [s for s in requested if s not in allowed]
-    if unknown:
-        raise ConfigError(
-            ConfigErrorCode.INVALID_VALUE,
-            f"unknown scheme(s) {unknown}; allowed: {list(allowed)}",
-        )
-
-
-def _map_indexed(fn: Callable, args: list, workers: int) -> list:
-    if workers <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
-
-
-def _mean_db(linear_values: np.ndarray) -> float:
-    return float(10.0 * np.log10(np.mean(linear_values)))
-
-
 def signal_scheme_gains(ch: ChannelRealization, schemes) -> dict[str, float]:
     """Channel power gain per signal-enhancement scheme on one realization."""
     ideal = ConstraintSet.ideal_continuous()
@@ -170,112 +152,27 @@ def signal_scheme_gains(ch: ChannelRealization, schemes) -> dict[str, float]:
     return gains
 
 
-def run_power_vs_distance(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Minimum transmit power (dBm) to hit the SNR target, versus distance.
-
-    For each swept user distance the requested schemes are evaluated on
-    the same channel realizations and the per-realization required powers
-    are averaged in the linear domain.
-    """
-    _check_schemes(cfg.schemes, POWER_DISTANCE_SCHEMES)
-    name, values = cfg.sweep
-    if name != "d":
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, "power-vs-distance sweeps 'd'")
-    noise = cfg.scenario.noise_power_dbm
-    rows: list[ResultRow] = []
-    samples: dict[tuple[float, str], np.ndarray] = {}
-    for d in values:
-        scen = replace(cfg.scenario, user_position=(float(d), cfg.scenario.user_position[1]))
-
-        def one(i: int, scen=scen) -> dict[str, float]:
-            ch = realize(scen, channel_stream(cfg.master_seed, i))
-            gains = signal_scheme_gains(ch, cfg.schemes)
-            return {
-                s: min_power_for_snr(g, cfg.snr_target_db, noise) for s, g in gains.items()
-            }
-
-        per_real = _map_indexed(one, list(range(cfg.n_realizations)), workers)
-        for scheme in cfg.schemes:
-            powers_dbm = np.array([r[scheme] for r in per_real])
-            rows.append(
-                ResultRow(float(d), scheme, _mean_db(db_to_linear(powers_dbm)), "dBm",
-                          cfg.n_realizations, cfg.master_seed)
-            )
-            if cfg.keep_samples:
-                samples[(float(d), scheme)] = powers_dbm
-    return ExperimentResult(rows=rows, samples=samples)
-
-
-def quantized_scheme_gains(ch: ChannelRealization, bits_list=(1, 2)) -> dict[str, float]:
+def quantized_scheme_gains(
+    ch: ChannelRealization, schemes=("continuous", "b1", "b2")
+) -> dict[str, float]:
     """Continuous-phase optimum and its b-bit quantized/refined variants.
 
-    Returns gains for 'continuous' (unit-modulus joint optimization),
-    'b{b}' (nearest-level rounding of the continuous phases followed by
-    elementwise refinement, transmit beam re-matched afterwards) and
-    'b{b}_quant' (rounding only, transmit beam re-matched).
+    Returns gains for the requested schemes among 'continuous' (unit-modulus
+    joint optimization) and 'b{b}' (nearest-level rounding of the continuous
+    phases followed by elementwise refinement, transmit beam re-matched
+    afterwards), plus 'b{b}_quant' (rounding only, transmit beam re-matched)
+    for every 'b{b}'.
     """
     unit = ConstraintSet.unit_modulus()
     sol = alternating_optimize(ch, unit)
-    gains = {"continuous": sol.gain_linear}
-    for b in bits_list:
+    gains = {"continuous": sol.gain_linear} if "continuous" in schemes else {}
+    for b in (int(s[1:]) for s in schemes if s != "continuous"):
         quantized = ConstraintSet.discrete_phase(b)
         vq = project(sol.refl.coefficients, quantized)
         gains[f"b{b}_quant"] = float(np.linalg.norm(effective_channel(ch, vq)) ** 2)
         vr = quantize_then_refine(ch, sol.w, sol.refl, b)
         gains[f"b{b}"] = float(np.linalg.norm(effective_channel(ch, vr)) ** 2)
     return gains
-
-
-def run_power_vs_n(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Required transmit power versus the number of reflecting elements.
-
-    The 'continuous' scheme keeps unit amplitudes with free phases; 'b1'
-    and 'b2' round those phases to 1- and 2-bit lattices and refine them
-    elementwise.  Rounding-only variants are reported as 'b{b}_quant'
-    rows, and per-N quantization losses as 'loss_*' rows in dB.
-    """
-    _check_schemes(cfg.schemes, POWER_N_SCHEMES)
-    name, values = cfg.sweep
-    if name != "n":
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, "power-vs-n sweeps 'n'")
-    bits_list = tuple(int(s[1:]) for s in cfg.schemes if s != "continuous")
-    noise = cfg.scenario.noise_power_dbm
-    rows: list[ResultRow] = []
-    samples: dict[tuple[float, str], np.ndarray] = {}
-    for n_val in values:
-        n_int = int(n_val)
-        if n_int != n_val or n_int < 1:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"element count must be a positive integer, got {n_val}")
-        scen = replace(cfg.scenario, n_elements=n_int)
-
-        def one(i: int, scen=scen) -> dict[str, float]:
-            ch = realize(scen, channel_stream(cfg.master_seed, i))
-            gains = quantized_scheme_gains(ch, bits_list)
-            return {
-                s: min_power_for_snr(g, cfg.snr_target_db, noise) for s, g in gains.items()
-            }
-
-        per_real = _map_indexed(one, list(range(cfg.n_realizations)), workers)
-        mean_power: dict[str, float] = {}
-        emitted = list(cfg.schemes) + [f"b{b}_quant" for b in bits_list]
-        for scheme in emitted:
-            powers_dbm = np.array([r[scheme] for r in per_real])
-            mean_power[scheme] = _mean_db(db_to_linear(powers_dbm))
-            rows.append(
-                ResultRow(float(n_int), scheme, mean_power[scheme], "dBm",
-                          cfg.n_realizations, cfg.master_seed)
-            )
-            if cfg.keep_samples:
-                samples[(float(n_int), scheme)] = powers_dbm
-        if "continuous" in mean_power:
-            for b in bits_list:
-                for variant in (f"b{b}", f"b{b}_quant"):
-                    rows.append(
-                        ResultRow(float(n_int), f"loss_{variant}",
-                                  mean_power[variant] - mean_power["continuous"], "dB",
-                                  cfg.n_realizations, cfg.master_seed)
-                    )
-    return ExperimentResult(rows=rows, samples=samples)
 
 
 def interference_metrics(ch: ChannelRealization, schemes) -> dict[str, float]:
@@ -304,6 +201,180 @@ def interference_metrics(ch: ChannelRealization, schemes) -> dict[str, float]:
     return out
 
 
+def _required_powers(
+    scheme_gains, ch: ChannelRealization, cfg: ExperimentConfig
+) -> dict[str, float]:
+    noise = cfg.scenario.noise_power_dbm
+    gains = scheme_gains(ch, cfg.schemes)
+    return {s: min_power_for_snr(g, cfg.snr_target_db, noise) for s, g in gains.items()}
+
+
+def _interference_metric(ch: ChannelRealization, cfg: ExperimentConfig) -> dict[str, float]:
+    p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
+    noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
+    return {
+        key: value if key == "margin" else p_tx_mw * value / noise_mw
+        for key, value in interference_metrics(ch, cfg.schemes).items()
+    }
+
+
+def _power_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
+    mean = {scheme: float(10.0 * np.log10(np.mean(db_to_linear(powers_dbm))))
+            for scheme, powers_dbm in samples.items()}
+    rows = [(scheme, value, "dBm") for scheme, value in mean.items()]
+    if "continuous" in mean:
+        rows += [(f"loss_{scheme}", value - mean["continuous"], "dB")
+                 for scheme, value in mean.items() if scheme != "continuous"]
+    return rows
+
+
+def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
+    # perfect cancellation would give -inf dB; floor keeps metrics finite
+    return [(scheme, float(10.0 * np.log10(max(float(np.mean(normalized)), 1e-30))), "dB")
+            for scheme, normalized in samples.items() if scheme != "margin"]
+
+
+class Study(NamedTuple):
+    """What sets one Monte Carlo study apart from the others.
+
+    ``metric`` maps one channel realization to the values kept as samples
+    (keyed by scheme); ``rows`` turns those values, stacked over the
+    realizations of one sweep value, into (scheme, metric, unit) rows.
+    """
+
+    runner: str  # public entry point, looked up by name when called
+    sweep: tuple[str, tuple[float, ...]]  # default; only its variable may be swept
+    min_elements: int | None  # smallest swept element count; None for a distance sweep
+    single_antenna: bool
+    schemes: tuple[str, ...]  # allowed, and the default
+    n_realizations: int
+    scenario: ScenarioConfig
+    metric: Callable[[ChannelRealization, ExperimentConfig], dict[str, float]]
+    rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
+
+
+STUDIES = {
+    "power-vs-distance": Study(
+        runner="run_power_vs_distance", sweep=("d", _DEFAULT_DISTANCES), min_elements=None,
+        single_antenna=False, schemes=POWER_DISTANCE_SCHEMES, n_realizations=500,
+        scenario=ScenarioConfig(), metric=partial(_required_powers, signal_scheme_gains),
+        rows=_power_rows,
+    ),
+    "power-vs-n": Study(
+        runner="run_power_vs_n", sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
+        min_elements=1, single_antenna=False, schemes=("continuous", "b1", "b2"),
+        n_realizations=500, scenario=ScenarioConfig(),
+        metric=partial(_required_powers, quantized_scheme_gains), rows=_power_rows,
+    ),
+    "interference-vs-n": Study(
+        runner="run_interference_vs_n", sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
+        min_elements=0, single_antenna=True, schemes=("joint_amp_phase", "phase_only", "no_irs"),
+        n_realizations=200, scenario=ScenarioConfig(m_antennas=1),
+        metric=_interference_metric, rows=_interference_rows,
+    ),
+}
+
+
+def _sweep_samples(
+    study: str, cfg: ExperimentConfig, start: int, stop: int
+) -> list[dict[str, np.ndarray]]:
+    """Metrics of realizations ``start`` .. ``stop - 1``, stacked per key,
+    for each sweep value in turn.
+
+    One shard of a study; module-level so that worker processes can
+    unpickle it.
+    """
+    metric = STUDIES[study].metric
+    name, values = cfg.sweep
+    out = []
+    for value in values:
+        if name == "d":
+            scen = replace(cfg.scenario, user_position=(float(value), cfg.scenario.user_position[1]))
+        else:
+            scen = replace(cfg.scenario, n_elements=int(value))
+        per_real = [metric(realize(scen, channel_stream(cfg.master_seed, i)), cfg)
+                    for i in range(start, stop)]
+        out.append({key: np.array([r[key] for r in per_real]) for key in per_real[0]})
+    return out
+
+
+def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentResult:
+    """Validate ``cfg`` for ``STUDIES[study]``, then evaluate and aggregate it.
+
+    With ``workers > 1``, contiguous realization ranges run in separate
+    processes and are concatenated in realization order: bit-identical to
+    ``workers = 1``, since each realization draws from its own stream.
+    """
+    spec = STUDIES[study]
+    if workers < 1:
+        raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"workers must be >= 1, got {workers}")
+    if spec.single_antenna and cfg.scenario.m_antennas != 1:
+        raise ConfigError(
+            ConfigErrorCode.INVALID_VALUE,
+            f"{study} requires m_antennas = 1, got {cfg.scenario.m_antennas}",
+        )
+    unknown = [s for s in cfg.schemes if s not in spec.schemes]
+    if unknown:
+        raise ConfigError(
+            ConfigErrorCode.INVALID_VALUE,
+            f"unknown scheme(s) {unknown}; allowed: {list(spec.schemes)}",
+        )
+    name, values = cfg.sweep
+    if name != spec.sweep[0]:
+        raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{study} sweeps {spec.sweep[0]!r}")
+    if spec.min_elements is not None:
+        bad = [v for v in values if not float(v).is_integer() or v < spec.min_elements]
+        if bad:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE,
+                f"element counts must be integers >= {spec.min_elements}, got {bad}",
+            )
+
+    n = cfg.n_realizations
+    n_shards = min(workers, n, os.cpu_count() or 1)
+    if n_shards == 1:
+        shards = [_sweep_samples(study, cfg, 0, n)]
+    else:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        bounds = [n * k // n_shards for k in range(n_shards + 1)]
+        with ProcessPoolExecutor(n_shards, mp_context=multiprocessing.get_context("spawn")) as pool:
+            shards = list(pool.map(_sweep_samples, [study] * n_shards, [cfg] * n_shards,
+                                   bounds[:-1], bounds[1:]))
+
+    rows: list[ResultRow] = []
+    samples: dict[tuple[float, str], np.ndarray] = {}
+    for k, value in enumerate(values):
+        stacked = {key: np.concatenate([s[k][key] for s in shards]) for key in shards[0][k]}
+        rows += [ResultRow(float(value), scheme, metric, unit, n, cfg.master_seed)
+                 for scheme, metric, unit in spec.rows(stacked)]
+        if cfg.keep_samples:
+            samples.update({(float(value), key): arr for key, arr in stacked.items()})
+    return ExperimentResult(rows=rows, samples=samples)
+
+
+def run_power_vs_distance(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Minimum transmit power (dBm) to hit the SNR target, versus distance.
+
+    For each swept user distance the requested schemes are evaluated on
+    the same channel realizations and the per-realization required powers
+    are averaged in the linear domain.
+    """
+    return _run_study(cfg, "power-vs-distance", workers)
+
+
+def run_power_vs_n(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Required transmit power versus the number of reflecting elements.
+
+    The 'continuous' scheme keeps unit amplitudes with free phases; 'b1'
+    and 'b2' round those phases to 1- and 2-bit lattices and refine them
+    elementwise.  Rounding-only variants are reported as 'b{b}_quant'
+    rows, and per-N quantization losses as 'loss_*' rows in dB.
+    """
+    return _run_study(cfg, "power-vs-n", workers)
+
+
 def run_interference_vs_n(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Interference power at the user, normalized by noise power, versus N.
 
@@ -311,41 +382,4 @@ def run_interference_vs_n(cfg: ExperimentConfig, workers: int = 1) -> Experiment
     antenna; the surface is driven to cancel.  Reported in dB after
     linear-domain averaging across realizations.
     """
-    if cfg.scenario.m_antennas != 1:
-        raise ConfigError(
-            ConfigErrorCode.INVALID_VALUE,
-            f"interference study requires m_antennas = 1, got {cfg.scenario.m_antennas}",
-        )
-    _check_schemes(cfg.schemes, INTERFERENCE_SCHEMES)
-    name, values = cfg.sweep
-    if name != "n":
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, "interference-vs-n sweeps 'n'")
-    p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
-    noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
-    rows: list[ResultRow] = []
-    samples: dict[tuple[float, str], np.ndarray] = {}
-    for n_val in values:
-        n_int = int(n_val)
-        if n_int != n_val or n_int < 0:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"element count must be a non-negative integer, got {n_val}")
-        scen = replace(cfg.scenario, n_elements=n_int)
-
-        def one(i: int, scen=scen) -> dict[str, float]:
-            ch = realize(scen, channel_stream(cfg.master_seed, i))
-            return interference_metrics(ch, cfg.schemes)
-
-        per_real = _map_indexed(one, list(range(cfg.n_realizations)), workers)
-        for scheme in cfg.schemes:
-            residual = np.array([r[scheme] for r in per_real])
-            normalized = p_tx_mw * residual / noise_mw
-            # perfect cancellation would give -inf dB; floor keeps metrics finite
-            mean_lin = max(float(np.mean(normalized)), 1e-30)
-            rows.append(
-                ResultRow(float(n_int), scheme, float(10.0 * np.log10(mean_lin)), "dB",
-                          cfg.n_realizations, cfg.master_seed)
-            )
-            if cfg.keep_samples:
-                samples[(float(n_int), scheme)] = normalized
-        if cfg.keep_samples:
-            samples[(float(n_int), "margin")] = np.array([r["margin"] for r in per_real])
-    return ExperimentResult(rows=rows, samples=samples)
+    return _run_study(cfg, "interference-vs-n", workers)

@@ -120,7 +120,8 @@ def project(v: np.ndarray, c: ConstraintSet) -> ReflectionState:
         return ReflectionState(np.zeros_like(v), c)
     if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
         return ReflectionState(v / np.maximum(np.abs(v), 1.0), c)
-    phases = np.angle(v)
+    # np.angle(-0.0) is pi, so zeros are mapped to phase 0 explicitly
+    phases = np.where(v == 0, 0.0, np.angle(v))
     if c.kind is ConstraintKind.DISCRETE_PHASE:
         phases = _round_to_lattice(phases, c.bits)
     return ReflectionState(np.exp(1j * phases), c)

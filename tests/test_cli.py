@@ -8,7 +8,14 @@ from irslink.cli import (
     run,
     serialize_config,
 )
-from irslink.experiments import ConfigError, ConfigErrorCode
+from irslink.experiments import (
+    ConfigError,
+    ConfigErrorCode,
+    ExperimentConfig,
+    run_interference_vs_n,
+    run_power_vs_distance,
+    run_power_vs_n,
+)
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -172,6 +179,16 @@ class TestRun:
         assert run(inv) == 1
         assert "m_antennas = 1" in capsys.readouterr().err
 
+    def test_readme_interference_command_runs_with_defaults(self, tmp_path):
+        # irslink interference-vs-n --out interference.csv, at two realizations
+        out = tmp_path / "interference.csv"
+        inv = CliInvocation(
+            subcommand="interference-vs-n", out_path=str(out), realizations_override=2,
+            quiet=True,
+        )
+        assert run(inv) == 0
+        assert out.read_text().count("phase_only") == 5
+
     def test_missing_out_path_is_exit_1(self, tmp_path):
         inv = CliInvocation(subcommand="power-vs-n", config_path=None)
         assert run(inv) == 1
@@ -237,6 +254,22 @@ class TestMain:
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_exit_1(self, tmp_path, capsys, workers):
+        cfg = write(tmp_path, "sweep = n:4,8\nn_realizations = 2\n")
+        out = tmp_path / "w.csv"
+        argv = ["power-vs-n", "--config", cfg, "--out", str(out), "--workers", workers]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "runner", [run_power_vs_distance, run_power_vs_n, run_interference_vs_n]
+    )
+    def test_runners_reject_workers_below_one(self, runner):
+        with pytest.raises(ConfigError, match="workers"):
+            runner(ExperimentConfig(n_realizations=1), workers=0)
 
     def test_workers_flag_gives_identical_csv(self, tmp_path):
         cfg = write(tmp_path, "sweep = n:4,8\nn_realizations = 6\n")

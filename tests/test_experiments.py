@@ -42,6 +42,13 @@ INT_CFG = ExperimentConfig(
 )
 
 
+def assert_same_samples(a, b):
+    assert a.samples.keys() == b.samples.keys()
+    for key, arr in a.samples.items():
+        other = b.samples[key]
+        assert arr.dtype == other.dtype and arr.tobytes() == other.tobytes(), key
+
+
 class TestExperimentConfig:
     def test_rejects_zero_realizations(self):
         with pytest.raises(ConfigError):
@@ -105,6 +112,7 @@ class TestPowerVsDistance:
         again = run_power_vs_distance(DIST_CFG)
         parallel = run_power_vs_distance(DIST_CFG, workers=3)
         assert dist_result.to_csv_text() == again.to_csv_text() == parallel.to_csv_text()
+        assert_same_samples(dist_result, parallel)
 
     def test_one_row_per_sweep_and_scheme(self, dist_result):
         assert len(dist_result.rows) == 3 * 4
@@ -139,11 +147,13 @@ class TestPowerVsDistance:
 
 class TestPowerVsN:
     def test_reproducible_and_worker_invariant(self, n_result):
+        parallel = run_power_vs_n(N_CFG, workers=4)
         assert (
             n_result.to_csv_text()
             == run_power_vs_n(N_CFG).to_csv_text()
-            == run_power_vs_n(N_CFG, workers=4).to_csv_text()
+            == parallel.to_csv_text()
         )
+        assert_same_samples(n_result, parallel)
 
     def test_emits_power_quant_and_loss_rows(self, n_result):
         schemes = {r.scheme for r in n_result.rows}
@@ -182,11 +192,13 @@ class TestPowerVsN:
 
 class TestInterferenceVsN:
     def test_reproducible_and_worker_invariant(self, int_result):
+        parallel = run_interference_vs_n(INT_CFG, workers=3)
         assert (
             int_result.to_csv_text()
             == run_interference_vs_n(INT_CFG).to_csv_text()
-            == run_interference_vs_n(INT_CFG, workers=3).to_csv_text()
+            == parallel.to_csv_text()
         )
+        assert_same_samples(int_result, parallel)
 
     def test_requires_single_antenna(self):
         bad = ExperimentConfig(
