@@ -1,9 +1,10 @@
 """Transmit and reflect beamforming optimizers.
 
 Covers the closed-form pieces (maximum-ratio transmission, coherent phase
-alignment), the alternating joint optimizer, elementwise refinement of
-discrete phases, cyclic-coordinate interference nulling, codebook
-selection, and the SNR-to-transmit-power mapping.
+alignment, the rank-one transmitter-surface beam, free-amplitude
+interference nulling), the alternating joint optimizer, elementwise
+refinement of discrete phases, the cyclic unit-modulus nulling heuristic,
+codebook selection, and the SNR-to-transmit-power mapping.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ def align_phases(ch: ChannelRealization, w: np.ndarray, c: ConstraintSet) -> Ref
     return ReflectionState(v, c)
 
 
-def _principal_right_singular(g: np.ndarray) -> np.ndarray:
-    _, _, vh = np.linalg.svd(g)
-    return vh[0].conj()
+def _rank_one_beam(g: np.ndarray) -> np.ndarray:
+    # For G = u v^H every nonzero row is a multiple of v^H, so the conjugate
+    # of the largest-norm row is the principal right singular vector.
+    return mrt(np.conj(g[np.argmax(np.linalg.norm(g, axis=1))]))
 
 
 def alternating_optimize(
@@ -158,7 +160,7 @@ def alternating_optimize(
     starts = []
     if direct_norm > 0.0:
         starts.append(mrt(ch.h_bs_user))
-    starts.append(_principal_right_singular(ch.g_bs_irs))
+    starts.append(_rank_one_beam(ch.g_bs_irs))
 
     best: BeamformingSolution | None = None
     for w0 in starts:
@@ -184,10 +186,13 @@ def alternating_optimize(
 
 
 def bs_irs_mrt(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
-    """Beam at the rank-one transmitter-surface channel, then align phases."""
+    """Beam at the transmitter-surface channel, then align phases.
+
+    Assumes a rank-one ``g_bs_irs``, as the line-of-sight model draws.
+    """
     if ch.n_elements == 0:
         raise ValueError("transmitter-surface MRT needs at least one element")
-    w = _principal_right_singular(ch.g_bs_irs)
+    w = _rank_one_beam(ch.g_bs_irs)
     refl = align_phases(ch, w, c)
     gain = received_gain(ch, refl, w)
     return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
@@ -255,62 +260,50 @@ def null_interference(
 ) -> tuple[ReflectionState, float]:
     """Minimize the interference power |t + sum_n f_n v_n|^2 at the user.
 
-    Requires a single-antenna interferer (M = 1), absorbing the scalar
-    beamformer into t = <h_d, 1> and f_n = conj(h_r_n) * G[n, 0].  Cyclic
-    coordinate descent with the per-element closed form: the unconstrained
-    minimizer -c_n / f_n (c_n the residual excluding element n), projected
-    onto the feasible set.  With free amplitudes the problem is convex, so
-    the fixed point is the global minimum within ``tol``; with unit
-    modulus it is a monotone heuristic.  By default descent starts from
-    the anti-aligned unit-modulus state.  Returns (state, residual power).
+    Requires a single-antenna interferer (M = 1), whose scalar beamformer
+    is absorbed into (t, f) = direct_and_cascade(ch, [1]).  With free
+    amplitudes the reachable set {sum_n f_n v_n} is a disk of radius
+    sum|f_n|, so the anti-aligned state v_n = -exp(j*(arg t - arg f_n)),
+    scaled by min(1, |t| / sum|f_n|), is exact: max(0, |t| - sum|f_n|)^2.
+    With unit modulus, cyclic coordinate descent (a monotone heuristic)
+    moves each element in turn to its per-element optimum, starting from
+    the anti-aligned state or ``start``; ``tol``, ``max_passes`` and
+    ``start`` apply to this case only.  Returns (state, residual power).
     """
     if ch.m_antennas != 1:
         raise ValueError("interference nulling assumes a single-antenna interferer (M = 1)")
     if c.kind not in (ConstraintKind.IDEAL_CONTINUOUS, ConstraintKind.UNIT_MODULUS):
         raise ValueError(f"unsupported constraint for nulling: {c.kind.value}")
-    t = complex(np.conj(ch.h_bs_user[0]))
-    f = np.conj(ch.h_irs_user) * ch.g_bs_irs[:, 0]
-    n = ch.n_elements
-    if n == 0:
-        return ReflectionState(np.zeros(0, dtype=np.complex128), c), abs(t) ** 2
-
-    ref = np.angle(t) if t != 0 else 0.0
-    if start is None:
-        v = np.exp(1j * (np.pi + ref - np.angle(f)))
-    else:
-        if start.n_elements != n:
+    if start is not None:
+        if start.n_elements != ch.n_elements:
             raise ValueError("start state dimension does not match the channel")
         if not c.contains(start.coefficients):
             raise ValueError("start state violates the requested constraint")
-        v = start.coefficients.copy()
-
-    unit = c.kind is ConstraintKind.UNIT_MODULUS
-    f_list = [complex(x) for x in f]
-    vals = [complex(x) for x in v]
-    r = t + sum(fn * vn for fn, vn in zip(f_list, vals))
-    prev = abs(r) ** 2
-    for _ in range(max_passes):
-        for i, fn in enumerate(f_list):
-            if fn == 0:
-                continue
-            cn = r - fn * vals[i]
-            if unit:
-                vn = complex(np.exp(1j * (np.pi + np.angle(cn) - np.angle(fn))))
-            else:
-                vn = -cn / fn
-                mod = abs(vn)
-                if mod > 1.0:
-                    vn /= mod
-            r = cn + fn * vn
-            vals[i] = vn
-        cur = abs(r) ** 2
-        if prev - cur <= tol * max(prev, 1e-300):
-            break
-        prev = cur
-    v = np.asarray(vals, dtype=np.complex128)
-    state = ReflectionState(v, c)
-    residual = float(abs(t + np.sum(f * v)) ** 2)
-    return state, residual
+    t, f = direct_and_cascade(ch, np.ones(1))
+    ref = np.angle(t) if t != 0 else 0.0
+    v = np.exp(1j * (np.pi + ref - np.angle(f)))
+    if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
+        reach = float(np.sum(np.abs(f)))
+        if reach > abs(t):
+            v *= abs(t) / reach
+    else:
+        f_list = [complex(x) for x in f]
+        vals = [complex(x) for x in (v if start is None else start.coefficients)]
+        r = t + sum(fn * vn for fn, vn in zip(f_list, vals))
+        prev = abs(r) ** 2
+        for _ in range(max_passes):
+            for i, fn in enumerate(f_list):
+                if fn == 0:
+                    continue
+                cn = r - fn * vals[i]
+                vals[i] = complex(np.exp(1j * (np.pi + np.angle(cn) - np.angle(fn))))
+                r = cn + fn * vals[i]
+            cur = abs(r) ** 2
+            if prev - cur <= tol * max(prev, 1e-300):
+                break
+            prev = cur
+        v = np.asarray(vals, dtype=np.complex128)
+    return ReflectionState(v, c), float(abs(t + np.sum(f * v)) ** 2)
 
 
 def codebook_sweep(

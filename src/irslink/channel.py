@@ -18,6 +18,14 @@ from .numerics import SeededRng, as_complex_matrix, as_complex_vector, db_to_lin
 
 Point = tuple[float, float]
 
+# Bound on the magnitude of every dB-valued setting and of every link's
+# path-loss gain in dB, so that each channel and power of a study is a
+# normal float64.
+DB_LIMIT = 300.0
+_REAL_FIELDS = ("bs_position", "irs_position", "user_position", "pl_exponent_bs_irs",
+                "pl_exponent_bs_user", "pl_exponent_irs_user", "c0_db", "noise_power_dbm",
+                "antenna_spacing_wavelengths")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -25,6 +33,9 @@ class ScenarioConfig:
 
     Positions are 2-D points in metres.  The user's x-coordinate is the
     swept transmitter-user horizontal distance in the distance study.
+    Every number must be finite; ``c0_db``, ``noise_power_dbm`` and the
+    path-loss gain of each link in dB must lie within ``DB_LIMIT``, and
+    the antenna spacing within (0, 1000] wavelengths.
     """
 
     bs_position: Point = (0.0, 0.0)
@@ -44,18 +55,31 @@ class ScenarioConfig:
             raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
         if self.n_elements < 0:
             raise ValueError(f"n_elements must be >= 0, got {self.n_elements}")
+        for name in _REAL_FIELDS:
+            if not all(math.isfinite(x) for x in np.ravel(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("c0_db", "noise_power_dbm"):
+            if abs(getattr(self, name)) > DB_LIMIT:
+                raise ValueError(f"{name} must be within +-{DB_LIMIT:g}, got {getattr(self, name)}")
         for name in ("pl_exponent_bs_irs", "pl_exponent_bs_user", "pl_exponent_irs_user"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.antenna_spacing_wavelengths <= 0:
-            raise ValueError("antenna_spacing_wavelengths must be > 0")
-        for a, b, pair in (
-            (self.bs_position, self.irs_position, "bs/irs"),
-            (self.bs_position, self.user_position, "bs/user"),
-            (self.irs_position, self.user_position, "irs/user"),
+        if not 0 < self.antenna_spacing_wavelengths <= 1e3:
+            raise ValueError("antenna_spacing_wavelengths must be in (0, 1000]")
+        for a, b, pair, exponent in (
+            (self.bs_position, self.irs_position, "bs/irs", self.pl_exponent_bs_irs),
+            (self.bs_position, self.user_position, "bs/user", self.pl_exponent_bs_user),
+            (self.irs_position, self.user_position, "irs/user", self.pl_exponent_irs_user),
         ):
-            if _dist(a, b) <= 0.0:
+            d = _dist(a, b)
+            if d <= 0.0:
                 raise ValueError(f"coincident {pair} positions: {a} / {b}")
+            gain_db = self.c0_db - 10.0 * exponent * math.log10(d)
+            if not abs(gain_db) <= DB_LIMIT:
+                raise ValueError(
+                    f"{pair} link gain {gain_db:g} dB is beyond +-{DB_LIMIT:g} dB "
+                    f"(distance {d:g} m, exponent {exponent:g})"
+                )
 
     def bs_irs_distance(self) -> float:
         return _dist(self.bs_position, self.irs_position)
@@ -73,7 +97,12 @@ def _dist(a: Point, b: Point) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One draw of the three links: g_bs_irs is N x M, vectors are N and M."""
+    """One draw of the three links: g_bs_irs is N x M, vectors are N and M.
+
+    ``bs_irs_mrt`` and the transmitter-surface start of
+    ``alternating_optimize`` assume ``g_bs_irs`` is rank one, as
+    ``realize`` draws it.
+    """
 
     g_bs_irs: np.ndarray
     h_irs_user: np.ndarray

@@ -38,6 +38,7 @@ _SCENARIO_FLOAT_KEYS = (
     "antenna_spacing_wavelengths",
 )
 _TOP_FLOAT_KEYS = ("snr_target_db", "interferer_power_dbm")
+_MAX_SWEEP_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,12 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
                     ConfigErrorCode.INVALID_VALUE, "'...' continuation must ascend", line
                 )
             n_steps = (end - values[-1]) / step
+            if not n_steps <= _MAX_SWEEP_STEPS:
+                raise ConfigError(
+                    ConfigErrorCode.INVALID_VALUE,
+                    f"'...' would add {n_steps:g} values; at most {_MAX_SWEEP_STEPS} allowed",
+                    line,
+                )
             if abs(n_steps - round(n_steps)) > 1e-9:
                 raise ConfigError(
                     ConfigErrorCode.INVALID_VALUE,

@@ -12,6 +12,7 @@ started with the ``spawn`` method.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -23,13 +24,14 @@ from .beamforming import (
     align_phases,
     alternating_optimize,
     bs_irs_mrt,
+    direct_and_cascade,
     min_power_for_snr,
     mrt,
     null_interference,
     quantize_then_refine,
     received_gain,
 )
-from .channel import ChannelRealization, ScenarioConfig, realize
+from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, realize
 from .numerics import SeededRng, db_to_linear
 from .reflection import ConstraintSet, effective_channel, project
 
@@ -83,19 +85,35 @@ class ExperimentConfig:
                 ConfigErrorCode.INVALID_VALUE,
                 f"n_realizations must be >= 1, got {self.n_realizations}",
             )
+        if not self.schemes:
+            raise ConfigError(ConfigErrorCode.INVALID_VALUE, "schemes needs at least one scheme")
         name, values = self.sweep
         if name not in ("d", "n"):
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown sweep variable {name!r}")
         if len(values) == 0:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, "sweep needs at least one value")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"sweep values must be finite: {values}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE, f"sweep values must be strictly increasing: {values}"
+            )
+        keys = [_sweep_key(v) for v in values]
+        if len(set(keys)) < len(keys):
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE, f"sweep values {values} print as colliding keys {keys}"
             )
         if not 0 <= self.master_seed < 1 << 64:
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE, f"master_seed must fit in 64 bits, got {self.master_seed}"
             )
+        for level in ("snr_target_db", "interferer_power_dbm"):
+            if not abs(getattr(self, level)) <= DB_LIMIT:
+                raise ConfigError(
+                    ConfigErrorCode.INVALID_VALUE,
+                    f"{level} must be finite and within +-{DB_LIMIT:g}, got {getattr(self, level)}",
+                )
+        _sweep_scenarios(self)
 
 
 @dataclass(eq=False)
@@ -111,7 +129,7 @@ class ExperimentResult:
         lines = [self.CSV_HEADER]
         for row in sorted(self.rows, key=lambda r: (r.sweep_value, r.scheme)):
             lines.append(
-                f"{row.sweep_value:g},{row.scheme},{row.metric_value:.6f},"
+                f"{_sweep_key(row.sweep_value)},{row.scheme},{row.metric_value:.6f},"
                 f"{row.metric_unit},{row.n_realizations},{row.master_seed}"
             )
         return "\n".join(lines) + "\n"
@@ -125,6 +143,32 @@ class ExperimentResult:
             if row.sweep_value == sweep_value and row.scheme == scheme:
                 return row.metric_value
         raise KeyError((sweep_value, scheme))
+
+
+def _sweep_key(value: float) -> str:
+    """A sweep value as the CSV prints it."""
+    return f"{value:g}"
+
+
+def _sweep_scenarios(cfg: ExperimentConfig) -> list[ScenarioConfig]:
+    """The scenario of each sweep value.
+
+    A scenario that fails its own validation raises ConfigError.
+    """
+    name, values = cfg.sweep
+    scenarios = []
+    for value in values:
+        try:
+            if name == "d":
+                y = cfg.scenario.user_position[1]
+                scenarios.append(replace(cfg.scenario, user_position=(float(value), y)))
+            else:
+                scenarios.append(replace(cfg.scenario, n_elements=int(value)))
+        except ValueError as exc:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE, f"sweep value {name} = {value:g}: {exc}"
+            ) from None
+    return scenarios
 
 
 def channel_stream(master_seed: int, realization: int) -> SeededRng:
@@ -183,13 +227,11 @@ def interference_metrics(ch: ChannelRealization, schemes) -> dict[str, float]:
     amplitude control).
     """
     out: dict[str, float] = {}
-    t = complex(np.conj(ch.h_bs_user[0]))
-    f = np.conj(ch.h_irs_user) * ch.g_bs_irs[:, 0] if ch.n_elements else np.zeros(0)
+    t, f = direct_and_cascade(ch, np.ones(1))
     out["margin"] = float(np.sum(np.abs(f)) - abs(t))
     for scheme in schemes:
         if scheme == "joint_amp_phase":
-            _, res = null_interference(ch, ConstraintSet.ideal_continuous(),
-                                       tol=1e-14, max_passes=400)
+            _, res = null_interference(ch, ConstraintSet.ideal_continuous())
         elif scheme == "phase_only":
             _, res = null_interference(ch, ConstraintSet.unit_modulus(),
                                        tol=1e-14, max_passes=400)
@@ -285,13 +327,8 @@ def _sweep_samples(
     unpickle it.
     """
     metric = STUDIES[study].metric
-    name, values = cfg.sweep
     out = []
-    for value in values:
-        if name == "d":
-            scen = replace(cfg.scenario, user_position=(float(value), cfg.scenario.user_position[1]))
-        else:
-            scen = replace(cfg.scenario, n_elements=int(value))
+    for scen in _sweep_scenarios(cfg):
         per_real = [metric(realize(scen, channel_stream(cfg.master_seed, i)), cfg)
                     for i in range(start, stop)]
         out.append({key: np.array([r[key] for r in per_real]) for key in per_real[0]})
@@ -322,6 +359,8 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     name, values = cfg.sweep
     if name != spec.sweep[0]:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{study} sweeps {spec.sweep[0]!r}")
+    if "bs_irs_mrt" in cfg.schemes and cfg.scenario.n_elements == 0:
+        raise ConfigError(ConfigErrorCode.INVALID_VALUE, "scheme 'bs_irs_mrt' needs n_elements >= 1")
     if spec.min_elements is not None:
         bad = [v for v in values if not float(v).is_integer() or v < spec.min_elements]
         if bad:

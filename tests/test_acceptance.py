@@ -277,8 +277,8 @@ def test_criterion_6b_nulling_brute_force_oracle():
     check(
         "6b nulling-vs-brute-force",
         bool(grid_ok and solver_ok),
-        "coordinate descent matches a dense 2-element disk grid within grid resolution "
-        "and an independent convex solver at 6 elements within 1e-6 of scale",
+        "closed-form free-amplitude nulling matches a dense 2-element disk grid within "
+        "grid resolution and an independent convex solver at 6 elements within 1e-6 of scale",
     )
 
 

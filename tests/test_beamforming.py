@@ -173,6 +173,33 @@ class TestAlternatingOptimize:
             alternating_optimize(ch, UNIT, max_iter=0)
 
 
+def rank_one_optimum(ch: ChannelRealization) -> float:
+    """max ||h_d + sum_n v_n conj(h_r_n) G_n||^2 over |v_n| <= 1 for a rank-one G.
+
+    Every row G_n is a multiple of one unit row direction v_hat^H, so the
+    reflected part is sigma * v_hat^H with |sigma| <= C = sum_n ||G_n|| |h_r_n|
+    and any phase of sigma reachable, under free and under unit amplitudes.
+    """
+    norms = np.linalg.norm(ch.g_bs_irs, axis=1)
+    v_hat = np.conj(ch.g_bs_irs[np.argmax(norms)]) / np.max(norms)
+    c = float(np.sum(norms * np.abs(ch.h_irs_user)))
+    direct = ch.h_bs_user
+    return float(np.linalg.norm(direct) ** 2 + c**2 + 2 * c * abs(np.vdot(v_hat, direct)))
+
+
+class TestRankOneOracle:
+    @pytest.mark.parametrize("constraint", [IDEAL, UNIT], ids=["ideal", "unit"])
+    @pytest.mark.parametrize("d", [20.0, 45.0, 50.0, 55.0])
+    @pytest.mark.parametrize("n", [10, 40, 150, 300])
+    def test_alternating_reaches_closed_form(self, n, d, constraint):
+        cfg = ScenarioConfig(m_antennas=5, n_elements=n, user_position=(d, 0.0))
+        for i in range(10):
+            ch = realize(cfg, SeededRng(4242, i))
+            exact = rank_one_optimum(ch)
+            gain = alternating_optimize(ch, constraint).gain_linear
+            assert abs(gain - exact) <= 1e-12 * exact
+
+
 class TestBsIrsMrt:
     def test_beams_at_rank_one_direction(self):
         ch = make_channel(m=4, n=12, seed=8)
@@ -181,6 +208,20 @@ class TestBsIrsMrt:
         gw = np.linalg.norm(ch.g_bs_irs @ sol.w)
         s_max = np.linalg.svd(ch.g_bs_irs, compute_uv=False)[0]
         assert gw == pytest.approx(s_max, rel=1e-10)
+
+    def test_zero_first_row_still_reaches_sigma_max(self):
+        g = np.random.default_rng(11)
+        u = g.standard_normal(6) + 1j * g.standard_normal(6)
+        u[0] = 0.0
+        v = g.standard_normal(3) + 1j * g.standard_normal(3)
+        ch = ChannelRealization(
+            g_bs_irs=np.outer(u, v.conj()),
+            h_irs_user=g.standard_normal(6) + 1j * g.standard_normal(6),
+            h_bs_user=g.standard_normal(3) + 1j * g.standard_normal(3),
+        )
+        sol = bs_irs_mrt(ch, UNIT)
+        s_max = np.linalg.svd(ch.g_bs_irs, compute_uv=False)[0]
+        assert np.linalg.norm(ch.g_bs_irs @ sol.w) == pytest.approx(s_max, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_beats_joint_optimization(self, seed):
@@ -380,6 +421,63 @@ class TestNullInterference:
             for k in range(1, 12)
         ]
         assert np.all(np.diff(residuals) <= 1e-12 * np.maximum(residuals[:-1], 1e-300))
+
+
+def disk_optimum(t: complex, f: np.ndarray) -> float:
+    return max(0.0, abs(t) - float(np.sum(np.abs(f)))) ** 2
+
+
+def annulus_optimum(t: complex, f: np.ndarray) -> float:
+    # {sum f_n v_n : |v_n| = 1} is the annulus with outer radius sum|f_n|
+    # and inner radius max(0, 2 max|f_n| - sum|f_n|) (polygon closure)
+    mags = np.abs(f)
+    total = float(np.sum(mags))
+    inner = 2.0 * float(np.max(mags, initial=0.0)) - total
+    return max(0.0, abs(t) - total, inner - abs(t)) ** 2
+
+
+def nulling_cases():
+    g = np.random.default_rng(77)
+    cases = [
+        (0.0, np.array([0.3 - 0.4j, 1.0 + 0j])),  # t = 0
+        (1.5 - 0.5j, np.zeros(4, complex)),  # every f_n zero
+        (0.7 + 0.2j, np.array([0.0, 0.2 + 0.1j, 0.0, -0.3j])),  # some f_n zero
+        (0.7 + 0.2j, np.zeros(0, complex)),  # no elements
+        (0.0, np.zeros(3, complex)),  # t = 0 and every f_n zero
+        (2.0 + 0j, np.array([5.0 + 0j, 0.5j, 0.5 + 0j])),  # one element dominates
+    ]
+    for _ in range(20):
+        n = int(g.integers(1, 12))
+        t = complex(g.standard_normal() + 1j * g.standard_normal()) * 10.0 ** g.uniform(-1, 1)
+        cases.append((t, 0.3 * (g.standard_normal(n) + 1j * g.standard_normal(n))))
+    return cases
+
+
+class TestNullingClosedForms:
+    @pytest.mark.parametrize("t, f", nulling_cases())
+    def test_free_amplitude_equals_disk_optimum(self, t, f):
+        state, res = null_interference(synthetic_channel(t, f), IDEAL)
+        scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
+        assert abs(res - disk_optimum(t, f)) <= 1e-15 * scale
+        assert IDEAL.contains(state.coefficients)
+
+    @pytest.mark.parametrize("t, f", nulling_cases())
+    def test_phase_only_never_below_annulus_optimum(self, t, f):
+        state, res = null_interference(synthetic_channel(t, f), UNIT)
+        assert res >= annulus_optimum(t, f) * (1 - 1e-12) - 1e-15 * abs(t) ** 2
+        assert UNIT.contains(state.coefficients)
+
+    @pytest.mark.parametrize("n", [20, 60, 100])
+    def test_on_realized_channels(self, n):
+        cfg = ScenarioConfig(m_antennas=1, n_elements=n, user_position=(50.0, 0.0))
+        for i in range(10):
+            ch = realize(cfg, SeededRng(515, i))
+            t, f = direct_and_cascade(ch, np.ones(1))
+            _, free = null_interference(ch, IDEAL)
+            _, unit = null_interference(ch, UNIT)
+            scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
+            assert abs(free - disk_optimum(t, f)) <= 1e-15 * scale
+            assert unit >= annulus_optimum(t, f) * (1 - 1e-12)
 
 
 class TestCodebookSweep:

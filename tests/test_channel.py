@@ -57,6 +57,27 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(pl_exponent_bs_user=0.0)
 
+    @pytest.mark.parametrize("field", ["c0_db", "noise_power_dbm", "pl_exponent_bs_user",
+                                       "antenna_spacing_wavelengths"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("position", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_rejects_non_finite_positions(self, position):
+        with pytest.raises(ValueError, match="user_position"):
+            ScenarioConfig(user_position=position)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(c0_db=301.0), dict(noise_power_dbm=-301.0), dict(antenna_spacing_wavelengths=1e4),
+        dict(pl_exponent_bs_user=200.0),  # 50 m at exponent 200 is -3428 dB
+        dict(user_position=(1e200, 0.0)),
+    ])
+    def test_rejects_levels_beyond_float_range(self, kwargs):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**kwargs)
+
     def test_distances(self):
         cfg = ScenarioConfig(bs_position=(0.0, 0.0), irs_position=(3.0, 4.0))
         assert cfg.bs_irs_distance() == pytest.approx(5.0)

@@ -1,5 +1,11 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink.cli import (
     CliInvocation,
@@ -12,6 +18,7 @@ from irslink.experiments import (
     ConfigError,
     ConfigErrorCode,
     ExperimentConfig,
+    ExperimentResult,
     run_interference_vs_n,
     run_power_vs_distance,
     run_power_vs_n,
@@ -279,3 +286,101 @@ class TestMain:
             ["power-vs-n", "--config", cfg, "--out", str(b), "--quiet", "--workers", "4"]
         ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Configuration mistakes: each must exit 1 before a study runs, not 0 with
+# inf/nan rows, 2 with a runtime error, or an uncaught exception.
+CONFIG_MISTAKES = [
+    ("power-vs-distance", "noise_power_dbm = inf"),
+    ("power-vs-distance", "snr_target_db = nan"),
+    ("interference-vs-n", "interferer_power_dbm = inf"),
+    ("power-vs-distance", "c0_db = nan"),
+    ("power-vs-distance", "pl_exponent_bs_user = inf"),
+    ("power-vs-distance", "sweep = d:0,10"),
+    ("power-vs-distance", "n_elements = 0"),
+    ("power-vs-distance", "sweep = d:50,50.000000001"),
+    ("power-vs-distance", "sweep = d:20,25,...,inf"),
+]
+
+
+@pytest.mark.parametrize("sub, text", CONFIG_MISTAKES, ids=[t for _, t in CONFIG_MISTAKES])
+def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
+    out = tmp_path / "x.csv"
+    inv = CliInvocation(subcommand=sub, config_path=write(tmp_path, text + "\n"),
+                        out_path=str(out), realizations_override=2, quiet=True)
+    assert run(inv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SCHEME_NAMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs", "continuous", "b1", "b2",
+                "joint_amp_phase", "phase_only", "zf")
+awkward = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300, 301.0, -301.0]),
+)
+
+
+def mostly(lo, hi):
+    """Floats in [lo, hi] three times as often as awkward ones."""
+    typical = st.floats(min_value=lo, max_value=hi)
+    return st.one_of(typical, typical, typical, awkward)
+
+
+# element counts stay small so that every example runs in milliseconds
+counts = st.one_of(st.integers(min_value=1, max_value=12).map(float),
+                   st.sampled_from([-1.0, 0.0, 2.5, math.inf, math.nan]))
+d_values = st.lists(mostly(1.0, 100.0), min_size=1, max_size=4).map(sorted)
+sweeps = st.one_of(
+    d_values.map(lambda vs: "d:" + ",".join(repr(v) for v in vs)),
+    st.lists(counts, min_size=1, max_size=3).map(lambda vs: "n:" + ",".join(map(repr, vs))),
+    st.tuples(st.sampled_from("dn"), counts, counts, mostly(1.0, 100.0))
+    .map(lambda s: f"{s[0]}:{s[1]!r},{s[2]!r},...,{s[3]!r}"),
+    st.sampled_from(["d:", "q:1,2", "d:50,50.000000001", "d:20,10"]),
+)
+points = st.tuples(mostly(-60.0, 60.0), mostly(-60.0, 60.0)).map(lambda p: f"{p[0]!r},{p[1]!r}")
+config_lines = st.fixed_dictionaries(
+    {},
+    optional={
+        **{k: mostly(1.5, 4.0).map(repr)
+           for k in ("pl_exponent_bs_irs", "pl_exponent_bs_user", "pl_exponent_irs_user")},
+        "c0_db": mostly(-40.0, -20.0).map(repr),
+        "noise_power_dbm": mostly(-110.0, -60.0).map(repr),
+        "antenna_spacing_wavelengths": mostly(0.1, 2.0).map(repr),
+        "snr_target_db": mostly(0.0, 30.0).map(repr),
+        "interferer_power_dbm": mostly(0.0, 40.0).map(repr),
+        **{k: points for k in ("bs_position", "irs_position", "user_position")},
+        "m_antennas": st.sampled_from(["1", "1", "3", "0"]),
+        "n_elements": st.sampled_from(["0", "1", "6", "12", "-1"]),
+        "master_seed": st.sampled_from(["0", "7", str((1 << 64) - 1), "-1", str(1 << 64)]),
+        "schemes": st.lists(st.sampled_from(SCHEME_NAMES), max_size=3).map(",".join),
+        "sweep": sweeps,
+    },
+)
+
+
+@given(
+    sub=st.sampled_from(["power-vs-distance", "power-vs-n", "interference-vs-n"]),
+    lines=config_lines,
+    realizations=st.sampled_from([1, 2, 2, 0]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzz_exit_0_means_finite_sorted_csv_else_exit_1(sub, lines, realizations):
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "fuzz.csv"
+        cfg.write_text(text)
+        code = run(CliInvocation(subcommand=sub, config_path=str(cfg), out_path=str(out),
+                                 realizations_override=realizations, quiet=True, workers=1))
+        assert code in (0, 1), text
+        if code == 1:
+            assert not out.exists()
+            return
+        header, *rows = out.read_text().splitlines()
+    assert header == ExperimentResult.CSV_HEADER
+    keys = []
+    for row in rows:
+        sweep_value, scheme, metric, *_ = row.split(",")
+        assert math.isfinite(float(sweep_value)) and math.isfinite(float(metric)), row
+        keys.append((float(sweep_value), scheme))
+    assert keys == sorted(set(keys)), text

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,29 @@ class TestExperimentConfig:
     def test_rejects_oversized_seed(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(master_seed=1 << 64)
+
+    def test_rejects_sweep_values_printing_the_same_key(self):
+        with pytest.raises(ConfigError, match="colliding"):
+            ExperimentConfig(sweep=("d", (50.0, 50.000000001)))
+        # six significant digits still tell these apart
+        ExperimentConfig(sweep=("d", (50.0, 50.0001)))
+
+    @pytest.mark.parametrize("field", ["snr_target_db", "interferer_power_dbm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 301.0])
+    def test_rejects_non_finite_or_out_of_range_levels(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("sweep", [("d", (float("nan"),)), ("d", (10.0, float("inf"))),
+                                       ("d", (0.0, 10.0)), ("n", (-1.0,))])
+    def test_every_sweep_scenario_is_validated(self, sweep):
+        # d = 0 puts the user on the transmitter; n = -1 is no surface size
+        with pytest.raises(ConfigError, match="sweep"):
+            ExperimentConfig(sweep=sweep)
+
+    def test_rejects_empty_scheme_list(self):
+        with pytest.raises(ConfigError, match="scheme"):
+            ExperimentConfig(schemes=())
 
 
 class TestResultFormatting:
@@ -138,6 +163,14 @@ class TestPowerVsDistance:
         bad = ExperimentConfig(sweep=("d", (30.0,)), schemes=("joint", "zf"), n_realizations=2)
         with pytest.raises(ConfigError):
             run_power_vs_distance(bad)
+
+    def test_surface_beam_needs_elements(self):
+        cfg = ExperimentConfig(scenario=ScenarioConfig(n_elements=0), sweep=("d", (30.0,)),
+                               n_realizations=2)
+        with pytest.raises(ConfigError, match="bs_irs_mrt"):
+            run_power_vs_distance(cfg)
+        rest = run_power_vs_distance(replace(cfg, schemes=("joint", "bs_user_mrt", "no_irs")))
+        assert rest.value(30.0, "joint") == pytest.approx(rest.value(30.0, "no_irs"), abs=1e-9)
 
     def test_wrong_sweep_variable_rejected(self):
         bad = ExperimentConfig(sweep=("n", (10.0,)), schemes=("joint",), n_realizations=2)
