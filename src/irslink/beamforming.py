@@ -3,7 +3,8 @@
 Covers the closed-form pieces (maximum-ratio transmission, coherent phase
 alignment, the rank-one transmitter-surface beam, free-amplitude
 interference nulling), the alternating joint optimizer, elementwise
-refinement of discrete phases, the cyclic unit-modulus nulling heuristic,
+refinement of discrete phases (vectorized over a batch of independent
+problems), the cyclic unit-modulus nulling heuristic,
 codebook selection, and the SNR-to-transmit-power mapping.
 """
 
@@ -198,6 +199,51 @@ def bs_irs_mrt(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
     return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
 
 
+def refine_levels(
+    t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int, passes: int = 20
+) -> np.ndarray:
+    """Cyclic coordinate ascent over the 2^bits phase levels, for R problems
+    at once.
+
+    Row r maximizes |t_r + sum_n a_rn v_rn|^2 from the start coefficients
+    ``start[r]``: holding all other elements fixed, each element in
+    ascending index order moves to the level that maximizes the objective
+    (first maximum, so ties pick the lowest level), kept only on strict
+    improvement.  The objective never decreases, and a pass that changes
+    nothing leaves a row exactly as it was, so looping until no row
+    changed (or ``passes`` full passes) gives each row the trajectory it
+    has alone.  Takes ``t`` of shape (R,) and ``a``, ``start`` of shape
+    (R, N); returns the refined (R, N) coefficients.
+    """
+    if a.shape[1] == 0:
+        return np.array(start, dtype=np.complex128)
+    # summed in element order, one term after another; in place and before
+    # the copy below, so that at most one (R, N) array is held besides the
+    # inputs
+    terms = a * start
+    total = t + np.cumsum(terms, axis=1, out=terms)[:, -1]
+    del terms
+    v = np.array(start, dtype=np.complex128)
+    nlev = 1 << bits
+    levels = np.exp(2j * np.pi * np.arange(nlev) / nlev)
+    rows = np.arange(v.shape[0])
+    for _ in range(passes):
+        changed = False
+        for an, vn in zip(a.T, v.T):  # column views: vn writes into v
+            rest = total - an * vn
+            candidates = rest[:, None] + an[:, None] * levels
+            powers = np.abs(candidates)
+            k = powers.argmax(axis=1)
+            better = (levels[k] != vn) & (powers[rows, k] > np.abs(rest + an * vn))
+            if better.any():
+                vn[better] = levels[k[better]]
+                total[better] = candidates[rows[better], k[better]]
+                changed = True
+        if not changed:
+            break
+    return v
+
+
 def discrete_refine(
     ch: ChannelRealization,
     w: np.ndarray,
@@ -207,11 +253,10 @@ def discrete_refine(
 ) -> ReflectionState:
     """Cyclic coordinate ascent over the 2^bits phase levels per element.
 
-    Holding all other elements fixed, each element in ascending index
-    order is moved to the level that maximizes |t + sum a_n v_n|^2 (kept
-    only on strict improvement, so the objective never decreases and a
-    full pass without change is a fixed point).  Stops after ``passes``
-    full passes at the latest.
+    Refines one realization with :func:`refine_levels`, whose rows are
+    independent: a block of realizations refined together gets the same
+    coefficients as each refined here alone.  Stops after ``passes`` full
+    passes at the latest.
     """
     want = ConstraintSet.discrete_phase(bits)
     if start.constraint != want:
@@ -219,24 +264,8 @@ def discrete_refine(
     if start.n_elements != ch.n_elements:
         raise ValueError("start state dimension does not match the channel")
     t, a = direct_and_cascade(ch, w)
-    nlev = 1 << bits
-    levels = np.exp(2j * np.pi * np.arange(nlev) / nlev)
-    v = list(start.coefficients)
-    a_list = [complex(x) for x in a]
-    total = complex(t) + sum(an * vn for an, vn in zip(a_list, v))
-    for _ in range(passes):
-        changed = False
-        for n, an in enumerate(a_list):
-            rest = total - an * v[n]
-            powers = np.abs(rest + an * levels)
-            k = int(np.argmax(powers))  # first max: ties pick the lowest level
-            if levels[k] != v[n] and powers[k] > abs(rest + an * v[n]):
-                v[n] = complex(levels[k])
-                total = rest + an * v[n]
-                changed = True
-        if not changed:
-            break
-    return ReflectionState(np.asarray(v, dtype=np.complex128), want)
+    v = refine_levels(np.array([t]), a[None, :], start.coefficients[None, :], bits, passes)
+    return ReflectionState(v[0], want)
 
 
 def quantize_then_refine(

@@ -22,6 +22,10 @@ Point = tuple[float, float]
 # path-loss gain in dB, so that each channel and power of a study is a
 # normal float64.
 DB_LIMIT = 300.0
+# Largest surface and transmit array, so that a configuration can never ask
+# for arrays too large to allocate: a study holds (block, N) arrays.
+MAX_ELEMENTS = 10_000
+MAX_ANTENNAS = 1_000
 _REAL_FIELDS = ("bs_position", "irs_position", "user_position", "pl_exponent_bs_irs",
                 "pl_exponent_bs_user", "pl_exponent_irs_user", "c0_db", "noise_power_dbm",
                 "antenna_spacing_wavelengths")
@@ -35,7 +39,8 @@ class ScenarioConfig:
     swept transmitter-user horizontal distance in the distance study.
     Every number must be finite; ``c0_db``, ``noise_power_dbm`` and the
     path-loss gain of each link in dB must lie within ``DB_LIMIT``, and
-    the antenna spacing within (0, 1000] wavelengths.
+    the antenna spacing within (0, 1000] wavelengths.  There are at most
+    ``MAX_ANTENNAS`` antennas and ``MAX_ELEMENTS`` elements.
     """
 
     bs_position: Point = (0.0, 0.0)
@@ -51,10 +56,10 @@ class ScenarioConfig:
     antenna_spacing_wavelengths: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.m_antennas < 1:
-            raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
-        if self.n_elements < 0:
-            raise ValueError(f"n_elements must be >= 0, got {self.n_elements}")
+        if not 1 <= self.m_antennas <= MAX_ANTENNAS:
+            raise ValueError(f"m_antennas must be in [1, {MAX_ANTENNAS}], got {self.m_antennas}")
+        if not 0 <= self.n_elements <= MAX_ELEMENTS:
+            raise ValueError(f"n_elements must be in [0, {MAX_ELEMENTS}], got {self.n_elements}")
         for name in _REAL_FIELDS:
             if not all(math.isfinite(x) for x in np.ravel(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -6,7 +6,10 @@ index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
 with more than one worker it shards the realizations over processes
-started with the ``spawn`` method.
+started with the ``spawn`` method.  Within a shard, each sweep value's
+realizations are evaluated in blocks of ``_BLOCK``: the power-versus-N
+study refines the discrete phases of a whole block at once, and every
+realization gets the same values as it would alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -28,15 +31,22 @@ from .beamforming import (
     min_power_for_snr,
     mrt,
     null_interference,
-    quantize_then_refine,
     received_gain,
+    refine_levels,
 )
 from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, realize
 from .numerics import SeededRng, db_to_linear
-from .reflection import ConstraintSet, effective_channel, project
+from .reflection import ConstraintSet, project
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
+# Realizations evaluated together at one sweep value.  A block's arrays are
+# (_BLOCK, N), so memory does not grow with n_realizations.
+_BLOCK = 64
+
+# Maps the channels of one block of realizations to the values kept as
+# samples, stacked over the block per key.
+_BlockMetric = Callable[..., dict[str, np.ndarray]]
 
 
 class ConfigErrorCode(enum.Enum):
@@ -207,15 +217,44 @@ def quantized_scheme_gains(
     afterwards), plus 'b{b}_quant' (rounding only, transmit beam re-matched)
     for every 'b{b}'.
     """
+    return {key: float(values[0]) for key, values in _quantized_gains([ch], schemes).items()}
+
+
+def _quantized_gains(
+    channels: Iterable[ChannelRealization], schemes
+) -> dict[str, np.ndarray]:
+    """:func:`quantized_scheme_gains` of a block of realizations, stacked per key.
+
+    The continuous optimum runs per realization; each bit width is then
+    refined once for the whole block.  Of each realization only what the
+    refinement and the gains read is kept, and of the transmitter-surface
+    matrix, which is deterministic, one copy.
+    """
     unit = ConstraintSet.unit_modulus()
-    sol = alternating_optimize(ch, unit)
-    gains = {"continuous": sol.gain_linear} if "continuous" in schemes else {}
+    kept = []
+    for ch in channels:
+        sol = alternating_optimize(ch, unit)
+        t, a = direct_and_cascade(ch, sol.w)
+        kept.append((sol.gain_linear, t, a, sol.refl.coefficients, ch.h_irs_user, ch.h_bs_user))
+        g = ch.g_bs_irs
+    continuous, t, a, phases, h_r, h_d = (np.array(column) for column in zip(*kept))
+    del kept  # the stacked copies replace the per-realization arrays
+    g_h = g.conj().T
+
+    def block_gains(v: np.ndarray) -> np.ndarray:
+        # row by row, as effective_channel computes each realization's channel
+        return np.array([np.linalg.norm(hd + g_h @ (np.conj(vr) * hr)) ** 2
+                         for hd, hr, vr in zip(h_d, h_r, v)])
+
+    gains = {"continuous": continuous} if "continuous" in schemes else {}
     for b in (int(s[1:]) for s in schemes if s != "continuous"):
-        quantized = ConstraintSet.discrete_phase(b)
-        vq = project(sol.refl.coefficients, quantized)
-        gains[f"b{b}_quant"] = float(np.linalg.norm(effective_channel(ch, vq)) ** 2)
-        vr = quantize_then_refine(ch, sol.w, sol.refl, b)
-        gains[f"b{b}"] = float(np.linalg.norm(effective_channel(ch, vr)) ** 2)
+        lattice = ConstraintSet.discrete_phase(b)
+        quantized = np.empty_like(phases)
+        for row, v in zip(quantized, phases):
+            row[:] = project(v, lattice).coefficients
+        gains[f"b{b}_quant"] = block_gains(quantized)
+        gains[f"b{b}"] = block_gains(refine_levels(t, a, quantized, b))
+        del quantized  # before the next bit width allocates its own
     return gains
 
 
@@ -243,12 +282,22 @@ def interference_metrics(ch: ChannelRealization, schemes) -> dict[str, float]:
     return out
 
 
+def _stacked(metric: Callable[..., dict[str, float]]) -> _BlockMetric:
+    """Block metric that applies a per-realization ``metric`` to each channel."""
+
+    def block(channels: Iterable[ChannelRealization], *args) -> dict[str, np.ndarray]:
+        per_real = [metric(ch, *args) for ch in channels]
+        return {key: np.array([r[key] for r in per_real]) for key in per_real[0]}
+
+    return block
+
+
 def _required_powers(
-    scheme_gains, ch: ChannelRealization, cfg: ExperimentConfig
-) -> dict[str, float]:
+    block_gains: _BlockMetric, channels: Iterable[ChannelRealization], cfg: ExperimentConfig
+) -> dict[str, np.ndarray]:
     noise = cfg.scenario.noise_power_dbm
-    gains = scheme_gains(ch, cfg.schemes)
-    return {s: min_power_for_snr(g, cfg.snr_target_db, noise) for s, g in gains.items()}
+    return {s: np.array([min_power_for_snr(g, cfg.snr_target_db, noise) for g in gains])
+            for s, gains in block_gains(channels, cfg.schemes).items()}
 
 
 def _interference_metric(ch: ChannelRealization, cfg: ExperimentConfig) -> dict[str, float]:
@@ -279,9 +328,10 @@ def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float,
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
-    ``metric`` maps one channel realization to the values kept as samples
-    (keyed by scheme); ``rows`` turns those values, stacked over the
-    realizations of one sweep value, into (scheme, metric, unit) rows.
+    ``metric`` maps the channels of one block of realizations to the
+    values kept as samples, stacked per key (a scheme); ``rows`` turns
+    those values, stacked over all realizations of one sweep value, into
+    (scheme, metric, unit) rows.
     """
 
     runner: str  # public entry point, looked up by name when called
@@ -291,7 +341,7 @@ class Study(NamedTuple):
     schemes: tuple[str, ...]  # allowed, and the default
     n_realizations: int
     scenario: ScenarioConfig
-    metric: Callable[[ChannelRealization, ExperimentConfig], dict[str, float]]
+    metric: _BlockMetric  # (channels of one block, cfg)
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
 
 
@@ -299,20 +349,20 @@ STUDIES = {
     "power-vs-distance": Study(
         runner="run_power_vs_distance", sweep=("d", _DEFAULT_DISTANCES), min_elements=None,
         single_antenna=False, schemes=POWER_DISTANCE_SCHEMES, n_realizations=500,
-        scenario=ScenarioConfig(), metric=partial(_required_powers, signal_scheme_gains),
+        scenario=ScenarioConfig(), metric=partial(_required_powers, _stacked(signal_scheme_gains)),
         rows=_power_rows,
     ),
     "power-vs-n": Study(
         runner="run_power_vs_n", sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
         min_elements=1, single_antenna=False, schemes=("continuous", "b1", "b2"),
         n_realizations=500, scenario=ScenarioConfig(),
-        metric=partial(_required_powers, quantized_scheme_gains), rows=_power_rows,
+        metric=partial(_required_powers, _quantized_gains), rows=_power_rows,
     ),
     "interference-vs-n": Study(
         runner="run_interference_vs_n", sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
         min_elements=0, single_antenna=True, schemes=("joint_amp_phase", "phase_only", "no_irs"),
         n_realizations=200, scenario=ScenarioConfig(m_antennas=1),
-        metric=_interference_metric, rows=_interference_rows,
+        metric=_stacked(_interference_metric), rows=_interference_rows,
     ),
 }
 
@@ -323,15 +373,17 @@ def _sweep_samples(
     """Metrics of realizations ``start`` .. ``stop - 1``, stacked per key,
     for each sweep value in turn.
 
-    One shard of a study; module-level so that worker processes can
-    unpickle it.
+    The range is evaluated in blocks of ``_BLOCK`` realizations, each
+    realized as the metric consumes it.  One shard of a study;
+    module-level so that worker processes can unpickle it.
     """
     metric = STUDIES[study].metric
     out = []
     for scen in _sweep_scenarios(cfg):
-        per_real = [metric(realize(scen, channel_stream(cfg.master_seed, i)), cfg)
-                    for i in range(start, stop)]
-        out.append({key: np.array([r[key] for r in per_real]) for key in per_real[0]})
+        blocks = [metric((realize(scen, channel_stream(cfg.master_seed, i))
+                          for i in range(lo, min(lo + _BLOCK, stop))), cfg)
+                  for lo in range(start, stop, _BLOCK)]
+        out.append({key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]})
     return out
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from irslink.channel import (
+    MAX_ANTENNAS,
+    MAX_ELEMENTS,
     ChannelRealization,
     ScenarioConfig,
     gen_bs_irs_los,
@@ -48,6 +50,13 @@ class TestScenarioConfig:
             ScenarioConfig(m_antennas=0)
         with pytest.raises(ValueError):
             ScenarioConfig(n_elements=-1)
+
+    def test_array_sizes_are_bounded(self):
+        ScenarioConfig(m_antennas=MAX_ANTENNAS, n_elements=MAX_ELEMENTS)
+        with pytest.raises(ValueError, match="m_antennas"):
+            ScenarioConfig(m_antennas=MAX_ANTENNAS + 1)
+        with pytest.raises(ValueError, match="n_elements"):
+            ScenarioConfig(n_elements=MAX_ELEMENTS + 1)
 
     def test_rejects_coincident_points(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,9 @@ CONFIG_MISTAKES = [
     ("power-vs-distance", "n_elements = 0"),
     ("power-vs-distance", "sweep = d:50,50.000000001"),
     ("power-vs-distance", "sweep = d:20,25,...,inf"),
+    ("power-vs-distance", "n_elements = 1000000000000"),
+    ("power-vs-distance", "m_antennas = 1001"),
+    ("power-vs-n", "sweep = n:100,10001"),
 ]
 
 
@@ -308,7 +312,13 @@ def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
     out = tmp_path / "x.csv"
     inv = CliInvocation(subcommand=sub, config_path=write(tmp_path, text + "\n"),
                         out_path=str(out), realizations_override=2, quiet=True)
-    assert run(inv) == 1
+    tracemalloc.start()
+    try:
+        assert run(inv) == 1
+        # rejected before any channel array is allocated
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -1,20 +1,23 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irslink.channel import ScenarioConfig
+from irslink import experiments
+from irslink.channel import ScenarioConfig, realize
 from irslink.experiments import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
     channel_stream,
+    quantized_scheme_gains,
     run_interference_vs_n,
     run_power_vs_distance,
     run_power_vs_n,
 )
-from irslink.beamforming import quantization_loss_bound
+from irslink.beamforming import min_power_for_snr, quantization_loss_bound
 
 DIST_CFG = ExperimentConfig(
     scenario=ScenarioConfig(),
@@ -221,6 +224,30 @@ class TestPowerVsN:
         bad = ExperimentConfig(sweep=("n", (10.5,)), schemes=("continuous",), n_realizations=2)
         with pytest.raises(ConfigError):
             run_power_vs_n(bad)
+
+    def test_csv_bytes_pinned(self):
+        # sha256 of the CSV written by the per-realization implementation
+        # that block refinement replaced
+        text = run_power_vs_n(replace(N_CFG, n_realizations=6, keep_samples=False)).to_csv_text()
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert digest == "f0c881c90ea569c9e6e6e7b82b8b9b4f54dbd7a6f5b5e3fed86f4ff652757ed9"
+
+    def test_samples_across_block_boundary_extend_a_shorter_run(self):
+        block = experiments._BLOCK
+        cfg = replace(N_CFG, sweep=("n", (4.0, 8.0)))
+        short = run_power_vs_n(replace(cfg, n_realizations=block - 1))
+        long = run_power_vs_n(replace(cfg, n_realizations=2 * block + 3))
+        assert short.samples.keys() == long.samples.keys()
+        for key, arr in short.samples.items():
+            assert long.samples[key].shape == (2 * block + 3,)
+            assert long.samples[key][: arr.size].tobytes() == arr.tobytes(), key
+        # each block draws the streams of its own realization indices
+        for i in (block - 1, block, 2 * block + 2):
+            scen = replace(cfg.scenario, n_elements=8)
+            gains = quantized_scheme_gains(realize(scen, channel_stream(cfg.master_seed, i)))
+            for scheme, gain in gains.items():
+                power = min_power_for_snr(gain, cfg.snr_target_db, scen.noise_power_dbm)
+                assert long.samples[(8.0, scheme)][i] == power, (i, scheme)
 
 
 class TestInterferenceVsN:
