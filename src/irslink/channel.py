@@ -5,12 +5,19 @@ line-of-sight matrix from the transmitter array to the reflecting surface,
 and Rayleigh-faded vectors for the surface-to-user and direct
 transmitter-to-user links.  Large-scale attenuation follows a power-law
 path loss anchored at a reference loss one metre from the transmitter.
+
+A realization is the scenario's deterministic part (``scenario_links``:
+the line-of-sight matrix and the two faded links' amplitudes) applied to
+unit-variance fading drawn from the realization's stream
+(``draw_fading``).  Sweeps draw that fading once per realization and
+reuse it for every sweep value; ``realize`` is the one-scenario case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,22 +180,60 @@ def gen_rayleigh(pl_linear: float, n: int, rng: SeededRng) -> np.ndarray:
     return np.sqrt(pl_linear) * sample_cscg(rng, n)
 
 
+def draw_fading(rng: SeededRng, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-variance fading of one realization: ``n`` surface-user and
+    ``m`` direct samples, from disjoint substreams of ``rng``.
+
+    The first ``k`` surface-user samples are those of a ``k``-element draw
+    (see :func:`sample_cscg`), so one draw at the largest element count
+    serves every smaller surface.
+    """
+    return sample_cscg(rng.split(1), n), sample_cscg(rng.split(2), m)
+
+
+class ScenarioLinks(NamedTuple):
+    """What a scenario fixes for all its realizations: the line-of-sight
+    matrix and the amplitude (square root of the path-loss gain) of each
+    faded link.  Build it with :func:`scenario_links`.
+    """
+
+    g_bs_irs: np.ndarray
+    amp_irs_user: float
+    amp_bs_user: float
+
+    def channel(self, fading_r: np.ndarray, fading_d: np.ndarray) -> ChannelRealization:
+        """The realization with unit-variance fading ``(fading_r, fading_d)``
+        from :func:`draw_fading`; ``fading_r`` may be longer than the
+        surface, whose elements take its prefix.
+        """
+        return ChannelRealization(
+            g_bs_irs=self.g_bs_irs,
+            h_irs_user=self.amp_irs_user * fading_r[: self.g_bs_irs.shape[0]],
+            h_bs_user=self.amp_bs_user * fading_d,
+        )
+
+
+def scenario_links(cfg: ScenarioConfig) -> ScenarioLinks:
+    """The deterministic part of the scenario's channel.  With zero
+    elements the transmitter-surface matrix is empty (0 x M)."""
+    if cfg.n_elements >= 1:
+        g = gen_bs_irs_los(cfg)
+    else:
+        g = np.zeros((0, cfg.m_antennas), dtype=np.complex128)
+    pl_ru = path_loss(cfg.irs_user_distance(), cfg.pl_exponent_irs_user, cfg.c0_db)
+    pl_du = path_loss(cfg.bs_user_distance(), cfg.pl_exponent_bs_user, cfg.c0_db)
+    return ScenarioLinks(g, np.sqrt(pl_ru), np.sqrt(pl_du))
+
+
 def realize(cfg: ScenarioConfig, rng: SeededRng) -> ChannelRealization:
     """Draw one channel realization for the scenario.
 
-    The surface-user and direct links use disjoint substreams of ``rng``
-    so a realization is a pure function of (cfg, rng).  With zero
-    elements the surface links are empty and only the direct link is
-    populated.
+    ``scenario_links(cfg).channel(*draw_fading(rng, M, N))``: the
+    surface-user and direct links use disjoint substreams of ``rng`` so a
+    realization is a pure function of (cfg, rng).  A sweep draws each
+    realization's fading once and builds every sweep scenario's channel
+    from it the same way, so it gets these bits.  With zero elements the
+    surface links are empty and only the direct link is populated.
     """
-    m, n = cfg.m_antennas, cfg.n_elements
-    if n >= 1:
-        g = gen_bs_irs_los(cfg)
-        pl_ru = path_loss(cfg.irs_user_distance(), cfg.pl_exponent_irs_user, cfg.c0_db)
-        h_r = gen_rayleigh(pl_ru, n, rng.split(1))
-    else:
-        g = np.zeros((0, m), dtype=np.complex128)
-        h_r = np.zeros(0, dtype=np.complex128)
-    pl_du = path_loss(cfg.bs_user_distance(), cfg.pl_exponent_bs_user, cfg.c0_db)
-    h_d = gen_rayleigh(pl_du, m, rng.split(2))
-    return ChannelRealization(g_bs_irs=g, h_irs_user=h_r, h_bs_user=h_d)
+    fading = draw_fading(rng, cfg.m_antennas, cfg.n_elements)
+    return scenario_links(cfg).channel(*fading)

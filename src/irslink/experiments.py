@@ -6,9 +6,12 @@ index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
 with more than one worker it shards the realizations over processes
-started with the ``spawn`` method.  Within a shard, each sweep value's
-realizations are evaluated in blocks of ``_BLOCK``: the power-versus-N
-study refines the discrete phases of a whole block at once, and every
+started with the ``spawn`` method.  Within a shard, realizations are
+walked in blocks of ``_BLOCK``: each realization's fading is drawn once
+and reused for every sweep value, and each sweep value evaluates the
+whole block at once.  The power-versus-distance study takes every
+scheme's optimum in closed form on the block's arrays, the power-versus-N
+study refines the discrete phases of the block together, and every
 realization gets the same values as it would alone.
 """
 
@@ -24,17 +27,14 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .beamforming import (
-    align_phases,
+    _rank_one_beam,
     alternating_optimize,
-    bs_irs_mrt,
     direct_and_cascade,
     min_power_for_snr,
-    mrt,
     null_interference,
-    received_gain,
     refine_levels,
 )
-from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, realize
+from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, draw_fading, scenario_links
 from .numerics import SeededRng, db_to_linear
 from .reflection import ConstraintSet, project
 
@@ -187,20 +187,55 @@ def channel_stream(master_seed: int, realization: int) -> SeededRng:
 
 
 def signal_scheme_gains(ch: ChannelRealization, schemes) -> dict[str, float]:
-    """Channel power gain per signal-enhancement scheme on one realization."""
-    ideal = ConstraintSet.ideal_continuous()
-    gains: dict[str, float] = {}
+    """Channel power gain per signal-enhancement scheme on one realization.
+
+    The :func:`_signal_gains` of a one-realization block.
+    """
+    return {key: float(values[0]) for key, values in _signal_gains([ch], schemes).items()}
+
+
+def _signal_gains(channels: Iterable[ChannelRealization], schemes) -> dict[str, np.ndarray]:
+    """:func:`signal_scheme_gains` of a block of realizations that share one
+    rank-one ``g_bs_irs``, in closed form, stacked per scheme.
+
+    For a fixed beam w, aligned phases give the gain
+    (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2.  With b the unit principal
+    right vector of G, c = |b^H h_d| and r = sum_n |h_r,n| ||G[n, :]||
+    (0 without elements), the schemes' gains are
+
+    - joint: ||h_d||^2 + r^2 + 2rc, the joint optimum (Wu & Zhang,
+      IEEE TWC 2019);
+    - bs_user_mrt (w = h_d / ||h_d||): (||h_d|| + rc / ||h_d||)^2;
+    - bs_irs_mrt (w = b): (c + r)^2;
+    - no_irs: ||h_d||^2.
+
+    ``alternating_optimize``, ``align_phases`` after ``mrt`` and
+    ``bs_irs_mrt`` remain the general solvers; the tests check that they
+    reach these values.
+    """
+    channels = list(channels)
+    g = channels[0].g_bs_irs
+    h_d = np.array([ch.h_bs_user for ch in channels])
+    h_r = np.array([ch.h_irs_user for ch in channels])
+    # row reductions, not matrix products: each row is then computed as it
+    # would be alone, whatever the block's size
+    norm_d = np.linalg.norm(h_d, axis=1)
+    r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
+    c = np.abs(np.sum(h_d * np.conj(_rank_one_beam(g)), axis=1)) if len(g) else np.zeros_like(r)
+    gains: dict[str, np.ndarray] = {}
     for scheme in schemes:
         if scheme == "joint":
-            gains[scheme] = alternating_optimize(ch, ideal).gain_linear
+            gains[scheme] = norm_d**2 + r**2 + 2.0 * r * c
         elif scheme == "bs_user_mrt":
-            w = mrt(ch.h_bs_user)
-            refl = align_phases(ch, w, ideal)
-            gains[scheme] = received_gain(ch, refl, w)
+            if not norm_d.all():
+                raise ValueError("MRT undefined for an all-zero channel")
+            gains[scheme] = (norm_d + r * c / norm_d) ** 2
         elif scheme == "bs_irs_mrt":
-            gains[scheme] = bs_irs_mrt(ch, ideal).gain_linear
+            if not len(g):
+                raise ValueError("transmitter-surface MRT needs at least one element")
+            gains[scheme] = (c + r) ** 2
         elif scheme == "no_irs":
-            gains[scheme] = float(np.linalg.norm(ch.h_bs_user) ** 2)
+            gains[scheme] = norm_d**2
         else:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown scheme {scheme!r}")
     return gains
@@ -328,10 +363,12 @@ def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float,
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
-    ``metric`` maps the channels of one block of realizations to the
-    values kept as samples, stacked per key (a scheme); ``rows`` turns
-    those values, stacked over all realizations of one sweep value, into
-    (scheme, metric, unit) rows.
+    ``metric`` maps the channels of one block of realizations at one
+    sweep value (an iterable, built as it is consumed, all sharing one
+    transmitter-surface matrix) to the values kept as samples, stacked
+    per key (a scheme); each row must be what the realization gives
+    alone.  ``rows`` turns those values, stacked over all realizations of
+    one sweep value, into (scheme, metric, unit) rows.
     """
 
     runner: str  # public entry point, looked up by name when called
@@ -349,7 +386,7 @@ STUDIES = {
     "power-vs-distance": Study(
         runner="run_power_vs_distance", sweep=("d", _DEFAULT_DISTANCES), min_elements=None,
         single_antenna=False, schemes=POWER_DISTANCE_SCHEMES, n_realizations=500,
-        scenario=ScenarioConfig(), metric=partial(_required_powers, _stacked(signal_scheme_gains)),
+        scenario=ScenarioConfig(), metric=partial(_required_powers, _signal_gains),
         rows=_power_rows,
     ),
     "power-vs-n": Study(
@@ -373,18 +410,25 @@ def _sweep_samples(
     """Metrics of realizations ``start`` .. ``stop - 1``, stacked per key,
     for each sweep value in turn.
 
-    The range is evaluated in blocks of ``_BLOCK`` realizations, each
-    realized as the metric consumes it.  One shard of a study;
-    module-level so that worker processes can unpickle it.
+    The range is walked in blocks of ``_BLOCK`` realizations.  Each
+    realization's fading is drawn once, at the largest swept element
+    count, and every sweep value's channel is built from it as
+    ``channel.realize`` builds one, from links computed once per sweep value.
+    One shard of a study; module-level so that worker processes can
+    unpickle it.
     """
     metric = STUDIES[study].metric
-    out = []
-    for scen in _sweep_scenarios(cfg):
-        blocks = [metric((realize(scen, channel_stream(cfg.master_seed, i))
-                          for i in range(lo, min(lo + _BLOCK, stop))), cfg)
-                  for lo in range(start, stop, _BLOCK)]
-        out.append({key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]})
-    return out
+    scenarios = _sweep_scenarios(cfg)
+    links = [scenario_links(scen) for scen in scenarios]
+    m, n_max = cfg.scenario.m_antennas, max(scen.n_elements for scen in scenarios)
+    per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
+    for lo in range(start, stop, _BLOCK):
+        fading = [draw_fading(channel_stream(cfg.master_seed, i), m, n_max)
+                  for i in range(lo, min(lo + _BLOCK, stop))]
+        for blocks, link in zip(per_value, links):
+            blocks.append(metric((link.channel(*f) for f in fading), cfg))
+    return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+            for blocks in per_value]
 
 
 def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentResult:

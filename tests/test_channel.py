@@ -189,6 +189,16 @@ class TestRealize:
         ratio = ch_b.h_bs_user / ch_a.h_bs_user
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_scales_the_draws_of_two_substreams(self, n):
+        cfg = ScenarioConfig(m_antennas=3, n_elements=n)
+        rng = SeededRng(6, 2)
+        ch = realize(cfg, rng)
+        pl_ru = path_loss(cfg.irs_user_distance(), cfg.pl_exponent_irs_user, cfg.c0_db)
+        pl_du = path_loss(cfg.bs_user_distance(), cfg.pl_exponent_bs_user, cfg.c0_db)
+        assert ch.h_irs_user.tobytes() == gen_rayleigh(pl_ru, n, rng.split(1)).tobytes()
+        assert ch.h_bs_user.tobytes() == gen_rayleigh(pl_du, 3, rng.split(2)).tobytes()
+
     def test_realization_validates_dimensions(self):
         with pytest.raises(ValueError):
             ChannelRealization(

@@ -7,6 +7,7 @@ import pytest
 from irslink import experiments
 from irslink.channel import ScenarioConfig, realize
 from irslink.experiments import (
+    POWER_DISTANCE_SCHEMES,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
@@ -16,8 +17,18 @@ from irslink.experiments import (
     run_interference_vs_n,
     run_power_vs_distance,
     run_power_vs_n,
+    signal_scheme_gains,
 )
-from irslink.beamforming import min_power_for_snr, quantization_loss_bound
+from irslink.beamforming import (
+    align_phases,
+    alternating_optimize,
+    bs_irs_mrt,
+    min_power_for_snr,
+    mrt,
+    quantization_loss_bound,
+    received_gain,
+)
+from irslink.reflection import ConstraintSet
 
 DIST_CFG = ExperimentConfig(
     scenario=ScenarioConfig(),
@@ -179,6 +190,80 @@ class TestPowerVsDistance:
         bad = ExperimentConfig(sweep=("n", (10.0,)), schemes=("joint",), n_realizations=2)
         with pytest.raises(ConfigError):
             run_power_vs_distance(bad)
+
+    def test_csv_bytes_pinned(self):
+        # sha256 of the CSV written by the per-realization solvers that the
+        # closed-form block gains replaced
+        result = run_power_vs_distance(replace(DIST_CFG, n_realizations=6, keep_samples=False))
+        digest = hashlib.sha256(result.to_csv_text().encode("ascii")).hexdigest()
+        assert digest == "266d2c08e6652d25b514db5e3cb85131783b032fc0cd8213d82ebd8fda9e1ffd"
+
+
+class TestSignalSchemeGains:
+    """The closed-form gains of a block against the per-realization solvers."""
+
+    @pytest.mark.parametrize("d", [20.0, 50.0, 55.0])
+    @pytest.mark.parametrize("n", [0, 1, 40, 300])
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_block_gains_equal_the_solvers(self, m, n, d):
+        ideal = ConstraintSet.ideal_continuous()
+        scen = ScenarioConfig(m_antennas=m, n_elements=n, user_position=(d, 0.0))
+        channels = [realize(scen, channel_stream(77, i)) for i in range(6)]
+        schemes = POWER_DISTANCE_SCHEMES if n else ("joint", "bs_user_mrt", "no_irs")
+        block = experiments._signal_gains(channels, schemes)
+        for k, ch in enumerate(channels):
+            w = mrt(ch.h_bs_user)
+            solved = {
+                "joint": alternating_optimize(ch, ideal).gain_linear,
+                "bs_user_mrt": received_gain(ch, align_phases(ch, w, ideal), w),
+                "no_irs": np.linalg.norm(ch.h_bs_user) ** 2,
+            }
+            if n:
+                solved["bs_irs_mrt"] = bs_irs_mrt(ch, ideal).gain_linear
+            for scheme, gain in solved.items():
+                assert abs(block[scheme][k] - gain) <= 1e-12 * gain, (scheme, k)
+            # one realization alone gets the bits it gets in the block
+            alone = signal_scheme_gains(ch, schemes)
+            assert all(alone[s] == block[s][k] for s in schemes), k
+
+    def test_surface_beam_needs_elements(self):
+        ch = realize(ScenarioConfig(n_elements=0), channel_stream(1, 0))
+        with pytest.raises(ValueError, match="element"):
+            signal_scheme_gains(ch, ("bs_irs_mrt",))
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ConfigError):
+            signal_scheme_gains(realize(ScenarioConfig(), channel_stream(1, 0)), ("zf",))
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize(
+        "count", [experiments._BLOCK - 1, experiments._BLOCK, experiments._BLOCK + 1])
+    @pytest.mark.parametrize("study, sweep", [
+        ("power-vs-distance", ("d", (20.0, 50.0, 55.0))),
+        ("power-vs-n", ("n", (0.0, 1.0, 40.0))),
+    ])
+    def test_sweep_builds_the_channels_realize_draws(self, monkeypatch, study, sweep, count):
+        built = []
+
+        def record(channels, cfg):
+            built.append(list(channels))
+            return {"count": np.zeros(len(built[-1]))}
+
+        spec = experiments.STUDIES[study]
+        monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=record))
+        cfg = ExperimentConfig(sweep=sweep, n_realizations=count, master_seed=21)
+        experiments._sweep_samples(study, cfg, 0, count)
+        # blocks in turn, each evaluated at every sweep value in turn
+        block = experiments._BLOCK
+        expected = [[realize(scen, channel_stream(21, i)) for i in range(lo, min(lo + block, count))]
+                    for lo in range(0, count, block) for scen in experiments._sweep_scenarios(cfg)]
+        assert [len(b) for b in built] == [len(b) for b in expected]
+        for got, want in zip(built, expected):
+            for a, b in zip(got, want):
+                for name in ("g_bs_irs", "h_irs_user", "h_bs_user"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 class TestPowerVsN:
