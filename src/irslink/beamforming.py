@@ -3,9 +3,10 @@
 Covers the closed-form pieces (maximum-ratio transmission, coherent phase
 alignment, the rank-one transmitter-surface beam, free-amplitude
 interference nulling), the alternating joint optimizer, elementwise
-refinement of discrete phases (vectorized over a batch of independent
-problems), the cyclic unit-modulus nulling heuristic,
-codebook selection, and the SNR-to-transmit-power mapping.
+refinement of discrete phases and the cyclic unit-modulus nulling
+heuristic (both vectorized over a batch of independent problems, each
+row getting the bits it gets alone), codebook selection, and the
+SNR-to-transmit-power mapping.
 """
 
 from __future__ import annotations
@@ -213,8 +214,11 @@ def refine_levels(
     nothing leaves a row exactly as it was, so looping until no row
     changed (or ``passes`` full passes) gives each row the trajectory it
     has alone.  Takes ``t`` of shape (R,) and ``a``, ``start`` of shape
-    (R, N); returns the refined (R, N) coefficients.
+    (R, N); returns the refined (R, N) coefficients.  ``passes`` must be
+    >= 1.
     """
+    if passes < 1:
+        raise ValueError(f"passes must be >= 1, got {passes}")
     if a.shape[1] == 0:
         return np.array(start, dtype=np.complex128)
     # summed in element order, one term after another; in place and before
@@ -280,6 +284,116 @@ def quantize_then_refine(
     return discrete_refine(ch, w, quantized, bits, passes)
 
 
+def _check_nulling_caps(tol: float, max_passes: int) -> None:
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be >= 1, got {max_passes}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def _anti_aligned(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """v_rn = -exp(j*(arg t_r - arg f_rn)), with arg t_r := 0 when t_r = 0,
+    for ``t`` of shape (R,) and ``f`` of shape (R, N)."""
+    ref = np.where(t != 0, np.arctan2(t.imag, t.real), 0.0)
+    return np.exp(1j * ((np.pi + ref)[:, None] - np.angle(f)))
+
+
+def null_free_amplitude(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Free-amplitude nulling optimum of R problems: the anti-aligned state,
+    scaled by min(1, |t_r| / sum_n |f_rn|)."""
+    v = _anti_aligned(t, f)
+    reach = np.sum(np.abs(f), axis=1)
+    abs_t = np.hypot(t.real, t.imag)
+    shrink = reach > abs_t
+    v[shrink] *= (abs_t[shrink] / reach[shrink])[:, None]
+    return v
+
+
+def null_phases(
+    t: np.ndarray,
+    f: np.ndarray,
+    start: np.ndarray | None = None,
+    tol: float = 1e-12,
+    max_passes: int = 200,
+) -> np.ndarray:
+    """Cyclic coordinate descent on |t_r + sum_n f_rn v_rn|^2 under
+    |v_rn| = 1, for R problems at once.
+
+    Each element in ascending index order moves to its per-element optimum
+    exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
+    n; elements with f_n = 0 keep their start value.  Row r starts from
+    ``start[r]`` (default the anti-aligned state) and stops after the first
+    pass that lowers its residual power by at most ``tol`` times the
+    previous value, or after ``max_passes`` passes; a stopped row leaves
+    the batch.  Every step is the float64 operation of the one-problem loop,
+    in its order (unfused complex products, ``hypot`` magnitudes, ``pow``
+    squares), so a row gets the same bits in any batch.  Takes ``t`` of
+    shape (R,) and ``f``, ``start`` of shape (R, N); returns the (R, N)
+    coefficients.
+    """
+    _check_nulling_caps(tol, max_passes)
+    v = _anti_aligned(t, f) if start is None else np.asarray(start, dtype=np.complex128)
+    if f.shape[1] == 0:
+        return np.array(v)
+    # element-major: each step reads one (R,) row; f is only viewed, v copied
+    fr, fi = f.real.T, f.imag.T
+    vr, vi = v.real.T.copy(), v.imag.T.copy()
+    del v
+    # r = t + sum_n f_n v_n, the sum taken in element order from +0.0; both
+    # parts in one buffer, which keeps the peak memory of a block lower
+    terms = fr * vr
+    terms -= fi * vi
+    terms[0] += 0.0
+    rr = t.real + np.cumsum(terms, axis=0, out=terms)[-1]
+    terms = np.multiply(fr, vi, out=terms)
+    terms += fi * vr
+    terms[0] += 0.0
+    ri = t.imag + np.cumsum(terms, axis=0, out=terms)[-1]
+    del terms
+    fixed = (fr == 0) & (fi == 0)
+    masked = fixed.any(axis=1)
+    prev = np.float_power(np.hypot(rr, ri), 2)
+    live = np.arange(len(t))  # the batch row of each active row
+    stopped = []  # (batch rows, vr, vi) of rows that left the batch
+    for _ in range(max_passes):
+        for n, (frn, fin, vrn, vin) in enumerate(zip(fr, fi, vr, vi)):
+            cr = rr - (frn * vrn - fin * vin)
+            ci = ri - (frn * vin + fin * vrn)
+            w = np.exp(1j * (np.pi + np.arctan2(ci, cr) - np.arctan2(fin, frn)))
+            wr, wi = w.real, w.imag
+            nr = cr + (frn * wr - fin * wi)
+            ni = ci + (frn * wi + fin * wr)
+            if masked[n]:
+                keep = fixed[n]
+                wr, wi = np.where(keep, vrn, wr), np.where(keep, vin, wi)
+                nr, ni = np.where(keep, rr, nr), np.where(keep, ri, ni)
+            vrn[:] = wr
+            vin[:] = wi
+            rr, ri = nr, ni
+        cur = np.float_power(np.hypot(rr, ri), 2)
+        done = prev - cur <= tol * np.maximum(prev, 1e-300)
+        if done.any():
+            stopped.append((live[done], vr[:, done], vi[:, done]))
+            go = ~done
+            live, rr, ri, cur = live[go], rr[go], ri[go], cur[go]
+            fr, fi, vr, vi, fixed = (x[:, go] for x in (fr, fi, vr, vi, fixed))
+            if not live.size:
+                break
+        prev = cur
+    stopped.append((live, vr, vi))
+    v = np.empty(f.shape, dtype=np.complex128)
+    for rows, re, im in stopped:
+        v.real[rows] = re.T
+        v.imag[rows] = im.T
+    return v
+
+
+def nulling_residual(t: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|t_r + sum_n f_rn v_rn|^2 of R problems, each row as it is alone."""
+    total = t + np.sum(f * v, axis=1)
+    return np.float_power(np.hypot(total.real, total.imag), 2)
+
+
 def null_interference(
     ch: ChannelRealization,
     c: ConstraintSet,
@@ -294,45 +408,31 @@ def null_interference(
     amplitudes the reachable set {sum_n f_n v_n} is a disk of radius
     sum|f_n|, so the anti-aligned state v_n = -exp(j*(arg t - arg f_n)),
     scaled by min(1, |t| / sum|f_n|), is exact: max(0, |t| - sum|f_n|)^2.
-    With unit modulus, cyclic coordinate descent (a monotone heuristic)
-    moves each element in turn to its per-element optimum, starting from
-    the anti-aligned state or ``start``; ``tol``, ``max_passes`` and
-    ``start`` apply to this case only.  Returns (state, residual power).
+    With unit modulus, cyclic coordinate descent (a monotone heuristic:
+    :func:`null_phases` on one row) moves each element in turn to its
+    per-element optimum, starting from the anti-aligned state or
+    ``start``; ``tol``, ``max_passes`` and ``start`` apply to this case
+    only, though ``max_passes`` must be >= 1 and ``tol`` finite and
+    positive in both.  Returns (state, residual power).
     """
     if ch.m_antennas != 1:
         raise ValueError("interference nulling assumes a single-antenna interferer (M = 1)")
     if c.kind not in (ConstraintKind.IDEAL_CONTINUOUS, ConstraintKind.UNIT_MODULUS):
         raise ValueError(f"unsupported constraint for nulling: {c.kind.value}")
+    _check_nulling_caps(tol, max_passes)
     if start is not None:
         if start.n_elements != ch.n_elements:
             raise ValueError("start state dimension does not match the channel")
         if not c.contains(start.coefficients):
             raise ValueError("start state violates the requested constraint")
     t, f = direct_and_cascade(ch, np.ones(1))
-    ref = np.angle(t) if t != 0 else 0.0
-    v = np.exp(1j * (np.pi + ref - np.angle(f)))
+    t, f = np.array([t]), f[None, :]
     if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
-        reach = float(np.sum(np.abs(f)))
-        if reach > abs(t):
-            v *= abs(t) / reach
+        v = null_free_amplitude(t, f)
     else:
-        f_list = [complex(x) for x in f]
-        vals = [complex(x) for x in (v if start is None else start.coefficients)]
-        r = t + sum(fn * vn for fn, vn in zip(f_list, vals))
-        prev = abs(r) ** 2
-        for _ in range(max_passes):
-            for i, fn in enumerate(f_list):
-                if fn == 0:
-                    continue
-                cn = r - fn * vals[i]
-                vals[i] = complex(np.exp(1j * (np.pi + np.angle(cn) - np.angle(fn))))
-                r = cn + fn * vals[i]
-            cur = abs(r) ** 2
-            if prev - cur <= tol * max(prev, 1e-300):
-                break
-            prev = cur
-        v = np.asarray(vals, dtype=np.complex128)
-    return ReflectionState(v, c), float(abs(t + np.sum(f * v)) ** 2)
+        v = null_phases(t, f, None if start is None else start.coefficients[None, :],
+                        tol, max_passes)
+    return ReflectionState(v[0], c), float(nulling_residual(t, f, v)[0])
 
 
 def codebook_sweep(

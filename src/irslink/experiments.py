@@ -11,7 +11,8 @@ walked in blocks of ``_BLOCK``: each realization's fading is drawn once
 and reused for every sweep value, and each sweep value evaluates the
 whole block at once.  The power-versus-distance study takes every
 scheme's optimum in closed form on the block's arrays, the power-versus-N
-study refines the discrete phases of the block together, and every
+study refines the discrete phases of the block together, the
+interference study nulls the block's rows together, and every
 realization gets the same values as it would alone.
 """
 
@@ -31,7 +32,9 @@ from .beamforming import (
     alternating_optimize,
     direct_and_cascade,
     min_power_for_snr,
-    null_interference,
+    null_free_amplitude,
+    null_phases,
+    nulling_residual,
     refine_levels,
 )
 from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, draw_fading, scenario_links
@@ -298,33 +301,37 @@ def interference_metrics(ch: ChannelRealization, schemes) -> dict[str, float]:
 
     Also reports the cancellation feasibility margin sum|f_n| - |t| under
     key 'margin' (non-negative means a perfect null is reachable with
-    amplitude control).
+    amplitude control).  The :func:`_interference_gains` of a
+    one-realization block.
     """
-    out: dict[str, float] = {}
-    t, f = direct_and_cascade(ch, np.ones(1))
-    out["margin"] = float(np.sum(np.abs(f)) - abs(t))
+    return {key: float(values[0]) for key, values in _interference_gains([ch], schemes).items()}
+
+
+def _interference_gains(
+    channels: Iterable[ChannelRealization], schemes
+) -> dict[str, np.ndarray]:
+    """:func:`interference_metrics` of a block of single-antenna
+    realizations, stacked per key.
+
+    Stacks (t, f) = direct_and_cascade(ch, [1]) over the block and solves
+    every row at once: ``joint_amp_phase`` by the disk closed form,
+    ``phase_only`` by :func:`null_phases` from the anti-aligned state, as
+    ``null_interference`` does for one realization.
+    """
+    one = np.ones(1)
+    t, f = (np.array(column) for column in zip(*(direct_and_cascade(ch, one) for ch in channels)))
+    abs_t = np.hypot(t.real, t.imag)
+    out = {"margin": np.sum(np.abs(f), axis=1) - abs_t}
     for scheme in schemes:
         if scheme == "joint_amp_phase":
-            _, res = null_interference(ch, ConstraintSet.ideal_continuous())
+            out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f))
         elif scheme == "phase_only":
-            _, res = null_interference(ch, ConstraintSet.unit_modulus(),
-                                       tol=1e-14, max_passes=400)
+            out[scheme] = nulling_residual(t, f, null_phases(t, f, tol=1e-14, max_passes=400))
         elif scheme == "no_irs":
-            res = float(abs(t) ** 2)
+            out[scheme] = np.float_power(abs_t, 2)
         else:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown scheme {scheme!r}")
-        out[scheme] = res
     return out
-
-
-def _stacked(metric: Callable[..., dict[str, float]]) -> _BlockMetric:
-    """Block metric that applies a per-realization ``metric`` to each channel."""
-
-    def block(channels: Iterable[ChannelRealization], *args) -> dict[str, np.ndarray]:
-        per_real = [metric(ch, *args) for ch in channels]
-        return {key: np.array([r[key] for r in per_real]) for key in per_real[0]}
-
-    return block
 
 
 def _required_powers(
@@ -335,12 +342,14 @@ def _required_powers(
             for s, gains in block_gains(channels, cfg.schemes).items()}
 
 
-def _interference_metric(ch: ChannelRealization, cfg: ExperimentConfig) -> dict[str, float]:
+def _interference_powers(
+    channels: Iterable[ChannelRealization], cfg: ExperimentConfig
+) -> dict[str, np.ndarray]:
     p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
     noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
     return {
-        key: value if key == "margin" else p_tx_mw * value / noise_mw
-        for key, value in interference_metrics(ch, cfg.schemes).items()
+        key: values if key == "margin" else p_tx_mw * values / noise_mw
+        for key, values in _interference_gains(channels, cfg.schemes).items()
     }
 
 
@@ -399,7 +408,7 @@ STUDIES = {
         runner="run_interference_vs_n", sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
         min_elements=0, single_antenna=True, schemes=("joint_amp_phase", "phase_only", "no_irs"),
         n_realizations=200, scenario=ScenarioConfig(m_antennas=1),
-        metric=_stacked(_interference_metric), rows=_interference_rows,
+        metric=_interference_powers, rows=_interference_rows,
     ),
 }
 

@@ -15,7 +15,10 @@ from irslink.beamforming import (
     discrete_refine,
     min_power_for_snr,
     mrt,
+    null_free_amplitude,
     null_interference,
+    null_phases,
+    nulling_residual,
     quantization_loss_bound,
     quantize_then_refine,
     received_gain,
@@ -388,6 +391,18 @@ class TestRefineLevels:
         # t = 0 and a single a_0 = 1: every level reaches |a_0| exactly
         assert np.array_equal(got[1], start[1])
 
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_rejects_fewer_than_one_pass(self, passes):
+        t, a, start = refinement_batch(1, r=2, n=4)
+        with pytest.raises(ValueError, match="passes"):
+            refine_levels(t, a, start, 1, passes)
+        ch = synthetic_channel(t[0], a[0])
+        state = ReflectionState(start[0], ConstraintSet.discrete_phase(1))
+        with pytest.raises(ValueError, match="passes"):
+            discrete_refine(ch, np.ones(1), state, 1, passes)
+        with pytest.raises(ValueError, match="passes"):
+            quantize_then_refine(ch, np.ones(1), state, 1, passes)
+
     def test_no_elements(self):
         t = np.array([1.0 + 1j, 0.5j])
         got = refine_levels(t, np.zeros((2, 0), complex), np.zeros((2, 0), complex), 1)
@@ -425,6 +440,18 @@ class TestNullInterference:
         ch = make_channel(m=1, n=4)
         with pytest.raises(ValueError):
             null_interference(ch, ConstraintSet.absorb())
+
+    @pytest.mark.parametrize("constraint", [IDEAL, UNIT])
+    @pytest.mark.parametrize("caps", [
+        {"max_passes": 0}, {"max_passes": -3},
+        {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")},
+    ])
+    def test_rejects_bad_caps(self, constraint, caps):
+        ch = synthetic_channel(0.5, np.array([1.0 + 0j, 0.3j]))
+        with pytest.raises(ValueError, match=next(iter(caps))):
+            null_interference(ch, constraint, **caps)
+        with pytest.raises(ValueError, match=next(iter(caps))):
+            null_phases(np.array([0.5 + 0j]), np.array([[1.0 + 0j, 0.3j]]), **caps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_two_element_grid_oracle(self, seed):
@@ -556,6 +583,17 @@ def nulling_cases():
     return cases
 
 
+def loop_free(t, f):
+    """Reference: the free-amplitude closed form as the per-realization
+    implementation computed it.  Returns (coefficients, residual power)."""
+    ref = np.angle(t) if t != 0 else 0.0
+    v = np.exp(1j * (np.pi + ref - np.angle(f)))
+    reach = float(np.sum(np.abs(f)))
+    if reach > abs(t):
+        v *= abs(t) / reach
+    return v, float(abs(t + np.sum(f * v)) ** 2)
+
+
 class TestNullingClosedForms:
     @pytest.mark.parametrize("t, f", nulling_cases())
     def test_free_amplitude_equals_disk_optimum(self, t, f):
@@ -563,6 +601,22 @@ class TestNullingClosedForms:
         scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
         assert abs(res - disk_optimum(t, f)) <= 1e-15 * scale
         assert IDEAL.contains(state.coefficients)
+
+    def test_free_amplitude_matches_the_scalar_closed_form(self):
+        cases = nulling_cases() + [(complex(-0.0, -0.0), np.array([0.3 - 0.4j, 1.0 + 0j]))]
+        cfg = ScenarioConfig(m_antennas=1, n_elements=30, user_position=(50.0, 0.0))
+        for i in range(200):
+            cases.append(direct_and_cascade(realize(cfg, SeededRng(717, i)), np.ones(1)))
+        for t, f in cases:
+            v, res = loop_free(t, f)
+            got = null_free_amplitude(np.array([t]), f[None, :])
+            assert got[0].tobytes() == v.tobytes()
+            assert nulling_residual(np.array([t]), f[None, :], got)[0] == res
+        # the realized rows as one block
+        t = np.array([c[0] for c in cases[-200:]])
+        f = np.array([c[1] for c in cases[-200:]])
+        want = np.array([loop_free(tr, fr)[0] for tr, fr in zip(t, f)])
+        assert null_free_amplitude(t, f).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("t, f", nulling_cases())
     def test_phase_only_never_below_annulus_optimum(self, t, f):
@@ -581,6 +635,174 @@ class TestNullingClosedForms:
             scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
             assert abs(free - disk_optimum(t, f)) <= 1e-15 * scale
             assert unit >= annulus_optimum(t, f) * (1 - 1e-12)
+
+
+def loop_null(t, f, start=None, tol=1e-12, max_passes=200):
+    """Reference: unit-modulus nulling as one Python loop per element, the
+    per-realization implementation that :func:`null_phases` replaced.
+
+    Returns (coefficients, residual power, [r before the first pass, r after
+    each pass])."""
+    if start is None:
+        ref = np.angle(t) if t != 0 else 0.0
+        start = np.exp(1j * (np.pi + ref - np.angle(f)))
+    f_list = [complex(x) for x in f]
+    vals = [complex(x) for x in start]
+    total = 0j  # as sum() adds: from +0.0, one term after another
+    for fn, vn in zip(f_list, vals):
+        total = total + fn * vn
+    r = t + total
+    prev = abs(r) ** 2
+    trace = [r]
+    for _ in range(max_passes):
+        for i, fn in enumerate(f_list):
+            if fn == 0:
+                continue
+            cn = r - fn * vals[i]
+            vals[i] = complex(np.exp(1j * (np.pi + np.angle(cn) - np.angle(fn))))
+            r = cn + fn * vals[i]
+        trace.append(r)
+        cur = abs(r) ** 2
+        if prev - cur <= tol * max(prev, 1e-300):
+            break
+        prev = cur
+    v = np.asarray(vals, dtype=np.complex128)
+    return v, float(abs(t + np.sum(f * v)) ** 2), trace
+
+
+def nulling_batch(r=24, n=16, seed=0):
+    """Rows t (R,) and f (R, N) with awkward cases: zero f_n in some rows,
+    an all-zero row, t = 0 and t = -0-0j, and rows of mixed scales."""
+    g = np.random.default_rng(seed)
+    t = (g.standard_normal(r) + 1j * g.standard_normal(r)) * 10.0 ** g.uniform(-2, 1, r)
+    f = (g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))) * 10.0 ** g.uniform(
+        -2, 0, (r, n))
+    f[2:6, 3] = 0.0
+    f[4, 7] = complex(-0.0, -0.0)
+    f[6] = 0.0
+    t[7], t[8] = 0.0, complex(-0.0, -0.0)
+    return t, f
+
+
+def assert_matches_loop(t, f, start=None, tol=1e-12, max_passes=200):
+    got = null_phases(t, f, start, tol, max_passes)
+    res = nulling_residual(t, f, got)
+    for k in range(len(t)):
+        v, r, _ = loop_null(t[k], f[k], None if start is None else start[k], tol, max_passes)
+        assert got[k].tobytes() == v.tobytes(), k
+        assert res[k].tobytes() == np.float64(r).tobytes(), k
+
+
+class TestNullPhases:
+    """The row-batched kernel against the scalar loop, bit for bit."""
+
+    def test_zero_coefficients_and_zero_direct_term(self):
+        t, f = nulling_batch()
+        assert_matches_loop(t, f)
+        got = null_phases(t, f)
+        start = anti_aligned_rows(t, f)
+        # a zero f_n keeps its start value, an all-zero row keeps its start
+        assert np.array_equal(got[2:6, 3], start[2:6, 3])
+        assert np.array_equal(got[6], start[6])
+
+    @pytest.mark.parametrize("t", [0j, complex(-0.0, -0.0), 0.3 - 0.1j])
+    def test_single_rows(self, t):
+        for f in (np.zeros(4, complex), np.array([0.0, 0.2 + 0.1j, -0.0j, -0.3j]),
+                  np.array([5.0 + 0j, 0.5j, 0.5 + 0j])):
+            assert_matches_loop(np.array([t]), f[None, :])
+
+    def test_no_elements(self):
+        t = np.array([0.7 + 0.2j, 0j])
+        got = null_phases(t, np.zeros((2, 0), complex))
+        assert got.shape == (2, 0)
+        assert_matches_loop(t, np.zeros((2, 0), complex))
+
+    def test_stopping_test_at_its_boundary(self):
+        # tol at the edge of each row's first stopping test, so that one ulp
+        # in |r|^2 flips the decision, on rows where array abs would give |r|
+        # another last bit than Python's abs
+        g = np.random.default_rng(4)
+        t = g.standard_normal(200) + 1j * g.standard_normal(200)
+        f = 0.4 * (g.standard_normal((200, 3)) + 1j * g.standard_normal((200, 3)))
+        rows = []
+        for k in range(len(t)):
+            r = loop_null(t[k], f[k], max_passes=1)[2]
+            mags = [abs(x) for x in r]
+            # a pass that gains nothing stops at any tol
+            if mags[1] < mags[0] and np.any(np.abs(r) != mags):
+                rows.append(k)
+        assert len(rows) >= 12
+        for k in rows[:12]:
+            prev, cur = (abs(x) ** 2 for x in loop_null(t[k], f[k], max_passes=1)[2])
+            tol = (prev - cur) / prev
+            while tol * prev < prev - cur:
+                tol = np.nextafter(tol, np.inf)
+            while np.nextafter(tol, 0.0) * prev >= prev - cur:
+                tol = np.nextafter(tol, 0.0)
+            for edge in (tol, np.nextafter(tol, 0.0)):
+                assert_matches_loop(t[k:k + 1], f[k:k + 1], tol=float(edge), max_passes=4)
+
+    @pytest.mark.parametrize("max_passes", [1, 2, 3])
+    def test_explicit_start_and_pass_caps(self, max_passes):
+        t, f = nulling_batch(seed=1)
+        start = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, f.shape))
+        assert_matches_loop(t, f, start, tol=1e-14, max_passes=max_passes)
+        assert_matches_loop(t, f, None, tol=1e-14, max_passes=max_passes)
+
+    def test_rows_stopping_on_different_passes(self):
+        t, f = nulling_batch(r=40, n=30, seed=2)
+        passes = [len(loop_null(tr, fr, tol=1e-6, max_passes=50)[2]) - 1 for tr, fr in zip(t, f)]
+        assert len(set(passes)) >= 4 and min(passes) < max(passes) < 50
+        assert_matches_loop(t, f, tol=1e-6, max_passes=50)
+
+    @pytest.mark.parametrize("n", [20, 60, 100])
+    def test_random_rows_on_realized_channels(self, n):
+        cfg = ScenarioConfig(m_antennas=1, n_elements=n, user_position=(50.0, 0.0))
+        pairs = [direct_and_cascade(realize(cfg, SeededRng(616, i)), np.ones(1))
+                 for i in range(24)]
+        t = np.array([p[0] for p in pairs])
+        f = np.array([p[1] for p in pairs])
+        assert_matches_loop(t, f, tol=1e-14, max_passes=400)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_equals_row_by_row(self, seed):
+        t, f = nulling_batch(seed=seed)
+        start = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, f.shape))
+        for s in (None, start):
+            got = null_phases(t, f, s, 1e-10, 30)
+            alone = np.concatenate([
+                null_phases(t[k:k + 1], f[k:k + 1], None if s is None else s[k:k + 1], 1e-10, 30)
+                for k in range(len(t))])
+            assert got.tobytes() == alone.tobytes()
+            assert nulling_residual(t, f, got).tobytes() == np.concatenate(
+                [nulling_residual(t[k:k + 1], f[k:k + 1], alone[k:k + 1])
+                 for k in range(len(t))]).tobytes()
+
+    def test_residual_squared_by_pow(self):
+        # pow(x, 2) and x * x differ in the last bit on a few of these rows
+        g = np.random.default_rng(8)
+        t = g.standard_normal(20000) + 1j * g.standard_normal(20000)
+        f = g.standard_normal((20000, 2)) + 1j * g.standard_normal((20000, 2))
+        v = np.exp(1j * g.uniform(0, 2 * np.pi, f.shape))
+        mag = np.array([abs(tr + np.sum(fr * vr)) for tr, fr, vr in zip(t, f, v)])
+        want = np.array([m ** 2 for m in mag])
+        assert np.any(mag * mag != want)
+        assert nulling_residual(t, f, v).tobytes() == want.tobytes()
+
+    def test_null_interference_is_the_one_row_call(self):
+        t, f = nulling_batch(seed=3)
+        for k in (0, 2, 6, 9):
+            ch = synthetic_channel(t[k], f[k])
+            tk, fk = direct_and_cascade(ch, np.ones(1))
+            state, res = null_interference(ch, UNIT, tol=1e-14, max_passes=400)
+            v, r, _ = loop_null(tk, fk, tol=1e-14, max_passes=400)
+            assert state.coefficients.tobytes() == v.tobytes()
+            assert np.float64(res).tobytes() == np.float64(r).tobytes()
+
+
+def anti_aligned_rows(t, f):
+    return np.array([np.exp(1j * (np.pi + (np.angle(tr) if tr != 0 else 0.0) - np.angle(fr)))
+                     for tr, fr in zip(t, f)])
 
 
 class TestCodebookSweep:

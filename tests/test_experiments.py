@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from irslink import experiments
-from irslink.channel import ScenarioConfig, realize
+from irslink.channel import ChannelRealization, ScenarioConfig, realize
 from irslink.experiments import (
     POWER_DISTANCE_SCHEMES,
     ConfigError,
@@ -13,6 +13,7 @@ from irslink.experiments import (
     ExperimentResult,
     ResultRow,
     channel_stream,
+    interference_metrics,
     quantized_scheme_gains,
     run_interference_vs_n,
     run_power_vs_distance,
@@ -23,11 +24,14 @@ from irslink.beamforming import (
     align_phases,
     alternating_optimize,
     bs_irs_mrt,
+    direct_and_cascade,
     min_power_for_snr,
     mrt,
+    null_interference,
     quantization_loss_bound,
     received_gain,
 )
+from irslink.numerics import db_to_linear
 from irslink.reflection import ConstraintSet
 
 DIST_CFG = ExperimentConfig(
@@ -393,6 +397,80 @@ class TestInterferenceVsN:
         joint = res.samples[(60.0, "joint_amp_phase")]
         direct = res.samples[(60.0, "no_irs")]
         assert np.median(joint) < 1e-6 * np.median(direct)
+
+
+    def test_csv_bytes_pinned(self):
+        # sha256 of the CSV written by the per-realization nulling loop that
+        # the block kernel replaced
+        cfg = replace(INT_CFG, n_realizations=6, keep_samples=False)
+        text = run_interference_vs_n(cfg).to_csv_text()
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert digest == "c7529432c80cc01195fcd34a2d785fc4cc099e0e0d91011871973b7e3b2faa60"
+
+    def test_samples_across_block_boundary_extend_a_shorter_run(self):
+        block = experiments._BLOCK
+        short = run_interference_vs_n(replace(INT_CFG, n_realizations=block - 1))
+        long = run_interference_vs_n(replace(INT_CFG, n_realizations=2 * block + 3))
+        assert short.samples.keys() == long.samples.keys()
+        for key, arr in short.samples.items():
+            assert long.samples[key].shape == (2 * block + 3,)
+            assert long.samples[key][: arr.size].tobytes() == arr.tobytes(), key
+        # each block draws the streams of its own realization indices
+        p_tx_mw = db_to_linear(INT_CFG.interferer_power_dbm)
+        noise_mw = db_to_linear(INT_CFG.scenario.noise_power_dbm)
+        scen = replace(INT_CFG.scenario, n_elements=30)
+        for i in (block - 1, block, 2 * block + 2):
+            alone = interference_metrics(realize(scen, channel_stream(INT_CFG.master_seed, i)),
+                                         INT_CFG.schemes)
+            for key, value in alone.items():
+                want = value if key == "margin" else p_tx_mw * value / noise_mw
+                assert long.samples[(30.0, key)][i] == want, (i, key)
+
+
+class TestInterferenceGains:
+    """The block metric against the per-realization solvers, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 20, 100])
+    def test_block_equals_the_solvers(self, n):
+        scen = ScenarioConfig(m_antennas=1, n_elements=n, user_position=(50.0, 0.0))
+        channels = [realize(scen, channel_stream(78, i)) for i in range(20)]
+        schemes = ("joint_amp_phase", "phase_only", "no_irs")
+        block = experiments._interference_gains(channels, schemes)
+        assert list(block) == ["margin", *schemes]
+        for k, ch in enumerate(channels):
+            t, f = direct_and_cascade(ch, np.ones(1))
+            solved = {
+                "margin": float(np.sum(np.abs(f)) - abs(t)),
+                "joint_amp_phase": null_interference(ch, ConstraintSet.ideal_continuous())[1],
+                "phase_only": null_interference(ch, ConstraintSet.unit_modulus(),
+                                                tol=1e-14, max_passes=400)[1],
+                "no_irs": float(abs(t) ** 2),
+            }
+            for key, value in solved.items():
+                assert block[key][k] == value, (key, k)
+            assert interference_metrics(ch, schemes) == solved
+
+    def test_magnitudes_and_squares_as_python_computes_them(self):
+        # hypot for |t| and pow for the square: array abs and x * x differ
+        # from Python's abs(t) ** 2 in the last bit on some of these rows
+        g = np.random.default_rng(3)
+        t = g.standard_normal(10000) + 1j * g.standard_normal(10000)
+        f = g.standard_normal((10000, 2)) + 1j * g.standard_normal((10000, 2))
+        channels = [ChannelRealization(g_bs_irs=fr.reshape(-1, 1), h_irs_user=np.ones(2, complex),
+                                       h_bs_user=np.array([np.conj(tr)])) for tr, fr in zip(t, f)]
+        block = experiments._interference_gains(channels, ("no_irs",))
+        pairs = [direct_and_cascade(ch, np.ones(1)) for ch in channels]
+        mag = np.array([abs(tr) for tr, _ in pairs])
+        assert np.any(np.abs([tr for tr, _ in pairs]) != mag)
+        assert np.any(mag * mag != np.array([m ** 2 for m in mag]))
+        assert block["no_irs"].tobytes() == np.array([abs(tr) ** 2 for tr, _ in pairs]).tobytes()
+        assert block["margin"].tobytes() == np.array(
+            [np.sum(np.abs(fr)) - abs(tr) for tr, fr in pairs]).tobytes()
+
+    def test_unknown_scheme_rejected(self):
+        ch = realize(ScenarioConfig(m_antennas=1), channel_stream(1, 0))
+        with pytest.raises(ConfigError):
+            interference_metrics(ch, ("zf",))
 
 
 class TestChannelStream:
