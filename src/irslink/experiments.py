@@ -5,8 +5,8 @@ Every study draws its channels from streams keyed by the realization
 index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
-with more than one worker it shards the realizations over processes
-started with the ``spawn`` method.  Within a shard, realizations are
+with more than one worker it shards the realizations over processes,
+forked on Linux and spawned elsewhere.  Within a shard, realizations are
 walked in blocks of ``_BLOCK``: each realization's fading is drawn once
 and reused for every sweep value, and each sweep value evaluates the
 whole block at once.  The power-versus-distance study takes every
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
@@ -46,6 +47,12 @@ _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
 # Realizations evaluated together at one sweep value.  A block's arrays are
 # (_BLOCK, N), so memory does not grow with n_realizations.
 _BLOCK = 64
+
+# How shard processes start.  A forked shard inherits the imported modules
+# and the validated config, so it starts in milliseconds.  Windows has no
+# fork and it is unsafe on macOS, so there shards are spawned and re-import
+# everything.
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 # Maps the channels of one block of realizations to the values kept as
 # samples, stacked over the block per key.
@@ -440,11 +447,20 @@ def _sweep_samples(
             for blocks in per_value]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentResult:
     """Validate ``cfg`` for ``STUDIES[study]``, then evaluate and aggregate it.
 
     With ``workers > 1``, contiguous realization ranges run in separate
-    processes and are concatenated in realization order: bit-identical to
+    processes (started by ``_START_METHOD``, at most one per usable CPU)
+    and are concatenated in realization order: bit-identical to
     ``workers = 1``, since each realization draws from its own stream.
     """
     spec = STUDIES[study]
@@ -475,7 +491,7 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
             )
 
     n = cfg.n_realizations
-    n_shards = min(workers, n, os.cpu_count() or 1)
+    n_shards = min(workers, n, _usable_cpus())
     if n_shards == 1:
         shards = [_sweep_samples(study, cfg, 0, n)]
     else:
@@ -483,7 +499,8 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
         from concurrent.futures.process import ProcessPoolExecutor
 
         bounds = [n * k // n_shards for k in range(n_shards + 1)]
-        with ProcessPoolExecutor(n_shards, mp_context=multiprocessing.get_context("spawn")) as pool:
+        context = multiprocessing.get_context(_START_METHOD)
+        with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
             shards = list(pool.map(_sweep_samples, [study] * n_shards, [cfg] * n_shards,
                                    bounds[:-1], bounds[1:]))
 

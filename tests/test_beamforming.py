@@ -693,6 +693,18 @@ def assert_matches_loop(t, f, start=None, tol=1e-12, max_passes=200):
         assert res[k].tobytes() == np.float64(r).tobytes(), k
 
 
+def first_stop_edges(t, f):
+    """The smallest tol at which the loop stops after its first pass, and
+    the largest at which it goes on."""
+    prev, cur = (abs(x) ** 2 for x in loop_null(t, f, max_passes=1)[2])
+    tol = (prev - cur) / prev
+    while tol * prev < prev - cur:
+        tol = np.nextafter(tol, np.inf)
+    while np.nextafter(tol, 0.0) * prev >= prev - cur:
+        tol = np.nextafter(tol, 0.0)
+    return float(tol), float(np.nextafter(tol, 0.0))
+
+
 class TestNullPhases:
     """The row-batched kernel against the scalar loop, bit for bit."""
 
@@ -733,14 +745,29 @@ class TestNullPhases:
                 rows.append(k)
         assert len(rows) >= 12
         for k in rows[:12]:
-            prev, cur = (abs(x) ** 2 for x in loop_null(t[k], f[k], max_passes=1)[2])
-            tol = (prev - cur) / prev
-            while tol * prev < prev - cur:
-                tol = np.nextafter(tol, np.inf)
-            while np.nextafter(tol, 0.0) * prev >= prev - cur:
-                tol = np.nextafter(tol, 0.0)
-            for edge in (tol, np.nextafter(tol, 0.0)):
-                assert_matches_loop(t[k:k + 1], f[k:k + 1], tol=float(edge), max_passes=4)
+            for edge in first_stop_edges(t[k], f[k]):
+                assert_matches_loop(t[k:k + 1], f[k:k + 1], tol=edge, max_passes=4)
+
+    @pytest.mark.parametrize("t, f", [
+        # |r|^2 after the first pass: x * x is one ulp off pow
+        (-0.7782179438532578 - 0.07264401627276254j,
+         [0.5373755924522856 - 0.14303042994450543j, 0.2417062639784481 + 0.20435353817472157j,
+          0.6443880571149166 + 0.15215007406030312j]),
+        # |r|^2 of the start
+        (-0.5175139562940217 + 1.0631490967372101j,
+         [-0.3597011858031847 - 0.8492716363840934j, -0.03668285159360533 - 0.06366133130007519j,
+          0.19607260087660883 - 0.4580884185024922j]),
+    ], ids=["after_first_pass", "start"])
+    def test_stopping_test_squares_by_pow(self, t, f):
+        # rows (found among seeded random ones) where squaring |r| by x * x
+        # instead of pow moves the first stopping decision at its tol edge,
+        # and where a second pass changes the coefficients
+        t, f = np.array([t]), np.array([f])
+        edges = first_stop_edges(t[0], f[0])
+        stop, go = (loop_null(t[0], f[0], tol=edge, max_passes=4)[0] for edge in edges)
+        assert stop.tobytes() != go.tobytes()
+        for edge in edges:
+            assert_matches_loop(t, f, tol=edge, max_passes=4)
 
     @pytest.mark.parametrize("max_passes", [1, 2, 3])
     def test_explicit_start_and_pass_caps(self, max_passes):

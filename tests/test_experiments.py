@@ -1,4 +1,7 @@
+import concurrent.futures.process
 import hashlib
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -479,3 +482,62 @@ class TestChannelStream:
         b = channel_stream(5, 1)
         assert a != b
         assert channel_stream(5, 0) == a
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Start method of every shard pool a study creates, in order."""
+    made = []
+    real = concurrent.futures.process.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            made.append(mp_context.get_start_method())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Spy)
+    return made
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestShardProcesses:
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch, pools, dist_result):
+        usable_cpus(monkeypatch, 1)
+        result = run_power_vs_distance(DIST_CFG, workers=4)
+        assert pools == []
+        assert result.to_csv_text() == dist_result.to_csv_text()
+        assert_same_samples(dist_result, result)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiments._usable_cpus() == 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fork is the Linux start method")
+    def test_shards_fork_on_linux(self, monkeypatch, pools, dist_result):
+        usable_cpus(monkeypatch, 2)
+        result = run_power_vs_distance(DIST_CFG, workers=2)
+        assert pools == ["fork"]
+        assert result.to_csv_text() == dist_result.to_csv_text()
+        assert_same_samples(dist_result, result)
+
+    @pytest.mark.parametrize("runner, cfg, serial", [
+        (run_power_vs_distance, DIST_CFG, "dist_result"),
+        (run_power_vs_n, N_CFG, "n_result"),
+        (run_interference_vs_n, INT_CFG, "int_result"),
+    ], ids=["distance", "n", "interference"])
+    def test_spawned_shards_match_one_worker(self, monkeypatch, pools, request, runner, cfg,
+                                             serial):
+        # the start method of every platform but Linux
+        monkeypatch.setattr(experiments, "_START_METHOD", "spawn")
+        usable_cpus(monkeypatch, 2)
+        result = runner(cfg, workers=2)
+        assert pools == ["spawn"]
+        one = request.getfixturevalue(serial)
+        assert result.to_csv_text() == one.to_csv_text()
+        assert_same_samples(one, result)
