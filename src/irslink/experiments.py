@@ -7,13 +7,14 @@ schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
 with more than one worker it shards the realizations over processes,
 forked on Linux and spawned elsewhere.  Within a shard, realizations are
-walked in blocks of ``_BLOCK``: each realization's fading is drawn once
-and reused for every sweep value, and each sweep value evaluates the
-whole block at once.  The power-versus-distance study takes every
-scheme's optimum in closed form on the block's arrays, the power-versus-N
-study refines the discrete phases of the block together, the
-interference study nulls the block's rows together, and every
-realization gets the same values as it would alone.
+walked in blocks of as many rows as an element budget allows
+(``_block_rows``): each realization's fading is drawn once and reused for
+every sweep value, and each sweep value evaluates the whole block at
+once.  The power-versus-distance study takes every scheme's optimum in
+closed form on the block's arrays, the power-versus-N study rounds and
+refines the discrete phases of the block together, the interference
+study nulls the block's rows together, and every realization gets the
+same values as it would alone.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ from .beamforming import (
 )
 from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, draw_fading, scenario_links
 from .numerics import SeededRng, db_to_linear
-from .reflection import ConstraintSet, project
+from .reflection import ConstraintSet, unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
-# Realizations evaluated together at one sweep value.  A block's arrays are
-# (_BLOCK, N), so memory does not grow with n_realizations.
-_BLOCK = 64
+# Realizations evaluated together at one sweep value: as many as keep
+# rows x (largest swept N) within _ELEMENT_BUDGET, and at least _MIN_ROWS.
+# A block's arrays are (rows, N), so memory does not grow with
+# n_realizations, and wide blocks spread the kernels' per-call cost.
+_ELEMENT_BUDGET = 1 << 17
+_MIN_ROWS = 64
 
 # How shard processes start.  A forked shard inherits the imported modules
 # and the validated config, so it starts in milliseconds.  Windows has no
@@ -271,9 +275,9 @@ def _quantized_gains(
     """:func:`quantized_scheme_gains` of a block of realizations, stacked per key.
 
     The continuous optimum runs per realization; each bit width is then
-    refined once for the whole block.  Of each realization only what the
-    refinement and the gains read is kept, and of the transmitter-surface
-    matrix, which is deterministic, one copy.
+    rounded to its lattice and refined once for the whole block.  Of each
+    realization only what the refinement and the gains read is kept, and
+    of the transmitter-surface matrix, which is deterministic, one copy.
     """
     unit = ConstraintSet.unit_modulus()
     kept = []
@@ -293,10 +297,9 @@ def _quantized_gains(
 
     gains = {"continuous": continuous} if "continuous" in schemes else {}
     for b in (int(s[1:]) for s in schemes if s != "continuous"):
-        lattice = ConstraintSet.discrete_phase(b)
-        quantized = np.empty_like(phases)
-        for row, v in zip(quantized, phases):
-            row[:] = project(v, lattice).coefficients
+        quantized = unit_phases(phases, b)
+        if not ConstraintSet.discrete_phase(b).contains(quantized):
+            raise ValueError("coefficients violate discrete_phase constraint")
         gains[f"b{b}_quant"] = block_gains(quantized)
         gains[f"b{b}"] = block_gains(refine_levels(t, a, quantized, b))
         del quantized  # before the next bit width allocates its own
@@ -420,15 +423,22 @@ STUDIES = {
 }
 
 
+def _block_rows(n_max: int) -> int:
+    """Realizations per block when the largest swept element count is
+    ``n_max``."""
+    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(n_max, 1))
+
+
 def _sweep_samples(
     study: str, cfg: ExperimentConfig, start: int, stop: int
 ) -> list[dict[str, np.ndarray]]:
     """Metrics of realizations ``start`` .. ``stop - 1``, stacked per key,
     for each sweep value in turn.
 
-    The range is walked in blocks of ``_BLOCK`` realizations.  Each
-    realization's fading is drawn once, at the largest swept element
-    count, and every sweep value's channel is built from it as
+    The range is walked in blocks of ``_block_rows(n_max)`` realizations,
+    ``n_max`` being the largest swept element count; rows are independent,
+    so the block size moves no bits.  Each realization's fading is drawn
+    once, at ``n_max``, and every sweep value's channel is built from it as
     ``channel.realize`` builds one, from links computed once per sweep value.
     One shard of a study; module-level so that worker processes can
     unpickle it.
@@ -437,10 +447,11 @@ def _sweep_samples(
     scenarios = _sweep_scenarios(cfg)
     links = [scenario_links(scen) for scen in scenarios]
     m, n_max = cfg.scenario.m_antennas, max(scen.n_elements for scen in scenarios)
+    rows = _block_rows(n_max)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
-    for lo in range(start, stop, _BLOCK):
+    for lo in range(start, stop, rows):
         fading = [draw_fading(channel_stream(cfg.master_seed, i), m, n_max)
-                  for i in range(lo, min(lo + _BLOCK, stop))]
+                  for i in range(lo, min(lo + rows, stop))]
         for blocks, link in zip(per_value, links):
             blocks.append(metric((link.channel(*f) for f in fading), cfg))
     return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}

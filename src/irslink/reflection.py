@@ -120,11 +120,19 @@ def project(v: np.ndarray, c: ConstraintSet) -> ReflectionState:
         return ReflectionState(np.zeros_like(v), c)
     if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
         return ReflectionState(v / np.maximum(np.abs(v), 1.0), c)
+    return ReflectionState(unit_phases(v, c.bits), c)
+
+
+def unit_phases(v: np.ndarray, bits: int | None = None) -> np.ndarray:
+    """exp(j * arg v), entrywise for an array of any shape, with the phase
+    rounded to the nearest b-bit lattice level when ``bits`` is given
+    (exact ties toward the lower level) and zero entries carrying phase 0:
+    the unit-modulus and discrete-phase cases of :func:`project`."""
     # np.angle(-0.0) is pi, so zeros are mapped to phase 0 explicitly
     phases = np.where(v == 0, 0.0, np.angle(v))
-    if c.kind is ConstraintKind.DISCRETE_PHASE:
-        phases = _round_to_lattice(phases, c.bits)
-    return ReflectionState(np.exp(1j * phases), c)
+    if bits is not None:
+        phases = _round_to_lattice(phases, bits)
+    return np.exp(1j * phases)
 
 
 def _round_to_lattice(phases: np.ndarray, bits: int) -> np.ndarray:

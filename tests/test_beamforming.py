@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from irslink import beamforming
 from irslink.beamforming import (
     BeamformingSolution,
     Codebook,
@@ -338,30 +339,99 @@ def loop_refine(t, a, start, bits, passes):
 
 def refinement_batch(bits, r=16, n=24, seed=0):
     """Rows t (R,), a (R, N) and lattice starts (R, N) with awkward cases:
-    an all-zero row, a row of zero a_n, a row whose only nonzero a_n ties
-    two levels exactly (t = 0, a_0 = 1), and rows of mixed scales."""
+    an all-zero row, a column of zero a_n (when N > 3), a row whose only
+    nonzero a_n ties two levels exactly (t = 0, a_0 = 1), and rows of mixed
+    scales."""
     g = np.random.default_rng(seed)
     nlev = 1 << bits
     t = (g.standard_normal(r) + 1j * g.standard_normal(r)) * 10.0 ** g.uniform(-1, 1, r)
     a = (g.standard_normal((r, n)) + 1j * g.standard_normal((r, n))) * 10.0 ** g.uniform(
         -2, 0, (r, n)
     )
-    a[:, 3] = 0.0
+    a[:, 3:4] = 0.0
     a[0] = 0.0
     t[1], a[1] = 0.0, np.eye(1, n, 0)[0]
     start = np.exp(2j * np.pi * g.integers(0, nlev, (r, n)) / nlev)
     return t, a, start
 
 
+def lockstep_refine(t, a, start, bits, passes, log=None):
+    """Reference: the lockstep kernel that the chunked scan of
+    :func:`refine_levels` replaced, one numpy step per element for all rows
+    until no row changes.  Appends (pass, element, changed rows) of every
+    step that changes a row to ``log`` if given."""
+    if a.shape[1] == 0:
+        return np.array(start, dtype=np.complex128)
+    terms = a * start
+    total = t + np.cumsum(terms, axis=1, out=terms)[:, -1]
+    del terms
+    v = np.array(start, dtype=np.complex128)
+    nlev = 1 << bits
+    levels = np.exp(2j * np.pi * np.arange(nlev) / nlev)
+    rows = np.arange(v.shape[0])
+    for p in range(passes):
+        changed = False
+        for n, (an, vn) in enumerate(zip(a.T, v.T)):  # column views: vn writes into v
+            rest = total - an * vn
+            candidates = rest[:, None] + an[:, None] * levels
+            powers = np.abs(candidates)
+            k = powers.argmax(axis=1)
+            better = (levels[k] != vn) & (powers[rows, k] > np.abs(rest + an * vn))
+            if better.any():
+                vn[better] = levels[k[better]]
+                total[better] = candidates[rows[better], k[better]]
+                changed = True
+                if log is not None:
+                    log.append((p, n, rows[better]))
+        if not changed:
+            break
+    return v
+
+
+K = beamforming._CHUNK
+
+
+def flips_at(n, wrong):
+    """A real 1-bit row at its fixed point except at the elements ``wrong``.
+
+    t = n outweighs sum|a_n| < n, so every element's best level is the one
+    that makes a_n v_n positive, and pass 1 changes exactly ``wrong``."""
+    levels = np.exp(2j * np.pi * np.arange(2) / 2)
+    a = np.linspace(0.5, 1.0, n) * (-1.0) ** np.arange(n)
+    k = (a < 0).astype(int)
+    k[list(wrong)] ^= 1
+    return complex(n), a.astype(complex), levels[k]
+
+
+def boundary_batch(bits, n, seed=0):
+    """refinement_batch rows of length ``n`` (uniform starts, many changes),
+    rows started from nearly aligned phases (few changes, as in the
+    studies), and, for 1 bit and n = 2K + 1, rows whose changes sit at
+    chunk edges: at K - 1 and K, at 3, 4 and 10 (consecutive and several
+    in one chunk) plus K + 5, at the last element, and none at all."""
+    t, a, start = refinement_batch(bits, r=12, n=n, seed=seed)
+    g = np.random.default_rng(seed + 100)
+    nlev = 1 << bits
+    ta = (g.standard_normal(12) + 1j * g.standard_normal(12)) * 3.0
+    aa = g.standard_normal((12, n)) + 1j * g.standard_normal((12, n))
+    phase = np.angle(ta)[:, None] - np.angle(aa) + g.normal(0.0, 0.4, (12, n))
+    sa = np.exp(2j * np.pi * (np.round(phase * nlev / (2 * np.pi)) % nlev) / nlev)
+    t, a, start = np.r_[t, ta], np.r_[a, aa], np.r_[start, sa]
+    if bits == 1 and n == 2 * K + 1:
+        rows = [flips_at(n, w) for w in ([K - 1, K], [3, 4, 10, K + 5], [n - 1], [])]
+        t = np.r_[t, [r[0] for r in rows]]
+        a = np.r_[a, [r[1] for r in rows]]
+        start = np.r_[start, [r[2] for r in rows]]
+    return t, a, start
+
+
 class TestRefineLevels:
+    """The chunked kernel against the lockstep kernel, bit for bit."""
+
     @staticmethod
     def row_by_row(t, a, start, bits, passes):
-        lattice = ConstraintSet.discrete_phase(bits)
-        return np.array([
-            discrete_refine(synthetic_channel(tr, ar), np.ones(1),
-                            ReflectionState(sr, lattice), bits, passes).coefficients
-            for tr, ar, sr in zip(t, a, start)
-        ])
+        return np.array([lockstep_refine(t[r:r + 1], a[r:r + 1], start[r:r + 1], bits, passes)[0]
+                         for r in range(len(t))])
 
     @pytest.mark.parametrize("passes", [1, 2, 20])
     @pytest.mark.parametrize("bits", [1, 2])
@@ -372,6 +442,38 @@ class TestRefineLevels:
         assert got.shape == a.shape
         assert got.tobytes() == np.ascontiguousarray(
             self.row_by_row(t, a, start, bits, passes)).tobytes()
+
+    @pytest.mark.parametrize("passes", [1, 2, 3, 20])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 1])
+    def test_chunk_edges_match_the_lockstep_kernel(self, n, bits, passes):
+        t, a, start = boundary_batch(bits, n, seed=n)
+        got = refine_levels(t, a, start, bits, passes)
+        assert got.tobytes() == lockstep_refine(t, a, start, bits, passes).tobytes()
+        assert got.tobytes() == np.ascontiguousarray(
+            self.row_by_row(t, a, start, bits, passes)).tobytes()
+
+    def test_chunk_edge_rows_change_where_built_to(self):
+        n = 2 * K + 1
+        t, a, start = boundary_batch(1, n, seed=n)
+        log = []
+        lockstep_refine(t, a, start, 1, 20, log)
+        first_pass = {}  # row -> the elements it changes in pass 1
+        for p, e, rows in log:
+            if p == 0:
+                for r in rows:
+                    first_pass.setdefault(int(r), []).append(e)
+        edge = len(t) - 4
+        assert first_pass[edge] == [K - 1, K]
+        assert first_pass[edge + 1] == [3, 4, 10, K + 5]
+        assert first_pass[edge + 2] == [n - 1]
+        assert edge + 3 not in first_pass
+        # rows leave the batch after pass 1 while others go on changing
+        later = {int(r) for p, _, rows in log if p >= 1 for r in rows}
+        assert later and not later & {edge, edge + 1, edge + 2, edge + 3}
+        # each nearly aligned row changes some, but under half, of its
+        # elements in pass 1
+        assert all(1 <= len(first_pass.get(r, [])) < n // 2 for r in range(12, 24))
 
     def test_batch_covers_rows_converging_on_different_passes(self):
         # the rows of the batch above stop changing after different pass

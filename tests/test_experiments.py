@@ -243,14 +243,24 @@ class TestSignalSchemeGains:
             signal_scheme_gains(realize(ScenarioConfig(), channel_stream(1, 0)), ("zf",))
 
 
+def assert_same_channel(got, want):
+    for name in ("g_bs_irs", "h_irs_user", "h_bs_user"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def shrink_blocks(monkeypatch, n_max, rows=67):
+    """Lower the element budget so that blocks hold ``rows`` realizations
+    (above the floor) at largest swept element count ``n_max``."""
+    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * n_max)
+    assert experiments._block_rows(n_max) == rows
+    return rows
+
+
 class TestSharedDraw:
-    @pytest.mark.parametrize(
-        "count", [experiments._BLOCK - 1, experiments._BLOCK, experiments._BLOCK + 1])
-    @pytest.mark.parametrize("study, sweep", [
-        ("power-vs-distance", ("d", (20.0, 50.0, 55.0))),
-        ("power-vs-n", ("n", (0.0, 1.0, 40.0))),
-    ])
-    def test_sweep_builds_the_channels_realize_draws(self, monkeypatch, study, sweep, count):
+    @staticmethod
+    def built_blocks(monkeypatch, study, cfg):
+        """The channels each metric call receives, call by call."""
         built = []
 
         def record(channels, cfg):
@@ -259,18 +269,45 @@ class TestSharedDraw:
 
         spec = experiments.STUDIES[study]
         monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=record))
+        experiments._sweep_samples(study, cfg, 0, cfg.n_realizations)
+        return built
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("study, sweep", [
+        ("power-vs-distance", ("d", (20.0, 50.0, 55.0))),
+        ("power-vs-n", ("n", (0.0, 1.0, 40.0))),
+    ])
+    def test_sweep_builds_the_channels_realize_draws(self, monkeypatch, study, sweep, offset):
+        block = shrink_blocks(monkeypatch, 40)  # both sweeps reach N = 40
+        count = block + offset
         cfg = ExperimentConfig(sweep=sweep, n_realizations=count, master_seed=21)
-        experiments._sweep_samples(study, cfg, 0, count)
+        built = self.built_blocks(monkeypatch, study, cfg)
         # blocks in turn, each evaluated at every sweep value in turn
-        block = experiments._BLOCK
         expected = [[realize(scen, channel_stream(21, i)) for i in range(lo, min(lo + block, count))]
                     for lo in range(0, count, block) for scen in experiments._sweep_scenarios(cfg)]
         assert [len(b) for b in built] == [len(b) for b in expected]
         for got, want in zip(built, expected):
             for a, b in zip(got, want):
-                for name in ("g_bs_irs", "h_irs_user", "h_bs_user"):
-                    x, y = getattr(a, name), getattr(b, name)
-                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+                assert_same_channel(a, b)
+
+    def test_blocks_split_at_the_real_budget(self, monkeypatch):
+        block = experiments._block_rows(40)
+        cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), n_realizations=block + 1,
+                               master_seed=21)
+        built = self.built_blocks(monkeypatch, "power-vs-n", cfg)
+        assert [len(b) for b in built] == [block, block, 1, 1]
+        for k, scen in enumerate(experiments._sweep_scenarios(cfg)):
+            for i in (0, block - 1, block):
+                assert_same_channel(built[k + 2 * (i // block)][i % block],
+                                    realize(scen, channel_stream(21, i)))
+
+    def test_block_rows_follow_the_element_budget(self):
+        assert experiments._ELEMENT_BUDGET == 1 << 17 and experiments._MIN_ROWS == 64
+        assert experiments._block_rows(40) == 3276
+        assert experiments._block_rows(300) == 436
+        assert experiments._block_rows(2048) == 64
+        assert experiments._block_rows(10000) == 64  # the floor
+        assert experiments._block_rows(0) == 1 << 17
 
 
 class TestPowerVsN:
@@ -324,8 +361,8 @@ class TestPowerVsN:
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "f0c881c90ea569c9e6e6e7b82b8b9b4f54dbd7a6f5b5e3fed86f4ff652757ed9"
 
-    def test_samples_across_block_boundary_extend_a_shorter_run(self):
-        block = experiments._BLOCK
+    def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
+        block = shrink_blocks(monkeypatch, 8)
         cfg = replace(N_CFG, sweep=("n", (4.0, 8.0)))
         short = run_power_vs_n(replace(cfg, n_realizations=block - 1))
         long = run_power_vs_n(replace(cfg, n_realizations=2 * block + 3))
@@ -410,8 +447,8 @@ class TestInterferenceVsN:
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "c7529432c80cc01195fcd34a2d785fc4cc099e0e0d91011871973b7e3b2faa60"
 
-    def test_samples_across_block_boundary_extend_a_shorter_run(self):
-        block = experiments._BLOCK
+    def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
+        block = shrink_blocks(monkeypatch, 30)
         short = run_interference_vs_n(replace(INT_CFG, n_realizations=block - 1))
         long = run_interference_vs_n(replace(INT_CFG, n_realizations=2 * block + 3))
         assert short.samples.keys() == long.samples.keys()

@@ -12,6 +12,7 @@ from irslink.reflection import (
     absorb_state,
     effective_channel,
     project,
+    unit_phases,
 )
 
 finite_complex = st.complex_numbers(
@@ -109,6 +110,18 @@ class TestProject:
         z = np.array([0.0 + 0j, complex(-0.0, 0.0), complex(-0.0, -0.0)])
         assert np.all(project(z, ConstraintSet.unit_modulus()).coefficients == 1.0 + 0j)
         assert np.all(project(z, ConstraintSet.discrete_phase(3)).coefficients == 1.0 + 0j)
+
+    @pytest.mark.parametrize("bits", [None, 1, 2, 3])
+    def test_block_rounding_equals_project_row_by_row(self, bits):
+        g = np.random.default_rng(7)
+        v = g.standard_normal((64, 300)) + 1j * g.standard_normal((64, 300))
+        v[0, :4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        # half-step ties, one wrapping past the top level, and lattice points
+        v[1, :4] = np.exp(1j * np.array([np.pi / 2, 2 * np.pi - np.pi / 4, np.pi, -np.pi / 8]))
+        c = ConstraintSet.unit_modulus() if bits is None else ConstraintSet.discrete_phase(bits)
+        got = unit_phases(v, bits)
+        want = np.array([project(row, c).coefficients for row in v])
+        assert got.shape == v.shape and got.tobytes() == want.tobytes()
 
     def test_already_feasible_unchanged(self):
         c = ConstraintSet.discrete_phase(2)
