@@ -9,8 +9,9 @@ path loss anchored at a reference loss one metre from the transmitter.
 A realization is the scenario's deterministic part (``scenario_links``:
 the line-of-sight matrix and the two faded links' amplitudes) applied to
 unit-variance fading drawn from the realization's stream
-(``draw_fading``).  Sweeps draw that fading once per realization and
-reuse it for every sweep value; ``realize`` is the one-scenario case.
+(``draw_fading``).  Sweeps draw that fading once per realization, stack
+it over a block of realizations and form every sweep value's block of
+arrays with ``ScenarioLinks.block``; ``realize`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -201,16 +202,24 @@ class ScenarioLinks(NamedTuple):
     amp_irs_user: float
     amp_bs_user: float
 
-    def channel(self, fading_r: np.ndarray, fading_d: np.ndarray) -> ChannelRealization:
-        """The realization with unit-variance fading ``(fading_r, fading_d)``
-        from :func:`draw_fading`; ``fading_r`` may be longer than the
-        surface, whose elements take its prefix.
+    def block(self, fading_r: np.ndarray, fading_d: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(g_bs_irs, h_irs_user, h_bs_user)`` of R realizations: the shared
+        (N, M) matrix and (R, N) and (R, M) links from the stacked fading of
+        :func:`draw_fading`, ``fading_r`` (R, >= N; the elements take each
+        row's prefix) and ``fading_d`` (R, M).  Shapes and finiteness are
+        checked once for the block, as ``ChannelRealization`` checks one.
         """
-        return ChannelRealization(
-            g_bs_irs=self.g_bs_irs,
-            h_irs_user=self.amp_irs_user * fading_r[: self.g_bs_irs.shape[0]],
-            h_bs_user=self.amp_bs_user * fading_d,
-        )
+        n, m = self.g_bs_irs.shape
+        if fading_r.ndim != 2 or fading_r.shape[1] < n or fading_d.shape != (len(fading_r), m):
+            raise ValueError(
+                f"fading {fading_r.shape} / {fading_d.shape} does not fit g_bs_irs {(n, m)}"
+            )
+        with np.errstate(invalid="ignore", over="ignore"):  # reported just below
+            h_r = self.amp_irs_user * fading_r[:, :n]
+            h_d = self.amp_bs_user * fading_d
+        if not all(np.isfinite(x).all() for x in (self.g_bs_irs, h_r, h_d)):
+            raise ValueError("channel block contains non-finite entries")
+        return self.g_bs_irs, h_r, h_d
 
 
 def scenario_links(cfg: ScenarioConfig) -> ScenarioLinks:
@@ -226,14 +235,14 @@ def scenario_links(cfg: ScenarioConfig) -> ScenarioLinks:
 
 
 def realize(cfg: ScenarioConfig, rng: SeededRng) -> ChannelRealization:
-    """Draw one channel realization for the scenario.
+    """Draw one channel realization for the scenario: the one-row
+    ``scenario_links(cfg).block`` of ``draw_fading(rng, M, N)``.
 
-    ``scenario_links(cfg).channel(*draw_fading(rng, M, N))``: the
-    surface-user and direct links use disjoint substreams of ``rng`` so a
-    realization is a pure function of (cfg, rng).  A sweep draws each
-    realization's fading once and builds every sweep scenario's channel
-    from it the same way, so it gets these bits.  With zero elements the
-    surface links are empty and only the direct link is populated.
+    The two faded links use disjoint substreams of ``rng``, so a
+    realization is a pure function of (cfg, rng), and a sweep's blocks,
+    formed the same way, give each row these bits.  With zero elements the
+    surface links are empty.
     """
-    fading = draw_fading(rng, cfg.m_antennas, cfg.n_elements)
-    return scenario_links(cfg).channel(*fading)
+    fading_r, fading_d = draw_fading(rng, cfg.m_antennas, cfg.n_elements)
+    g, h_r, h_d = scenario_links(cfg).block(fading_r[None, :], fading_d[None, :])
+    return ChannelRealization(g_bs_irs=g, h_irs_user=h_r[0], h_bs_user=h_d[0])

@@ -9,12 +9,14 @@ with more than one worker it shards the realizations over processes,
 forked on Linux and spawned elsewhere.  Within a shard, realizations are
 walked in blocks of as many rows as an element budget allows
 (``_block_rows``): each realization's fading is drawn once and reused for
-every sweep value, and each sweep value evaluates the whole block at
-once.  The power-versus-distance study takes every scheme's optimum in
-closed form on the block's arrays, the power-versus-N study rounds and
-refines the discrete phases of the block together, the interference
-study nulls the block's rows together, and every realization gets the
-same values as it would alone.
+every sweep value, and each sweep value hands the study's metric one
+block of three arrays, the shared line-of-sight matrix ``g`` (N, M) and
+the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  The
+power-versus-distance study takes every scheme's optimum in closed form
+on these arrays, the power-versus-N study rounds and refines the
+discrete phases of the block together, the interference study nulls the
+block's rows together, and every realization gets the same values as it
+would alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +60,8 @@ _MIN_ROWS = 64
 # everything.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
-# Maps the channels of one block of realizations to the values kept as
-# samples, stacked over the block per key.
+# Maps one block of realizations, (g, h_r, h_d, cfg), to the values kept
+# as samples, stacked over the block per key.
 _BlockMetric = Callable[..., dict[str, np.ndarray]]
 
 
@@ -200,17 +202,12 @@ def channel_stream(master_seed: int, realization: int) -> SeededRng:
     return SeededRng(master_seed, realization)
 
 
-def signal_scheme_gains(ch: ChannelRealization, schemes) -> dict[str, float]:
-    """Channel power gain per signal-enhancement scheme on one realization.
-
-    The :func:`_signal_gains` of a one-realization block.
-    """
-    return {key: float(values[0]) for key, values in _signal_gains([ch], schemes).items()}
-
-
-def _signal_gains(channels: Iterable[ChannelRealization], schemes) -> dict[str, np.ndarray]:
-    """:func:`signal_scheme_gains` of a block of realizations that share one
-    rank-one ``g_bs_irs``, in closed form, stacked per scheme.
+def _signal_gains(
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
+) -> dict[str, np.ndarray]:
+    """Channel power gain per signal-enhancement scheme of a block of
+    realizations that share one rank-one ``g``, in closed form, stacked
+    per scheme.
 
     For a fixed beam w, aligned phases give the gain
     (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2.  With b the unit principal
@@ -227,10 +224,6 @@ def _signal_gains(channels: Iterable[ChannelRealization], schemes) -> dict[str, 
     ``bs_irs_mrt`` remain the general solvers; the tests check that they
     reach these values.
     """
-    channels = list(channels)
-    g = channels[0].g_bs_irs
-    h_d = np.array([ch.h_bs_user for ch in channels])
-    h_r = np.array([ch.h_irs_user for ch in channels])
     # row reductions, not matrix products: each row is then computed as it
     # would be alone, whatever the block's size
     norm_d = np.linalg.norm(h_d, axis=1)
@@ -255,38 +248,28 @@ def _signal_gains(channels: Iterable[ChannelRealization], schemes) -> dict[str, 
     return gains
 
 
-def quantized_scheme_gains(
-    ch: ChannelRealization, schemes=("continuous", "b1", "b2")
-) -> dict[str, float]:
-    """Continuous-phase optimum and its b-bit quantized/refined variants.
-
-    Returns gains for the requested schemes among 'continuous' (unit-modulus
-    joint optimization) and 'b{b}' (nearest-level rounding of the continuous
-    phases followed by elementwise refinement, transmit beam re-matched
-    afterwards), plus 'b{b}_quant' (rounding only, transmit beam re-matched)
-    for every 'b{b}'.
-    """
-    return {key: float(values[0]) for key, values in _quantized_gains([ch], schemes).items()}
-
-
 def _quantized_gains(
-    channels: Iterable[ChannelRealization], schemes
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
 ) -> dict[str, np.ndarray]:
-    """:func:`quantized_scheme_gains` of a block of realizations, stacked per key.
+    """Continuous-phase optimum and its b-bit quantized/refined variants of
+    a block of realizations, stacked per key.
 
-    The continuous optimum runs per realization; each bit width is then
-    rounded to its lattice and refined once for the whole block.  Of each
-    realization only what the refinement and the gains read is kept, and
-    of the transmitter-surface matrix, which is deterministic, one copy.
+    Keys are the requested schemes among 'continuous' (unit-modulus joint
+    optimization) and 'b{b}' (nearest-level rounding of the continuous
+    phases followed by elementwise refinement, transmit beam re-matched
+    afterwards), plus 'b{b}_quant' (rounding only, transmit beam
+    re-matched) for every 'b{b}'.  The continuous optimum runs per
+    realization; each bit width is then rounded to its lattice and refined
+    once for the whole block.
     """
     unit = ConstraintSet.unit_modulus()
     kept = []
-    for ch in channels:
+    for hr, hd in zip(h_r, h_d):
+        ch = ChannelRealization(g_bs_irs=g, h_irs_user=hr, h_bs_user=hd)
         sol = alternating_optimize(ch, unit)
         t, a = direct_and_cascade(ch, sol.w)
-        kept.append((sol.gain_linear, t, a, sol.refl.coefficients, ch.h_irs_user, ch.h_bs_user))
-        g = ch.g_bs_irs
-    continuous, t, a, phases, h_r, h_d = (np.array(column) for column in zip(*kept))
+        kept.append((sol.gain_linear, t, a, sol.refl.coefficients))
+    continuous, t, a, phases = (np.array(column) for column in zip(*kept))
     del kept  # the stacked copies replace the per-realization arrays
     g_h = g.conj().T
 
@@ -306,30 +289,22 @@ def _quantized_gains(
     return gains
 
 
-def interference_metrics(ch: ChannelRealization, schemes) -> dict[str, float]:
-    """Residual interference channel gain per scheme on one realization.
-
-    Also reports the cancellation feasibility margin sum|f_n| - |t| under
-    key 'margin' (non-negative means a perfect null is reachable with
-    amplitude control).  The :func:`_interference_gains` of a
-    one-realization block.
-    """
-    return {key: float(values[0]) for key, values in _interference_gains([ch], schemes).items()}
-
-
 def _interference_gains(
-    channels: Iterable[ChannelRealization], schemes
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
 ) -> dict[str, np.ndarray]:
-    """:func:`interference_metrics` of a block of single-antenna
-    realizations, stacked per key.
+    """Residual interference channel gain per scheme of a block of
+    single-antenna realizations, stacked per key.
 
-    Stacks (t, f) = direct_and_cascade(ch, [1]) over the block and solves
-    every row at once: ``joint_amp_phase`` by the disk closed form,
-    ``phase_only`` by :func:`null_phases` from the anti-aligned state, as
-    ``null_interference`` does for one realization.
+    With (t, f) what ``direct_and_cascade`` gives each row for w = [1],
+    every row is solved at once: ``joint_amp_phase`` by the disk closed
+    form, ``phase_only`` by :func:`null_phases` from the anti-aligned
+    state, as ``null_interference`` does for one realization.  Key
+    'margin' holds the cancellation feasibility margin sum|f_n| - |t|
+    (non-negative means a perfect null is reachable with amplitude
+    control).
     """
-    one = np.ones(1)
-    t, f = (np.array(column) for column in zip(*(direct_and_cascade(ch, one) for ch in channels)))
+    t = np.conj(h_d[:, 0])  # vdot(h_d, [1]) of each row
+    f = np.conj(h_r) * (g @ np.ones(1))
     abs_t = np.hypot(t.real, t.imag)
     out = {"margin": np.sum(np.abs(f), axis=1) - abs_t}
     for scheme in schemes:
@@ -345,21 +320,22 @@ def _interference_gains(
 
 
 def _required_powers(
-    block_gains: _BlockMetric, channels: Iterable[ChannelRealization], cfg: ExperimentConfig
+    block_gains: _BlockMetric, g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray,
+    cfg: ExperimentConfig,
 ) -> dict[str, np.ndarray]:
     noise = cfg.scenario.noise_power_dbm
-    return {s: np.array([min_power_for_snr(g, cfg.snr_target_db, noise) for g in gains])
-            for s, gains in block_gains(channels, cfg.schemes).items()}
+    return {s: np.array([min_power_for_snr(x, cfg.snr_target_db, noise) for x in gains])
+            for s, gains in block_gains(g, h_r, h_d, cfg.schemes).items()}
 
 
 def _interference_powers(
-    channels: Iterable[ChannelRealization], cfg: ExperimentConfig
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, cfg: ExperimentConfig
 ) -> dict[str, np.ndarray]:
     p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
     noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
     return {
         key: values if key == "margin" else p_tx_mw * values / noise_mw
-        for key, values in _interference_gains(channels, cfg.schemes).items()
+        for key, values in _interference_gains(g, h_r, h_d, cfg.schemes).items()
     }
 
 
@@ -382,12 +358,13 @@ def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float,
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
-    ``metric`` maps the channels of one block of realizations at one
-    sweep value (an iterable, built as it is consumed, all sharing one
-    transmitter-surface matrix) to the values kept as samples, stacked
-    per key (a scheme); each row must be what the realization gives
-    alone.  ``rows`` turns those values, stacked over all realizations of
-    one sweep value, into (scheme, metric, unit) rows.
+    ``metric`` maps one block of R realizations at one sweep value, given
+    as ``(g, h_r, h_d, cfg)`` with the shared transmitter-surface matrix
+    ``g`` (N, M) and the links ``h_r`` (R, N) and ``h_d`` (R, M), to the
+    values kept as samples, stacked per key (a scheme); each row must be
+    what the realization gives alone.  ``rows`` turns those values,
+    stacked over all realizations of one sweep value, into (scheme,
+    metric, unit) rows.
     """
 
     runner: str  # public entry point, looked up by name when called
@@ -397,7 +374,7 @@ class Study(NamedTuple):
     schemes: tuple[str, ...]  # allowed, and the default
     n_realizations: int
     scenario: ScenarioConfig
-    metric: _BlockMetric  # (channels of one block, cfg)
+    metric: _BlockMetric  # (g, h_r, h_d, cfg) of one block
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
 
 
@@ -438,10 +415,10 @@ def _sweep_samples(
     The range is walked in blocks of ``_block_rows(n_max)`` realizations,
     ``n_max`` being the largest swept element count; rows are independent,
     so the block size moves no bits.  Each realization's fading is drawn
-    once, at ``n_max``, and every sweep value's channel is built from it as
-    ``channel.realize`` builds one, from links computed once per sweep value.
-    One shard of a study; module-level so that worker processes can
-    unpickle it.
+    once, at ``n_max``, and stacked over the block; every sweep value's
+    arrays are formed from it by ``ScenarioLinks.block``, as
+    ``channel.realize`` forms one row.  One shard of a study; module-level
+    so that worker processes can unpickle it.
     """
     metric = STUDIES[study].metric
     scenarios = _sweep_scenarios(cfg)
@@ -450,10 +427,11 @@ def _sweep_samples(
     rows = _block_rows(n_max)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
     for lo in range(start, stop, rows):
-        fading = [draw_fading(channel_stream(cfg.master_seed, i), m, n_max)
-                  for i in range(lo, min(lo + rows, stop))]
+        draws = (draw_fading(channel_stream(cfg.master_seed, i), m, n_max)
+                 for i in range(lo, min(lo + rows, stop)))
+        fading_r, fading_d = map(np.array, zip(*draws))
         for blocks, link in zip(per_value, links):
-            blocks.append(metric((link.channel(*f) for f in fading), cfg))
+            blocks.append(metric(*link.block(fading_r, fading_d), cfg))
     return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
             for blocks in per_value]
 

@@ -8,10 +8,13 @@ from irslink.channel import (
     MAX_ELEMENTS,
     ChannelRealization,
     ScenarioConfig,
+    ScenarioLinks,
+    draw_fading,
     gen_bs_irs_los,
     gen_rayleigh,
     path_loss,
     realize,
+    scenario_links,
 )
 from irslink.numerics import SeededRng
 
@@ -211,3 +214,65 @@ class TestRealize:
         ch = realize(ScenarioConfig(), SeededRng(0, 0))
         muted = dataclasses.replace(ch, h_bs_user=np.zeros_like(ch.h_bs_user))
         assert np.linalg.norm(muted.h_bs_user) == 0.0
+
+
+def stacked_fading(m, n, rows=4):
+    """Unit-variance fading of ``rows`` realizations, stacked per link."""
+    draws = [draw_fading(SeededRng(8, i), m, n) for i in range(rows)]
+    return tuple(np.array(column) for column in zip(*draws))
+
+
+class TestScenarioBlock:
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_rows_are_the_realizations(self, n):
+        cfg = ScenarioConfig(m_antennas=3, n_elements=n)
+        g, h_r, h_d = scenario_links(cfg).block(*stacked_fading(3, n))
+        assert g.shape == (n, 3) and h_r.shape == (4, n) and h_d.shape == (4, 3)
+        for i in range(4):
+            ch = realize(cfg, SeededRng(8, i))
+            assert g.tobytes() == ch.g_bs_irs.tobytes()
+            assert h_r[i].tobytes() == ch.h_irs_user.tobytes()
+            assert h_d[i].tobytes() == ch.h_bs_user.tobytes()
+
+    def test_no_elements_give_empty_surface_links(self):
+        g, h_r, h_d = scenario_links(ScenarioConfig(n_elements=0)).block(*stacked_fading(5, 0))
+        assert g.shape == (0, 5) and h_r.shape == (4, 0) and h_d.shape == (4, 5)
+        assert np.all(np.abs(h_d) > 0)
+
+    @pytest.mark.parametrize("link, at", [(0, (2, 6)), (1, (3, 1))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_fading(self, link, at, bad):
+        fading = list(stacked_fading(5, 40))
+        fading[link][at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            scenario_links(ScenarioConfig()).block(*fading)
+
+    def test_rejects_non_finite_los_matrix(self):
+        g = scenario_links(ScenarioConfig()).g_bs_irs.copy()
+        g[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ScenarioLinks(g, 1.0, 1.0).block(*stacked_fading(5, 40))
+
+    def test_rejects_links_that_overflow(self):
+        cfg = ScenarioConfig(c0_db=100.0)  # direct-link amplitude above one
+        fading_r, fading_d = stacked_fading(5, 40)
+        fading_d[0, 0] = 1e308
+        with pytest.raises(ValueError, match="non-finite"):
+            scenario_links(cfg).block(fading_r, fading_d)
+
+    def test_unused_fading_tail_is_not_read(self):
+        fading_r, fading_d = stacked_fading(5, 40)
+        fading_r[:, 7:] = np.nan
+        _, h_r, _ = scenario_links(ScenarioConfig(n_elements=7)).block(fading_r, fading_d)
+        assert np.isfinite(h_r).all()
+
+    @pytest.mark.parametrize("fading_r, fading_d", [
+        (np.ones((4, 39), complex), np.ones((4, 5), complex)),  # fewer than N elements
+        (np.ones((4, 40), complex), np.ones((4, 4), complex)),  # not M antennas
+        (np.ones((4, 40), complex), np.ones((3, 5), complex)),  # row counts differ
+        (np.ones(40, complex), np.ones(5, complex)),  # one realization, unstacked
+        (np.ones((4, 40), complex), np.ones((4, 5, 1), complex)),
+    ])
+    def test_rejects_mismatched_fading_shapes(self, fading_r, fading_d):
+        with pytest.raises(ValueError, match="does not fit"):
+            scenario_links(ScenarioConfig()).block(fading_r, fading_d)

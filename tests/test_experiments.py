@@ -16,12 +16,9 @@ from irslink.experiments import (
     ExperimentResult,
     ResultRow,
     channel_stream,
-    interference_metrics,
-    quantized_scheme_gains,
     run_interference_vs_n,
     run_power_vs_distance,
     run_power_vs_n,
-    signal_scheme_gains,
 )
 from irslink.beamforming import (
     align_phases,
@@ -63,6 +60,22 @@ INT_CFG = ExperimentConfig(
     master_seed=13,
     keep_samples=True,
 )
+
+
+def stacked(channels):
+    """The block ``(g, h_r, h_d)`` of realizations that share one ``g``."""
+    return (channels[0].g_bs_irs, np.array([ch.h_irs_user for ch in channels]),
+            np.array([ch.h_bs_user for ch in channels]))
+
+
+def one_row(ch):
+    """The one-row block of one realization."""
+    return ch.g_bs_irs, ch.h_irs_user[None, :], ch.h_bs_user[None, :]
+
+
+def alone(metric, ch, schemes):
+    """``metric`` of a one-row block, as floats per key."""
+    return {key: float(values[0]) for key, values in metric(*one_row(ch), schemes).items()}
 
 
 def assert_same_samples(a, b):
@@ -217,7 +230,8 @@ class TestSignalSchemeGains:
         scen = ScenarioConfig(m_antennas=m, n_elements=n, user_position=(d, 0.0))
         channels = [realize(scen, channel_stream(77, i)) for i in range(6)]
         schemes = POWER_DISTANCE_SCHEMES if n else ("joint", "bs_user_mrt", "no_irs")
-        block = experiments._signal_gains(channels, schemes)
+        g, h_r, h_d = stacked(channels)
+        block = experiments._signal_gains(g, h_r, h_d, schemes)
         for k, ch in enumerate(channels):
             w = mrt(ch.h_bs_user)
             solved = {
@@ -230,22 +244,25 @@ class TestSignalSchemeGains:
             for scheme, gain in solved.items():
                 assert abs(block[scheme][k] - gain) <= 1e-12 * gain, (scheme, k)
             # one realization alone gets the bits it gets in the block
-            alone = signal_scheme_gains(ch, schemes)
-            assert all(alone[s] == block[s][k] for s in schemes), k
+            row = alone(experiments._signal_gains, ch, schemes)
+            assert all(row[s] == block[s][k] for s in schemes), k
 
     def test_surface_beam_needs_elements(self):
         ch = realize(ScenarioConfig(n_elements=0), channel_stream(1, 0))
         with pytest.raises(ValueError, match="element"):
-            signal_scheme_gains(ch, ("bs_irs_mrt",))
+            experiments._signal_gains(*one_row(ch), ("bs_irs_mrt",))
 
     def test_unknown_scheme_rejected(self):
+        ch = realize(ScenarioConfig(), channel_stream(1, 0))
         with pytest.raises(ConfigError):
-            signal_scheme_gains(realize(ScenarioConfig(), channel_stream(1, 0)), ("zf",))
+            experiments._signal_gains(*one_row(ch), ("zf",))
 
 
-def assert_same_channel(got, want):
-    for name in ("g_bs_irs", "h_irs_user", "h_bs_user"):
-        x, y = getattr(got, name), getattr(want, name)
+def assert_same_channel(block, k, want):
+    """Row ``k`` of the block ``(g, h_r, h_d)`` is the realization ``want``."""
+    g, h_r, h_d = block
+    for name, x in (("g_bs_irs", g), ("h_irs_user", h_r[k]), ("h_bs_user", h_d[k])):
+        y = getattr(want, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
@@ -260,12 +277,12 @@ def shrink_blocks(monkeypatch, n_max, rows=67):
 class TestSharedDraw:
     @staticmethod
     def built_blocks(monkeypatch, study, cfg):
-        """The channels each metric call receives, call by call."""
+        """The block ``(g, h_r, h_d)`` each metric call receives, call by call."""
         built = []
 
-        def record(channels, cfg):
-            built.append(list(channels))
-            return {"count": np.zeros(len(built[-1]))}
+        def record(g, h_r, h_d, cfg):
+            built.append((g, h_r, h_d))
+            return {"count": np.zeros(len(h_r))}
 
         spec = experiments.STUDIES[study]
         monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=record))
@@ -285,20 +302,21 @@ class TestSharedDraw:
         # blocks in turn, each evaluated at every sweep value in turn
         expected = [[realize(scen, channel_stream(21, i)) for i in range(lo, min(lo + block, count))]
                     for lo in range(0, count, block) for scen in experiments._sweep_scenarios(cfg)]
-        assert [len(b) for b in built] == [len(b) for b in expected]
+        assert [len(h_r) for _, h_r, _ in built] == [len(b) for b in expected]
         for got, want in zip(built, expected):
-            for a, b in zip(got, want):
-                assert_same_channel(a, b)
+            assert len(got[2]) == len(want)
+            for k, ch in enumerate(want):
+                assert_same_channel(got, k, ch)
 
     def test_blocks_split_at_the_real_budget(self, monkeypatch):
         block = experiments._block_rows(40)
         cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), n_realizations=block + 1,
                                master_seed=21)
         built = self.built_blocks(monkeypatch, "power-vs-n", cfg)
-        assert [len(b) for b in built] == [block, block, 1, 1]
+        assert [len(h_r) for _, h_r, _ in built] == [block, block, 1, 1]
         for k, scen in enumerate(experiments._sweep_scenarios(cfg)):
             for i in (0, block - 1, block):
-                assert_same_channel(built[k + 2 * (i // block)][i % block],
+                assert_same_channel(built[k + 2 * (i // block)], i % block,
                                     realize(scen, channel_stream(21, i)))
 
     def test_block_rows_follow_the_element_budget(self):
@@ -373,7 +391,8 @@ class TestPowerVsN:
         # each block draws the streams of its own realization indices
         for i in (block - 1, block, 2 * block + 2):
             scen = replace(cfg.scenario, n_elements=8)
-            gains = quantized_scheme_gains(realize(scen, channel_stream(cfg.master_seed, i)))
+            ch = realize(scen, channel_stream(cfg.master_seed, i))
+            gains = alone(experiments._quantized_gains, ch, cfg.schemes)
             for scheme, gain in gains.items():
                 power = min_power_for_snr(gain, cfg.snr_target_db, scen.noise_power_dbm)
                 assert long.samples[(8.0, scheme)][i] == power, (i, scheme)
@@ -460,9 +479,8 @@ class TestInterferenceVsN:
         noise_mw = db_to_linear(INT_CFG.scenario.noise_power_dbm)
         scen = replace(INT_CFG.scenario, n_elements=30)
         for i in (block - 1, block, 2 * block + 2):
-            alone = interference_metrics(realize(scen, channel_stream(INT_CFG.master_seed, i)),
-                                         INT_CFG.schemes)
-            for key, value in alone.items():
+            ch = realize(scen, channel_stream(INT_CFG.master_seed, i))
+            for key, value in alone(experiments._interference_gains, ch, INT_CFG.schemes).items():
                 want = value if key == "margin" else p_tx_mw * value / noise_mw
                 assert long.samples[(30.0, key)][i] == want, (i, key)
 
@@ -475,7 +493,7 @@ class TestInterferenceGains:
         scen = ScenarioConfig(m_antennas=1, n_elements=n, user_position=(50.0, 0.0))
         channels = [realize(scen, channel_stream(78, i)) for i in range(20)]
         schemes = ("joint_amp_phase", "phase_only", "no_irs")
-        block = experiments._interference_gains(channels, schemes)
+        block = experiments._interference_gains(*stacked(channels), schemes)
         assert list(block) == ["margin", *schemes]
         for k, ch in enumerate(channels):
             t, f = direct_and_cascade(ch, np.ones(1))
@@ -488,7 +506,8 @@ class TestInterferenceGains:
             }
             for key, value in solved.items():
                 assert block[key][k] == value, (key, k)
-            assert interference_metrics(ch, schemes) == solved
+            # one realization alone gets the bits it gets in the block
+            assert alone(experiments._interference_gains, ch, schemes) == solved
 
     def test_magnitudes_and_squares_as_python_computes_them(self):
         # hypot for |t| and pow for the square: array abs and x * x differ
@@ -496,10 +515,11 @@ class TestInterferenceGains:
         g = np.random.default_rng(3)
         t = g.standard_normal(10000) + 1j * g.standard_normal(10000)
         f = g.standard_normal((10000, 2)) + 1j * g.standard_normal((10000, 2))
-        channels = [ChannelRealization(g_bs_irs=fr.reshape(-1, 1), h_irs_user=np.ones(2, complex),
-                                       h_bs_user=np.array([np.conj(tr)])) for tr, fr in zip(t, f)]
-        block = experiments._interference_gains(channels, ("no_irs",))
-        pairs = [direct_and_cascade(ch, np.ones(1)) for ch in channels]
+        los = np.ones((2, 1), complex)
+        h_r, h_d = np.conj(f), np.conj(t)[:, None]
+        block = experiments._interference_gains(los, h_r, h_d, ("no_irs",))
+        pairs = [direct_and_cascade(ChannelRealization(los, hr, hd), np.ones(1))
+                 for hr, hd in zip(h_r, h_d)]
         mag = np.array([abs(tr) for tr, _ in pairs])
         assert np.any(np.abs([tr for tr, _ in pairs]) != mag)
         assert np.any(mag * mag != np.array([m ** 2 for m in mag]))
@@ -510,7 +530,7 @@ class TestInterferenceGains:
     def test_unknown_scheme_rejected(self):
         ch = realize(ScenarioConfig(m_antennas=1), channel_stream(1, 0))
         with pytest.raises(ConfigError):
-            interference_metrics(ch, ("zf",))
+            experiments._interference_gains(*one_row(ch), ("zf",))
 
 
 class TestChannelStream:
