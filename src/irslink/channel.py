@@ -235,14 +235,12 @@ def scenario_links(cfg: ScenarioConfig) -> ScenarioLinks:
 
 
 def realize(cfg: ScenarioConfig, rng: SeededRng) -> ChannelRealization:
-    """Draw one channel realization for the scenario: the one-row
-    ``scenario_links(cfg).block`` of ``draw_fading(rng, M, N)``.
+    """Draw one channel realization for the scenario: ``scenario_links(cfg)``
+    applied to ``draw_fading(rng, M, N)``, a pure function of (cfg, rng).
 
-    The two faded links use disjoint substreams of ``rng``, so a
-    realization is a pure function of (cfg, rng), and a sweep's blocks,
-    formed the same way, give each row these bits.  With zero elements the
-    surface links are empty.
+    A sweep's blocks, formed the same way by ``ScenarioLinks.block``, give
+    each row these bits.  With zero elements the surface links are empty.
     """
     fading_r, fading_d = draw_fading(rng, cfg.m_antennas, cfg.n_elements)
-    g, h_r, h_d = scenario_links(cfg).block(fading_r[None, :], fading_d[None, :])
-    return ChannelRealization(g_bs_irs=g, h_irs_user=h_r[0], h_bs_user=h_d[0])
+    g, amp_r, amp_d = scenario_links(cfg)
+    return ChannelRealization(g_bs_irs=g, h_irs_user=amp_r * fading_r, h_bs_user=amp_d * fading_d)

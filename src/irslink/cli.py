@@ -249,12 +249,12 @@ def run(inv: CliInvocation) -> int:
             cfg = replace(cfg, master_seed=inv.seed_override)
         if inv.realizations_override is not None:
             cfg = replace(cfg, n_realizations=inv.realizations_override)
+        if inv.subcommand != "solve-once" and inv.out_path is None:
+            raise ConfigError(ConfigErrorCode.INVALID_VALUE, "--out is required for experiment subcommands")
+        if inv.workers < 1:
+            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"workers must be >= 1, got {inv.workers}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    if inv.subcommand != "solve-once" and inv.out_path is None:
-        print("config error: --out is required for experiment subcommands", file=sys.stderr)
         return 1
 
     try:

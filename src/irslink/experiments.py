@@ -11,12 +11,12 @@ walked in blocks of as many rows as an element budget allows
 (``_block_rows``): each realization's fading is drawn once and reused for
 every sweep value, and each sweep value hands the study's metric one
 block of three arrays, the shared line-of-sight matrix ``g`` (N, M) and
-the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  The
-power-versus-distance study takes every scheme's optimum in closed form
-on these arrays, the power-versus-N study rounds and refines the
-discrete phases of the block together, the interference study nulls the
-block's rows together, and every realization gets the same values as it
-would alone.
+the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  Both power studies
+take their optimum in closed form on these arrays, which the rank-one
+``g`` allows, and power-versus-N refines the block's discrete phases
+together; the interference study nulls the block's rows together.  Every
+realization gets the same values as it would alone, and the tests check
+them against the general per-realization solvers of ``beamforming``.
 """
 
 from __future__ import annotations
@@ -33,17 +33,15 @@ import numpy as np
 
 from .beamforming import (
     _rank_one_beam,
-    alternating_optimize,
-    direct_and_cascade,
     min_power_for_snr,
     null_free_amplitude,
     null_phases,
     nulling_residual,
     refine_levels,
 )
-from .channel import DB_LIMIT, ChannelRealization, ScenarioConfig, draw_fading, scenario_links
+from .channel import DB_LIMIT, ScenarioConfig, draw_fading, scenario_links
 from .numerics import SeededRng, db_to_linear
-from .reflection import ConstraintSet, unit_phases
+from .reflection import unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
@@ -60,8 +58,8 @@ _MIN_ROWS = 64
 # everything.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
-# Maps one block of realizations, (g, h_r, h_d, cfg), to the values kept
-# as samples, stacked over the block per key.
+# Maps one block of R realizations, (g (N, M), h_r (R, N), h_d (R, M), cfg),
+# to the values kept as samples, stacked over the block per key.
 _BlockMetric = Callable[..., dict[str, np.ndarray]]
 
 
@@ -202,6 +200,28 @@ def channel_stream(master_seed: int, realization: int) -> SeededRng:
     return SeededRng(master_seed, realization)
 
 
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # complex x * y from real products: numpy's complex multiply rounds
+    # differently when an operand is broadcast along its inner loop, as a
+    # length-one axis (M or N = 1) makes it, and the block's size would
+    # move a row's bits
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _rank_one_terms(g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray) -> tuple:
+    """For a block sharing the rank-one ``g`` = gamma b^H: b, the unit
+    principal right vector of G (None without elements), and per row
+    p = b^H h_d, r = sum_n |h_r,n| ||G[n, :]|| (both 0 without elements),
+    ||h_d|| and the joint optimum ||h_d||^2 + r^2 + 2r|p| (Wu & Zhang,
+    IEEE TWC 2019).  Row reductions, not matrix products, so that each row
+    gets the bits it gets alone."""
+    norm_d = np.linalg.norm(h_d, axis=1)
+    r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
+    b = _rank_one_beam(g) if len(g) else None
+    p = np.sum(_mul(h_d, np.conj(b)), axis=1) if len(g) else np.zeros(len(h_d), np.complex128)
+    return b, p, r, norm_d, norm_d**2 + r**2 + 2.0 * r * np.abs(p)
+
+
 def _signal_gains(
     g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
 ) -> dict[str, np.ndarray]:
@@ -210,29 +230,20 @@ def _signal_gains(
     per scheme.
 
     For a fixed beam w, aligned phases give the gain
-    (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2.  With b the unit principal
-    right vector of G, c = |b^H h_d| and r = sum_n |h_r,n| ||G[n, :]||
-    (0 without elements), the schemes' gains are
+    (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2.  With b, p and r from
+    :func:`_rank_one_terms` and c = |p|, the schemes' gains are
 
-    - joint: ||h_d||^2 + r^2 + 2rc, the joint optimum (Wu & Zhang,
-      IEEE TWC 2019);
+    - joint: ||h_d||^2 + r^2 + 2rc, the joint optimum;
     - bs_user_mrt (w = h_d / ||h_d||): (||h_d|| + rc / ||h_d||)^2;
     - bs_irs_mrt (w = b): (c + r)^2;
     - no_irs: ||h_d||^2.
-
-    ``alternating_optimize``, ``align_phases`` after ``mrt`` and
-    ``bs_irs_mrt`` remain the general solvers; the tests check that they
-    reach these values.
     """
-    # row reductions, not matrix products: each row is then computed as it
-    # would be alone, whatever the block's size
-    norm_d = np.linalg.norm(h_d, axis=1)
-    r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
-    c = np.abs(np.sum(h_d * np.conj(_rank_one_beam(g)), axis=1)) if len(g) else np.zeros_like(r)
+    _, p, r, norm_d, joint = _rank_one_terms(g, h_r, h_d)
+    c = np.abs(p)
     gains: dict[str, np.ndarray] = {}
     for scheme in schemes:
         if scheme == "joint":
-            gains[scheme] = norm_d**2 + r**2 + 2.0 * r * c
+            gains[scheme] = joint
         elif scheme == "bs_user_mrt":
             if not norm_d.all():
                 raise ValueError("MRT undefined for an all-zero channel")
@@ -252,40 +263,34 @@ def _quantized_gains(
     g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
 ) -> dict[str, np.ndarray]:
     """Continuous-phase optimum and its b-bit quantized/refined variants of
-    a block of realizations, stacked per key.
+    a block of realizations that share one rank-one ``g`` = gamma b^H
+    (N >= 1), in closed form, stacked per key.
 
-    Keys are the requested schemes among 'continuous' (unit-modulus joint
-    optimization) and 'b{b}' (nearest-level rounding of the continuous
-    phases followed by elementwise refinement, transmit beam re-matched
-    afterwards), plus 'b{b}_quant' (rounding only, transmit beam
-    re-matched) for every 'b{b}'.  The continuous optimum runs per
-    realization; each bit width is then rounded to its lattice and refined
-    once for the whole block.
+    Keys are the requested schemes among 'continuous' (the unit-modulus
+    joint optimum of :func:`_rank_one_terms`, reached by w* = mrt(q),
+    q = h_d + r e^{j arg p} b, and phases aligned to w*) and 'b{b}' (those
+    phases rounded to the b-bit lattice, then refined at w*), plus
+    'b{b}_quant' (rounding only) for every 'b{b}'.  The beam is re-matched
+    to each state v: the gain is ||h_d + s b||^2, s = sum_n conj(gamma_n
+    v_n) h_r,n.
     """
-    unit = ConstraintSet.unit_modulus()
-    kept = []
-    for hr, hd in zip(h_r, h_d):
-        ch = ChannelRealization(g_bs_irs=g, h_irs_user=hr, h_bs_user=hd)
-        sol = alternating_optimize(ch, unit)
-        t, a = direct_and_cascade(ch, sol.w)
-        kept.append((sol.gain_linear, t, a, sol.refl.coefficients))
-    continuous, t, a, phases = (np.array(column) for column in zip(*kept))
-    del kept  # the stacked copies replace the per-realization arrays
-    g_h = g.conj().T
+    b, p, r, norm_d, joint = _rank_one_terms(g, h_r, h_d)
+    f = _mul(np.conj(h_r), g @ b)  # so that s = conj(sum_n f_n v_n)
+    # (t, a) of direct_and_cascade at w*, both times ||q||: h_d^H q =
+    # ||h_d||^2 + r|p| and b^H q = p + r e^{j arg p}
+    t = norm_d**2 + r * np.abs(p)
+    a = _mul(f, (p + r * unit_phases(p))[:, None])
 
     def block_gains(v: np.ndarray) -> np.ndarray:
-        # row by row, as effective_channel computes each realization's channel
-        return np.array([np.linalg.norm(hd + g_h @ (np.conj(vr) * hr)) ** 2
-                         for hd, hr, vr in zip(h_d, h_r, v)])
+        s = np.conj(np.sum(f * v, axis=1))
+        return np.linalg.norm(h_d + _mul(s[:, None], b), axis=1) ** 2
 
-    gains = {"continuous": continuous} if "continuous" in schemes else {}
-    for b in (int(s[1:]) for s in schemes if s != "continuous"):
-        quantized = unit_phases(phases, b)
-        if not ConstraintSet.discrete_phase(b).contains(quantized):
-            raise ValueError("coefficients violate discrete_phase constraint")
-        gains[f"b{b}_quant"] = block_gains(quantized)
-        gains[f"b{b}"] = block_gains(refine_levels(t, a, quantized, b))
-        del quantized  # before the next bit width allocates its own
+    gains = {"continuous": joint} if "continuous" in schemes else {}
+    for bits in (int(s[1:]) for s in schemes if s != "continuous"):
+        # the phases aligned to w* (t is real and >= 0), on the lattice
+        quantized = unit_phases(np.conj(a), bits)
+        gains[f"b{bits}_quant"] = block_gains(quantized)
+        gains[f"b{bits}"] = block_gains(refine_levels(t, a, quantized, bits))
     return gains
 
 
@@ -358,13 +363,10 @@ def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float,
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
-    ``metric`` maps one block of R realizations at one sweep value, given
-    as ``(g, h_r, h_d, cfg)`` with the shared transmitter-surface matrix
-    ``g`` (N, M) and the links ``h_r`` (R, N) and ``h_d`` (R, M), to the
-    values kept as samples, stacked per key (a scheme); each row must be
-    what the realization gives alone.  ``rows`` turns those values,
-    stacked over all realizations of one sweep value, into (scheme,
-    metric, unit) rows.
+    ``metric`` maps one block at one sweep value to its samples per key (a
+    scheme); each row must be what the realization gives alone.  ``rows``
+    turns those values, stacked over all realizations of one sweep value,
+    into (scheme, metric, unit) rows.
     """
 
     runner: str  # public entry point, looked up by name when called
@@ -415,9 +417,8 @@ def _sweep_samples(
     The range is walked in blocks of ``_block_rows(n_max)`` realizations,
     ``n_max`` being the largest swept element count; rows are independent,
     so the block size moves no bits.  Each realization's fading is drawn
-    once, at ``n_max``, and stacked over the block; every sweep value's
-    arrays are formed from it by ``ScenarioLinks.block``, as
-    ``channel.realize`` forms one row.  One shard of a study; module-level
+    once, at ``n_max``; every sweep value's arrays are formed from the
+    block's by ``ScenarioLinks.block``.  One shard of a study; module-level
     so that worker processes can unpickle it.
     """
     metric = STUDIES[study].metric

@@ -263,11 +263,16 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["not-a-command"])
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_is_exit_1(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("sub, workers", [
+        pytest.param("power-vs-n", "0", id="0"),
+        pytest.param("power-vs-n", "-3", id="-3"),
+        pytest.param("solve-once", "0", id="solve-once-0"),
+        pytest.param("solve-once", "-3", id="solve-once--3"),
+    ])
+    def test_workers_below_one_is_exit_1(self, tmp_path, capsys, sub, workers):
         cfg = write(tmp_path, "sweep = n:4,8\nn_realizations = 2\n")
         out = tmp_path / "w.csv"
-        argv = ["power-vs-n", "--config", cfg, "--out", str(out), "--workers", workers]
+        argv = [sub, "--config", cfg, "--out", str(out), "--workers", workers]
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not out.exists()

@@ -29,10 +29,11 @@ from irslink.beamforming import (
     mrt,
     null_interference,
     quantization_loss_bound,
+    quantize_then_refine,
     received_gain,
 )
 from irslink.numerics import db_to_linear
-from irslink.reflection import ConstraintSet
+from irslink.reflection import ConstraintSet, effective_channel, project
 
 DIST_CFG = ExperimentConfig(
     scenario=ScenarioConfig(),
@@ -396,6 +397,37 @@ class TestPowerVsN:
             for scheme, gain in gains.items():
                 power = min_power_for_snr(gain, cfg.snr_target_db, scen.noise_power_dbm)
                 assert long.samples[(8.0, scheme)][i] == power, (i, scheme)
+
+
+class TestQuantizedGains:
+    """The closed-form power-vs-N gains of a block against the
+    per-realization solvers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 300])
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_block_gains_equal_the_solvers(self, m, n):
+        unit = ConstraintSet.unit_modulus()
+        scen = ScenarioConfig(m_antennas=m, n_elements=n, user_position=(50.0, 0.0))
+        g, h_r, h_d = stacked([realize(scen, channel_stream(78, i)) for i in range(6)])
+        h_d[1] = 0.0  # a blocked direct link
+        h_r[2] = 0.0  # a surface that reaches the user with nothing
+        schemes = ("continuous", "b1", "b2")
+        block = experiments._quantized_gains(g, h_r, h_d, schemes)
+        for k in range(len(h_r)):
+            ch = ChannelRealization(g, h_r[k], h_d[k])
+            sol = alternating_optimize(ch, unit)
+            solved = {"continuous": sol.gain_linear}
+            for b in (1, 2):
+                for key, state in ((f"b{b}_quant", project(sol.refl.coefficients,
+                                                           ConstraintSet.discrete_phase(b))),
+                                   (f"b{b}", quantize_then_refine(ch, sol.w, sol.refl, b))):
+                    solved[key] = np.linalg.norm(effective_channel(ch, state)) ** 2
+            assert solved.keys() == block.keys()
+            for key, gain in solved.items():
+                assert abs(block[key][k] - gain) <= 1e-12 * gain, (key, k)
+            # one realization alone gets the bits it gets in the block
+            row = alone(experiments._quantized_gains, ch, schemes)
+            assert all(row[key] == block[key][k] for key in block), k
 
 
 class TestInterferenceVsN:
