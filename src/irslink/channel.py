@@ -9,8 +9,9 @@ path loss anchored at a reference loss one metre from the transmitter.
 A realization is the scenario's deterministic part (``scenario_links``:
 the line-of-sight matrix and the two faded links' amplitudes) applied to
 unit-variance fading drawn from the realization's stream
-(``draw_fading``).  Sweeps draw that fading once per realization, stack
-it over a block of realizations and form every sweep value's block of
+(``draw_fading``).  Sweeps draw that fading once per realization for a
+whole block of realizations at once (``draw_fading_rows``, which keys
+every row's stream in one pass) and form every sweep value's block of
 arrays with ``ScenarioLinks.block``; ``realize`` is the one-row case.
 """
 
@@ -22,7 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import SeededRng, as_complex_matrix, as_complex_vector, db_to_linear, sample_cscg
+from .numerics import (
+    SeededRng,
+    _mix64,
+    as_complex_matrix,
+    as_complex_vector,
+    db_to_linear,
+    sample_cscg,
+    sample_cscg_rows,
+)
 
 Point = tuple[float, float]
 
@@ -183,13 +192,26 @@ def gen_rayleigh(pl_linear: float, n: int, rng: SeededRng) -> np.ndarray:
 
 def draw_fading(rng: SeededRng, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-variance fading of one realization: ``n`` surface-user and
-    ``m`` direct samples, from disjoint substreams of ``rng``.
+    ``m`` direct samples, from the substreams ``rng.split(1)`` and
+    ``rng.split(2)``.
 
     The first ``k`` surface-user samples are those of a ``k``-element draw
     (see :func:`sample_cscg`), so one draw at the largest element count
     serves every smaller surface.
     """
-    return sample_cscg(rng.split(1), n), sample_cscg(rng.split(2), m)
+    fading_r, fading_d = draw_fading_rows(rng.master_seed, [rng.stream_id], m, n)
+    return fading_r[0], fading_d[0]
+
+
+def draw_fading_rows(master_seed: int, streams, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`draw_fading` of the streams ``(master_seed, i)`` for every
+    stream id ``i`` of ``streams``, stacked as (R, n) and (R, m): each
+    link's samples of the whole block are drawn by one call.
+    """
+    ids = np.array(streams, dtype=np.uint64)
+    # the stream ids of SeededRng.split(1) and split(2) of every stream
+    return (sample_cscg_rows(master_seed, _mix64(ids, 1), n),
+            sample_cscg_rows(master_seed, _mix64(ids, 2), m))
 
 
 class ScenarioLinks(NamedTuple):

@@ -9,7 +9,8 @@ with more than one worker it shards the realizations over processes,
 forked on Linux and spawned elsewhere.  Within a shard, realizations are
 walked in blocks of as many rows as an element budget allows
 (``_block_rows``): each realization's fading is drawn once and reused for
-every sweep value, and each sweep value hands the study's metric one
+every sweep value (the block's streams are keyed together, with the bits
+each stream has alone), and each sweep value hands the study's metric one
 block of three arrays, the shared line-of-sight matrix ``g`` (N, M) and
 the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  Both power studies
 take their optimum in closed form on these arrays, which the rank-one
@@ -33,13 +34,12 @@ import numpy as np
 
 from .beamforming import (
     _rank_one_beam,
-    min_power_for_snr,
     null_free_amplitude,
     null_phases,
     nulling_residual,
     refine_levels,
 )
-from .channel import DB_LIMIT, ScenarioConfig, draw_fading, scenario_links
+from .channel import DB_LIMIT, ScenarioConfig, draw_fading_rows, scenario_links
 from .numerics import SeededRng, db_to_linear
 from .reflection import unit_phases
 
@@ -328,9 +328,20 @@ def _required_powers(
     block_gains: _BlockMetric, g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray,
     cfg: ExperimentConfig,
 ) -> dict[str, np.ndarray]:
-    noise = cfg.scenario.noise_power_dbm
-    return {s: np.array([min_power_for_snr(x, cfg.snr_target_db, noise) for x in gains])
-            for s, gains in block_gains(g, h_r, h_d, cfg.schemes).items()}
+    """``min_power_for_snr`` of every row's gain per scheme, on arrays.
+
+    Each log10 is ``math.log10`` of one element, as ``min_power_for_snr``
+    takes it: ``np.log10``'s SIMD loops can round differently.
+    """
+    level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
+    powers = {}
+    for scheme, gains in block_gains(g, h_r, h_d, cfg.schemes).items():
+        bad = gains[gains <= 0]
+        if len(bad):
+            raise ValueError(f"channel gain must be > 0 to reach any SNR, got {bad[0]}")
+        logs = np.fromiter(map(math.log10, gains.tolist()), float, len(gains))
+        powers[scheme] = level - 10.0 * logs
+    return powers
 
 
 def _interference_powers(
@@ -428,9 +439,9 @@ def _sweep_samples(
     rows = _block_rows(n_max)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
     for lo in range(start, stop, rows):
-        draws = (draw_fading(channel_stream(cfg.master_seed, i), m, n_max)
-                 for i in range(lo, min(lo + rows, stop)))
-        fading_r, fading_d = map(np.array, zip(*draws))
+        # realization i draws from channel_stream(master_seed, i): stream id i
+        fading_r, fading_d = draw_fading_rows(cfg.master_seed, range(lo, min(lo + rows, stop)),
+                                              m, n_max)
         for blocks, link in zip(per_value, links):
             blocks.append(metric(*link.block(fading_r, fading_d), cfg))
     return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}

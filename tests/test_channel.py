@@ -10,13 +10,14 @@ from irslink.channel import (
     ScenarioConfig,
     ScenarioLinks,
     draw_fading,
+    draw_fading_rows,
     gen_bs_irs_los,
     gen_rayleigh,
     path_loss,
     realize,
     scenario_links,
 )
-from irslink.numerics import SeededRng
+from irslink.numerics import SeededRng, sample_cscg
 
 # analytic gain drop for doubling the distance at exponent 3.2
 DOUBLING_DROP_DB = 3.2 * 10.0 * np.log10(2.0)  # = 9.632959861247397
@@ -220,6 +221,24 @@ def stacked_fading(m, n, rows=4):
     """Unit-variance fading of ``rows`` realizations, stacked per link."""
     draws = [draw_fading(SeededRng(8, i), m, n) for i in range(rows)]
     return tuple(np.array(column) for column in zip(*draws))
+
+
+class TestDrawFadingRows:
+    @pytest.mark.parametrize("master", [0, 8, 2**64 - 1])
+    @pytest.mark.parametrize("m, n", [(1, 0), (1, 1), (4, 40)])
+    def test_rows_are_the_stacked_draws(self, master, m, n):
+        fading_r, fading_d = draw_fading_rows(master, range(3, 23), m, n)
+        assert fading_r.shape == (20, n) and fading_d.shape == (20, m)
+        want_r, want_d = (np.array(c) for c in
+                          zip(*[draw_fading(SeededRng(master, i), m, n) for i in range(3, 23)]))
+        assert fading_r.tobytes() == want_r.tobytes()
+        assert fading_d.tobytes() == want_d.tobytes()
+
+    def test_substreams_are_the_splits(self):
+        rng = SeededRng(8, 2**64 - 1)
+        fading_r, fading_d = draw_fading(rng, 3, 5)
+        assert fading_r.tobytes() == sample_cscg(rng.split(1), 5).tobytes()
+        assert fading_d.tobytes() == sample_cscg(rng.split(2), 3).tobytes()
 
 
 class TestScenarioBlock:

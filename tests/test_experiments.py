@@ -259,6 +259,26 @@ class TestSignalSchemeGains:
             experiments._signal_gains(*one_row(ch), ("zf",))
 
 
+class TestRequiredPowers:
+    def gains_metric(self, gains):
+        return lambda g, h_r, h_d, schemes: {s: gains for s in schemes}
+
+    def test_powers_are_min_power_for_snr_per_row(self):
+        gains = np.exp(np.random.default_rng(4).uniform(-60.0, 10.0, 2000))
+        cfg = ExperimentConfig(snr_target_db=17.3, schemes=("joint", "no_irs"))
+        powers = experiments._required_powers(self.gains_metric(gains), None, None, None, cfg)
+        want = np.array([min_power_for_snr(x, 17.3, cfg.scenario.noise_power_dbm) for x in gains])
+        assert powers.keys() == {"joint", "no_irs"}
+        assert all(p.tobytes() == want.tobytes() for p in powers.values())
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_non_positive_gain_raises(self, bad):
+        gains = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="gain must be > 0"):
+            experiments._required_powers(self.gains_metric(gains), None, None, None,
+                                         ExperimentConfig())
+
+
 def assert_same_channel(block, k, want):
     """Row ``k`` of the block ``(g, h_r, h_d)`` is the realization ``want``."""
     g, h_r, h_d = block

@@ -5,12 +5,26 @@ from hypothesis import strategies as st
 
 from irslink.numerics import (
     SeededRng,
+    _mix64,
+    _philox_keys,
     as_complex_matrix,
     as_complex_vector,
     db_to_linear,
     linear_to_db,
     sample_cscg,
+    sample_cscg_rows,
 )
+
+# 0, one word, the largest one-word value, two words, the largest value
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+RANDOM_IDS = [int(i) for i in np.random.default_rng(2024).integers(0, 2**64, 50, dtype=np.uint64)]
+STREAM_IDS = EDGE_WORDS + RANDOM_IDS
+
+
+def stream_alone(master_seed, stream_id, n):
+    """``n`` samples of one stream from numpy's own seeding path."""
+    raw = SeededRng(master_seed, stream_id).generator().standard_normal(2 * n)
+    return (raw[0::2] + 1j * raw[1::2]) * np.sqrt(0.5)
 
 
 class TestSeededRng:
@@ -76,6 +90,56 @@ class TestSampleCscg:
         long = sample_cscg(rng, 300)
         short = sample_cscg(rng, 150)
         assert np.array_equal(long[:150], short)
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("master", EDGE_WORDS)
+    def test_keys_are_numpys_seed_sequence(self, master):
+        keys = _philox_keys(master, np.array(STREAM_IDS, dtype=np.uint64))
+        assert keys.shape == (len(STREAM_IDS), 2) and keys.dtype == np.uint64
+        for i, key in zip(STREAM_IDS, keys):
+            want = np.random.SeedSequence((master, i)).generate_state(2, np.uint64)
+            assert np.array_equal(key, want), (master, i)
+
+    def test_no_streams(self):
+        assert _philox_keys(1, np.zeros(0, np.uint64)).shape == (0, 2)
+
+
+class TestSampleCscgRows:
+    @pytest.mark.parametrize("n", [0, 1, 40, 300])
+    @pytest.mark.parametrize("master", [0, 2**32, 2**64 - 1])
+    def test_rows_are_the_streams_alone(self, master, n):
+        rows = sample_cscg_rows(master, STREAM_IDS, n)
+        assert rows.shape == (len(STREAM_IDS), n) and rows.dtype == np.complex128
+        for i, row in zip(STREAM_IDS, rows):
+            assert row.tobytes() == stream_alone(master, i, n).tobytes(), i
+            assert row.tobytes() == sample_cscg(SeededRng(master, i), n).tobytes(), i
+
+    def test_row_does_not_depend_on_its_block(self):
+        ids = [_mix64(i, 1) for i in range(40)]
+        block = sample_cscg_rows(5, ids, 12)
+        assert block[17:29].tobytes() == sample_cscg_rows(5, ids[17:29], 12).tobytes()
+        assert block[::-1].tobytes() == sample_cscg_rows(5, ids[::-1], 12).tobytes()
+
+    def test_no_streams(self):
+        assert sample_cscg_rows(1, [], 40).shape == (0, 40)
+
+    @pytest.mark.parametrize("master, n", [(-1, 4), (2**64, 4), (1, -1)])
+    def test_rejects_bad_arguments(self, master, n):
+        with pytest.raises(ValueError):
+            sample_cscg_rows(master, [0, 1], n)
+
+
+class TestMix64:
+    @pytest.mark.parametrize("b", [1, 2, 2**64 - 1])
+    def test_array_form_is_the_scalar_form(self, b):
+        words = np.array(STREAM_IDS, dtype=np.uint64)
+        mixed = _mix64(words, b)
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [_mix64(w, b) for w in STREAM_IDS]
+
+    def test_split_uses_it(self):
+        assert SeededRng(3, 2**64 - 1).split(2).stream_id == _mix64(2**64 - 1, 2)
 
 
 class TestDbConversions:
