@@ -323,10 +323,13 @@ def _anti_aligned(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.exp(1j * ((np.pi + ref)[:, None] - np.angle(f)))
 
 
-def null_free_amplitude(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+def null_free_amplitude(
+    t: np.ndarray, f: np.ndarray, anti: np.ndarray | None = None
+) -> np.ndarray:
     """Free-amplitude nulling optimum of R problems: the anti-aligned state,
-    scaled by min(1, |t_r| / sum_n |f_rn|)."""
-    v = _anti_aligned(t, f)
+    scaled by min(1, |t_r| / sum_n |f_rn|).  ``anti``, if given, is that
+    state already computed, and is scaled in place."""
+    v = _anti_aligned(t, f) if anti is None else anti
     reach = np.sum(np.abs(f), axis=1)
     abs_t = np.hypot(t.real, t.imag)
     shrink = reach > abs_t

@@ -5,19 +5,20 @@ Every study draws its channels from streams keyed by the realization
 index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
-with more than one worker it shards the realizations over processes,
-forked on Linux and spawned elsewhere.  Within a shard, realizations are
-walked in blocks of as many rows as an element budget allows
-(``_block_rows``): each realization's fading is drawn once and reused for
-every sweep value (the block's streams are keyed together, with the bits
-each stream has alone), and each sweep value hands the study's metric one
-block of three arrays, the shared line-of-sight matrix ``g`` (N, M) and
-the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  Both power studies
-take their optimum in closed form on these arrays, which the rank-one
-``g`` allows, and power-versus-N refines the block's discrete phases
-together; the interference study nulls the block's rows together.  Every
-realization gets the same values as it would alone, and the tests check
-them against the general per-realization solvers of ``beamforming``.
+with more than one worker it shards the realizations over processes.  On
+Linux it forks each shard itself and reads its samples back through a
+pipe; elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
+realizations are walked in blocks of as many rows as an element budget
+allows (``_block_rows``): each realization's fading is drawn once and
+reused for every sweep value (the block's streams are keyed together, with
+the bits each stream has alone), and each sweep value hands the study's
+metric one block of three arrays, the shared line-of-sight matrix ``g``
+(N, M) and the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  Both
+power studies take their optimum in closed form on these arrays, which the
+rank-one ``g`` allows, and power-versus-N refines the block's discrete
+phases together; the interference study nulls the block's rows together.
+Every realization gets the same values as it would alone, and the tests
+check them against the general per-realization solvers of ``beamforming``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -33,6 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .beamforming import (
+    _anti_aligned,
     _rank_one_beam,
     null_free_amplitude,
     null_phases,
@@ -53,8 +56,9 @@ _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
 # How shard processes start.  A forked shard inherits the imported modules
-# and the validated config, so it starts in milliseconds.  Windows has no
-# fork and it is unsafe on macOS, so there shards are spawned and re-import
+# and the validated config, so it starts in milliseconds, and needs no
+# process pool (_fork_shards).  Windows has no fork and it is unsafe on
+# macOS, so there a process pool spawns the shards, which re-import
 # everything.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
@@ -76,9 +80,14 @@ class ConfigError(ValueError):
 
     def __init__(self, code: ConfigErrorCode, message: str, line: int | None = None):
         self.code = code
+        self.message = message
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"[{code.value}]{where} {message}")
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it can cross from a shard process
+        return type(self), (self.code, self.message, self.line)
 
 
 class ResultRow(NamedTuple):
@@ -312,11 +321,14 @@ def _interference_gains(
     f = np.conj(h_r) * (g @ np.ones(1))
     abs_t = np.hypot(t.real, t.imag)
     out = {"margin": np.sum(np.abs(f), axis=1) - abs_t}
+    # both nulling schemes start from it; null_free_amplitude scales its copy
+    anti = _anti_aligned(t, f)
     for scheme in schemes:
         if scheme == "joint_amp_phase":
-            out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f))
+            out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f, anti.copy()))
         elif scheme == "phase_only":
-            out[scheme] = nulling_residual(t, f, null_phases(t, f, tol=1e-14, max_passes=400))
+            out[scheme] = nulling_residual(
+                t, f, null_phases(t, f, anti, tol=1e-14, max_passes=400))
         elif scheme == "no_irs":
             out[scheme] = np.float_power(abs_t, 2)
         else:
@@ -456,13 +468,83 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_shards(study: str, cfg: ExperimentConfig, bounds: list[int]) -> list:
+    """``_sweep_samples`` of realizations ``bounds[k]`` .. ``bounds[k + 1] - 1``
+    for every shard k, each run in a child forked for it, in shard order.
+
+    Each child pickles ``(True, samples)`` or ``(False, exception)`` to its
+    own pipe and leaves by ``os._exit``: it never returns into the caller's
+    stack, runs no atexit handler and flushes no inherited stdio buffer.
+    A shard's exception is raised here; a child that exits without sending
+    a result raises RuntimeError.  On any failure the shards still running
+    are killed, and every child is reaped.
+    """
+    # else a child that flushes would repeat what the parent had buffered
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and not stream.closed:
+            stream.flush()
+    children: list[tuple[int, int]] = []  # (pid, read end), not yet reaped
+    try:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the shard
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        result = (True, _sweep_samples(study, cfg, lo, hi))
+                    except Exception as exc:  # raised again in the parent
+                        result = (False, exc)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            # no later shard inherits this write end, so the pipe ends
+            # when its own shard exits
+            os.close(w)
+            children.append((pid, r))
+        shards = []
+        while children:
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, wait_status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(r)
+            status = os.waitstatus_to_exitcode(wait_status)
+            if status != 0 or not data:
+                raise RuntimeError(f"shard {len(shards)} of {study} exited with status "
+                                   f"{status} without sending a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shards.append(value)
+        return shards
+    finally:
+        if children:
+            import signal  # only a failure needs it; importing it costs ~1 ms
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentResult:
     """Validate ``cfg`` for ``STUDIES[study]``, then evaluate and aggregate it.
 
     With ``workers > 1``, contiguous realization ranges run in separate
-    processes (started by ``_START_METHOD``, at most one per usable CPU)
-    and are concatenated in realization order: bit-identical to
-    ``workers = 1``, since each realization draws from its own stream.
+    processes, at most one per usable CPU, and are concatenated in
+    realization order: bit-identical to ``workers = 1``, since each
+    realization draws from its own stream.  On Linux each shard is forked
+    and sends its samples through a pipe (:func:`_fork_shards`); elsewhere
+    a ``ProcessPoolExecutor`` spawns them.
     """
     spec = STUDIES[study]
     if workers < 1:
@@ -493,13 +575,15 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
 
     n = cfg.n_realizations
     n_shards = min(workers, n, _usable_cpus())
+    bounds = [n * k // n_shards for k in range(n_shards + 1)]
     if n_shards == 1:
         shards = [_sweep_samples(study, cfg, 0, n)]
+    elif _START_METHOD == "fork":
+        shards = _fork_shards(study, cfg, bounds)
     else:
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
-        bounds = [n * k // n_shards for k in range(n_shards + 1)]
         context = multiprocessing.get_context(_START_METHOD)
         with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
             shards = list(pool.map(_sweep_samples, [study] * n_shards, [cfg] * n_shards,

@@ -719,6 +719,10 @@ class TestNullingClosedForms:
         f = np.array([c[1] for c in cases[-200:]])
         want = np.array([loop_free(tr, fr)[0] for tr, fr in zip(t, f)])
         assert null_free_amplitude(t, f).tobytes() == want.tobytes()
+        # a given anti-aligned state is scaled in place, to the same bits
+        anti = beamforming._anti_aligned(t, f)
+        assert null_free_amplitude(t, f, anti) is anti
+        assert anti.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("t, f", nulling_cases())
     def test_phase_only_never_below_annulus_optimum(self, t, f):

@@ -1,8 +1,13 @@
 import concurrent.futures.process
+import contextlib
 import hashlib
 import os
+import pickle
+import subprocess
 import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from irslink.channel import ChannelRealization, ScenarioConfig, realize
 from irslink.experiments import (
     POWER_DISTANCE_SCHEMES,
     ConfigError,
+    ConfigErrorCode,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
@@ -127,6 +133,14 @@ class TestExperimentConfig:
     def test_rejects_empty_scheme_list(self):
         with pytest.raises(ConfigError, match="scheme"):
             ExperimentConfig(schemes=())
+
+    @pytest.mark.parametrize("line", [None, 3])
+    def test_config_error_survives_pickling(self, line):
+        # a shard's exception reaches the caller as a pickle
+        err = ConfigError(ConfigErrorCode.INVALID_VALUE, "x", line)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ConfigError
+        assert (back.code, back.line, str(back)) == (err.code, err.line, str(err))
 
 
 class TestResultFormatting:
@@ -595,17 +609,55 @@ class TestChannelStream:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Start method of every shard pool a study creates, in order."""
+    """How each shard process a study starts, in order: "fork" for every
+    shard forked by ``experiments``, and the start method of every shard
+    pool's context."""
     made = []
-    real = concurrent.futures.process.ProcessPoolExecutor
+    real_fork = experiments.os.fork
+    real_pool = concurrent.futures.process.ProcessPoolExecutor
 
-    class Spy(real):
+    def fork():
+        made.append("fork")
+        return real_fork()
+
+    class Spy(real_pool):
         def __init__(self, *args, mp_context=None, **kwargs):
             made.append(mp_context.get_start_method())
             super().__init__(*args, mp_context=mp_context, **kwargs)
 
+    monkeypatch.setattr(experiments.os, "fork", fork)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Spy)
     return made
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of every child that ``experiments`` forks."""
+    pids = []
+    real_fork = experiments.os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments.os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    # every forked shard has been waited for: no zombie is left; other
+    # children of this process, such as a spawn pool's resource tracker,
+    # may still run, so waitpid(-1) would not tell
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
 
 
 def usable_cpus(monkeypatch, count):
@@ -631,7 +683,7 @@ class TestShardProcesses:
     def test_shards_fork_on_linux(self, monkeypatch, pools, dist_result):
         usable_cpus(monkeypatch, 2)
         result = run_power_vs_distance(DIST_CFG, workers=2)
-        assert pools == ["fork"]
+        assert pools == ["fork", "fork"]
         assert result.to_csv_text() == dist_result.to_csv_text()
         assert_same_samples(dist_result, result)
 
@@ -650,3 +702,98 @@ class TestShardProcesses:
         one = request.getfixturevalue(serial)
         assert result.to_csv_text() == one.to_csv_text()
         assert_same_samples(one, result)
+
+
+def before_each_shard(monkeypatch, act):
+    """Run ``act(start)`` in every shard before its sweep.  Forked children
+    inherit the patch."""
+    real = experiments._sweep_samples
+
+    def patched(study, cfg, start, stop):
+        act(start)
+        return real(study, cfg, start, stop)
+
+    monkeypatch.setattr(experiments, "_sweep_samples", patched)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="shards are forked on Linux")
+class TestForkedShards:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
+    @pytest.mark.parametrize("error", [
+        ValueError("shard says no"),
+        ConfigError(ConfigErrorCode.INVALID_VALUE, "shard says no", 7),
+    ], ids=["ValueError", "ConfigError"])
+    def test_shard_exception_reaches_the_caller(self, monkeypatch, forked, error):
+        def act(start):
+            if start:
+                raise error
+
+        before_each_shard(monkeypatch, act)
+        fds = open_fds()
+        with pytest.raises(type(error), match="shard says no") as caught:
+            run_power_vs_distance(DIST_CFG, workers=2)
+        assert str(caught.value) == str(error)
+        assert getattr(caught.value, "line", None) == getattr(error, "line", None)
+        assert_reaped(forked)
+        assert open_fds() == fds
+
+    def test_child_exit_without_result_names_its_status(self, monkeypatch, forked):
+        before_each_shard(monkeypatch, lambda start: start and os._exit(3))
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=r"shard 1 .*exited with status 3"):
+            run_power_vs_distance(DIST_CFG, workers=2)
+        assert_reaped(forked)
+        assert open_fds() == fds
+
+    def test_failure_kills_the_shards_still_running(self, monkeypatch, forked):
+        def act(start):
+            if start == 0:
+                raise ValueError("first shard fails")
+            time.sleep(600)
+
+        before_each_shard(monkeypatch, act)
+        fds = open_fds()
+        began = time.monotonic()
+        with pytest.raises(ValueError, match="first shard fails"):
+            run_power_vs_distance(DIST_CFG, workers=2)
+        assert time.monotonic() - began < 60
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert open_fds() == fds
+
+    def test_success_leaves_no_child_and_no_pipe(self, forked, dist_result):
+        fds = open_fds()
+        result = run_power_vs_distance(DIST_CFG, workers=2)
+        assert result.to_csv_text() == dist_result.to_csv_text()
+        assert_reaped(forked)
+        assert open_fds() == fds
+
+    def test_buffered_output_is_written_once(self, monkeypatch, capfd):
+        # every shard flushes the stdout it inherited: only what the parent
+        # had not flushed before forking could be written twice
+        before_each_shard(monkeypatch, lambda start: sys.stdout.flush())
+        with open(os.dup(1), "w") as stdout, contextlib.redirect_stdout(stdout):
+            print("written before the study", end="|")
+            run_power_vs_distance(DIST_CFG, workers=2)
+        assert capfd.readouterr().out == "written before the study|"
+
+    def test_imports_no_process_pool(self):
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks = []\n"
+            "real_fork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "from irslink.experiments import ExperimentConfig, run_power_vs_distance\n"
+            "run_power_vs_distance(ExperimentConfig(n_realizations=20), workers=2)\n"
+            "print(len(forks), *sorted(m for m in sys.modules\n"
+            "      if m.startswith(('multiprocessing', 'concurrent'))))\n"
+        )
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out.split() == ["2"]
