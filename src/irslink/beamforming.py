@@ -29,6 +29,13 @@ from .reflection import (
 
 # Elements scanned together by refine_levels; 16 and 64 were slower.
 _CHUNK = 32
+# Stopping rules, one per solver, as the studies use them: refinement makes
+# at most _REFINE_PASSES full passes; nulling stops after the first pass that
+# lowers the residual power by at most _NULL_TOL times its previous value,
+# or after _NULL_PASSES passes.
+_REFINE_PASSES = 20
+_NULL_TOL = 1e-14
+_NULL_PASSES = 400
 
 _ALIGN_KINDS = (
     ConstraintKind.IDEAL_CONTINUOUS,
@@ -203,9 +210,7 @@ def bs_irs_mrt(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
     return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
 
 
-def refine_levels(
-    t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int, passes: int = 20
-) -> np.ndarray:
+def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) -> np.ndarray:
     """Cyclic coordinate ascent over the 2^bits phase levels, for R problems
     at once.
 
@@ -215,8 +220,8 @@ def refine_levels(
     (first maximum, so ties pick the lowest level), kept only on strict
     improvement.  The objective never decreases, and a pass that changes
     nothing leaves a row exactly as it was, so a row leaves the batch after
-    such a pass (or after ``passes`` full passes) and gets the trajectory it
-    has alone.
+    such a pass (or after ``_REFINE_PASSES`` full passes) and gets the
+    trajectory it has alone.
 
     Each pass is scanned in chunks of ``_CHUNK`` elements.  A row's running
     total moves only when one of its elements changes, so the decisions of
@@ -226,10 +231,7 @@ def refine_levels(
     cursor moves past it, and the chunk is scanned again from the cursors
     until no row changes in it.  Takes ``t`` of shape (R,) and ``a``,
     ``start`` of shape (R, N); returns the refined (R, N) coefficients.
-    ``passes`` must be >= 1.
     """
-    if passes < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
     n = a.shape[1]
     if n == 0:
         return np.array(start, dtype=np.complex128)
@@ -243,7 +245,7 @@ def refine_levels(
     nlev = 1 << bits
     levels = np.exp(2j * np.pi * np.arange(nlev) / nlev)
     live = np.arange(v.shape[0])  # rows that changed in the previous pass
-    for _ in range(passes):
+    for _ in range(_REFINE_PASSES):
         changed = np.zeros(v.shape[0], dtype=bool)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
@@ -278,14 +280,12 @@ def discrete_refine(
     w: np.ndarray,
     start: ReflectionState,
     bits: int,
-    passes: int = 20,
 ) -> ReflectionState:
     """Cyclic coordinate ascent over the 2^bits phase levels per element.
 
     Refines one realization with :func:`refine_levels`, whose rows are
     independent: a block of realizations refined together gets the same
-    coefficients as each refined here alone.  Stops after ``passes`` full
-    passes at the latest.
+    coefficients as each refined here alone.
     """
     want = ConstraintSet.discrete_phase(bits)
     if start.constraint != want:
@@ -293,7 +293,7 @@ def discrete_refine(
     if start.n_elements != ch.n_elements:
         raise ValueError("start state dimension does not match the channel")
     t, a = direct_and_cascade(ch, w)
-    v = refine_levels(np.array([t]), a[None, :], start.coefficients[None, :], bits, passes)
+    v = refine_levels(np.array([t]), a[None, :], start.coefficients[None, :], bits)
     return ReflectionState(v[0], want)
 
 
@@ -302,18 +302,10 @@ def quantize_then_refine(
     w: np.ndarray,
     continuous: ReflectionState,
     bits: int,
-    passes: int = 20,
 ) -> ReflectionState:
     """Round a continuous solution to the lattice, then refine elementwise."""
     quantized = project(continuous.coefficients, ConstraintSet.discrete_phase(bits))
-    return discrete_refine(ch, w, quantized, bits, passes)
-
-
-def _check_nulling_caps(tol: float, max_passes: int) -> None:
-    if max_passes < 1:
-        raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    return discrete_refine(ch, w, quantized, bits)
 
 
 def _anti_aligned(t: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -337,13 +329,7 @@ def null_free_amplitude(
     return v
 
 
-def null_phases(
-    t: np.ndarray,
-    f: np.ndarray,
-    start: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_passes: int = 200,
-) -> np.ndarray:
+def null_phases(t: np.ndarray, f: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Cyclic coordinate descent on |t_r + sum_n f_rn v_rn|^2 under
     |v_rn| = 1, for R problems at once.
 
@@ -351,15 +337,14 @@ def null_phases(
     exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
     n; elements with f_n = 0 keep their start value.  Row r starts from
     ``start[r]`` (default the anti-aligned state) and stops after the first
-    pass that lowers its residual power by at most ``tol`` times the
-    previous value, or after ``max_passes`` passes; a stopped row leaves
+    pass that lowers its residual power by at most ``_NULL_TOL`` times the
+    previous value, or after ``_NULL_PASSES`` passes; a stopped row leaves
     the batch.  Every step is the float64 operation of the one-problem loop,
     in its order (unfused complex products, ``hypot`` magnitudes, ``pow``
     squares), so a row gets the same bits in any batch.  Takes ``t`` of
     shape (R,) and ``f``, ``start`` of shape (R, N); returns the (R, N)
     coefficients.
     """
-    _check_nulling_caps(tol, max_passes)
     v = _anti_aligned(t, f) if start is None else np.asarray(start, dtype=np.complex128)
     if f.shape[1] == 0:
         return np.array(v)
@@ -383,7 +368,7 @@ def null_phases(
     prev = np.float_power(np.hypot(rr, ri), 2)
     live = np.arange(len(t))  # the batch row of each active row
     stopped = []  # (batch rows, vr, vi) of rows that left the batch
-    for _ in range(max_passes):
+    for _ in range(_NULL_PASSES):
         for n, (frn, fin, vrn, vin) in enumerate(zip(fr, fi, vr, vi)):
             cr = rr - (frn * vrn - fin * vin)
             ci = ri - (frn * vin + fin * vrn)
@@ -399,7 +384,7 @@ def null_phases(
             vin[:] = wi
             rr, ri = nr, ni
         cur = np.float_power(np.hypot(rr, ri), 2)
-        done = prev - cur <= tol * np.maximum(prev, 1e-300)
+        done = prev - cur <= _NULL_TOL * np.maximum(prev, 1e-300)
         if done.any():
             stopped.append((live[done], vr[:, done], vi[:, done]))
             go = ~done
@@ -425,8 +410,6 @@ def nulling_residual(t: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:
 def null_interference(
     ch: ChannelRealization,
     c: ConstraintSet,
-    tol: float = 1e-12,
-    max_passes: int = 200,
     start: ReflectionState | None = None,
 ) -> tuple[ReflectionState, float]:
     """Minimize the interference power |t + sum_n f_n v_n|^2 at the user.
@@ -439,15 +422,13 @@ def null_interference(
     With unit modulus, cyclic coordinate descent (a monotone heuristic:
     :func:`null_phases` on one row) moves each element in turn to its
     per-element optimum, starting from the anti-aligned state or
-    ``start``; ``tol``, ``max_passes`` and ``start`` apply to this case
-    only, though ``max_passes`` must be >= 1 and ``tol`` finite and
-    positive in both.  Returns (state, residual power).
+    ``start`` (which applies to this case only), with the stopping rule
+    that the interference study uses.  Returns (state, residual power).
     """
     if ch.m_antennas != 1:
         raise ValueError("interference nulling assumes a single-antenna interferer (M = 1)")
     if c.kind not in (ConstraintKind.IDEAL_CONTINUOUS, ConstraintKind.UNIT_MODULUS):
         raise ValueError(f"unsupported constraint for nulling: {c.kind.value}")
-    _check_nulling_caps(tol, max_passes)
     if start is not None:
         if start.n_elements != ch.n_elements:
             raise ValueError("start state dimension does not match the channel")
@@ -458,8 +439,7 @@ def null_interference(
     if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
         v = null_free_amplitude(t, f)
     else:
-        v = null_phases(t, f, None if start is None else start.coefficients[None, :],
-                        tol, max_passes)
+        v = null_phases(t, f, None if start is None else start.coefficients[None, :])
     return ReflectionState(v[0], c), float(nulling_residual(t, f, v)[0])
 
 

@@ -106,8 +106,11 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
                     f"end value {end:g} is not reachable with step {step:g}",
                     line,
                 )
-            for _ in range(int(round(n_steps))):
-                values.append(values[-1] + step)
+            # the k-th new value is last + k * step, so that rounding does
+            # not build up, and the final one is the end as written
+            last = values[-1]
+            values.extend(last + k * step for k in range(1, int(round(n_steps))))
+            values.append(end)
             i += 2
             continue
         try:
@@ -121,10 +124,11 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
 def parse_config(path: str | None, experiment: str | None = None) -> ExperimentConfig:
     """Parse a flat key=value config file into an ExperimentConfig.
 
-    Lines are 'key = value'; '#' starts a comment.  Unset keys take the
-    defaults (five transmit antennas, forty elements, exponents 2.2/3.2,
-    -80 dBm noise, 20 dB target SNR); the experiment's entry in ``STUDIES``
-    sets the sweep, schemes, realization count and scenario defaults.
+    Lines are 'key = value'; '#' starts a comment; a key may be set only
+    once.  Unset keys take the defaults (five transmit antennas, forty
+    elements, exponents 2.2/3.2, -80 dBm noise, 20 dB target SNR); the
+    experiment's entry in ``STUDIES`` sets the sweep, schemes, realization
+    count and scenario defaults.
     """
     study = STUDIES.get(experiment, STUDIES["power-vs-distance"])
     scen_kwargs: dict = {}
@@ -137,6 +141,7 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
         if not p.is_file():
             raise ConfigError(ConfigErrorCode.MISSING_FILE, f"config file not found: {path}")
         text = p.read_text(encoding="utf-8")
+        first_line: dict[str, int] = {}  # the line that set each key
         for lineno, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.split("#", 1)[0].strip()
             if not stripped:
@@ -148,6 +153,13 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
             key, _, value = stripped.partition("=")
             key = key.strip().lower()
             value = value.strip()
+            if key in first_line:
+                raise ConfigError(
+                    ConfigErrorCode.BAD_SYNTAX,
+                    f"{key!r} is set twice; first on line {first_line[key]}",
+                    lineno,
+                )
+            first_line[key] = lineno
             try:
                 if key in ("m_antennas", "n_elements"):
                     scen_kwargs[key] = _parse_int(key, value, lineno)

@@ -43,7 +43,7 @@ from .beamforming import (
     refine_levels,
 )
 from .channel import DB_LIMIT, ScenarioConfig, draw_fading_rows, scenario_links
-from .numerics import SeededRng, db_to_linear
+from .numerics import db_to_linear
 from .reflection import unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
@@ -120,6 +120,11 @@ class ExperimentConfig:
             )
         if not self.schemes:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, "schemes needs at least one scheme")
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE, f"schemes lists {', '.join(repeated)} more than once"
+            )
         name, values = self.sweep
         if name not in ("d", "n"):
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown sweep variable {name!r}")
@@ -202,11 +207,6 @@ def _sweep_scenarios(cfg: ExperimentConfig) -> list[ScenarioConfig]:
                 ConfigErrorCode.INVALID_VALUE, f"sweep value {name} = {value:g}: {exc}"
             ) from None
     return scenarios
-
-
-def channel_stream(master_seed: int, realization: int) -> SeededRng:
-    """Stream for one Monte Carlo realization (shared across sweep values)."""
-    return SeededRng(master_seed, realization)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,8 +327,7 @@ def _interference_gains(
         if scheme == "joint_amp_phase":
             out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f, anti.copy()))
         elif scheme == "phase_only":
-            out[scheme] = nulling_residual(
-                t, f, null_phases(t, f, anti, tol=1e-14, max_passes=400))
+            out[scheme] = nulling_residual(t, f, null_phases(t, f, anti))
         elif scheme == "no_irs":
             out[scheme] = np.float_power(abs_t, 2)
         else:
@@ -451,7 +450,7 @@ def _sweep_samples(
     rows = _block_rows(n_max)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
     for lo in range(start, stop, rows):
-        # realization i draws from channel_stream(master_seed, i): stream id i
+        # realization i draws from SeededRng(master_seed, i), whatever its block
         fading_r, fading_d = draw_fading_rows(cfg.master_seed, range(lo, min(lo + rows, stop)),
                                               m, n_max)
         for blocks, link in zip(per_value, links):

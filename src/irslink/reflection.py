@@ -65,15 +65,15 @@ class ConstraintSet:
         nlev = 1 << self.bits
         return 2.0 * np.pi * np.arange(nlev) / nlev
 
-    def contains(self, v: np.ndarray, tol: float = _FEAS_TOL) -> bool:
-        """Whether every coefficient satisfies this set (within tol)."""
+    def contains(self, v: np.ndarray) -> bool:
+        """Whether every coefficient satisfies this set (within _FEAS_TOL)."""
         v = np.asarray(v, dtype=np.complex128)
         mod = np.abs(v)
         if self.kind is ConstraintKind.ABSORB:
             return bool(np.all(v == 0))
         if self.kind is ConstraintKind.IDEAL_CONTINUOUS:
-            return bool(np.all(mod <= 1.0 + tol))
-        if not np.all(np.abs(mod - 1.0) <= tol):
+            return bool(np.all(mod <= 1.0 + _FEAS_TOL))
+        if not np.all(np.abs(mod - 1.0) <= _FEAS_TOL):
             return False
         if self.kind is ConstraintKind.UNIT_MODULUS:
             return True
@@ -81,7 +81,7 @@ class ConstraintSet:
         # distance of each phase to the nearest lattice point, wrap-aware
         steps = np.angle(v) * nlev / (2.0 * np.pi)
         dist_rad = np.abs(steps - np.round(steps)) * 2.0 * np.pi / nlev
-        return bool(np.all(dist_rad <= tol))
+        return bool(np.all(dist_rad <= _FEAS_TOL))
 
 
 @dataclass(frozen=True, eq=False)

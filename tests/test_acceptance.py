@@ -25,7 +25,6 @@ from irslink.channel import ChannelRealization, ScenarioConfig, realize
 from irslink.cli import CliInvocation, run
 from irslink.experiments import (
     ExperimentConfig,
-    channel_stream,
     run_interference_vs_n,
     run_power_vs_distance,
     run_power_vs_n,
@@ -202,7 +201,7 @@ def test_criterion_6a_discrete_brute_force_oracle():
         levels = np.exp(2j * np.pi * np.arange(1 << bits) / (1 << bits))
         for i in range(25):
             cfg = ScenarioConfig(m_antennas=1, n_elements=n)
-            ch = realize(cfg, channel_stream(MASTER_SEED + 1, count))
+            ch = realize(cfg, SeededRng(MASTER_SEED + 1, count))
             w = mrt(ch.h_bs_user)
             refined = quantize_then_refine(ch, w, align_phases(ch, w, UNIT), bits)
             g_ref = received_gain(ch, refined, w)
@@ -285,7 +284,7 @@ def test_criterion_6b_nulling_brute_force_oracle():
 def test_criterion_6c_coherent_sum_identity():
     worst = 0.0
     for i in range(200):
-        ch = realize(ScenarioConfig(), channel_stream(MASTER_SEED + 2, i))
+        ch = realize(ScenarioConfig(), SeededRng(MASTER_SEED + 2, i))
         w = mrt(ch.h_bs_user)
         t, a = direct_and_cascade(ch, w)
         target = abs(t) + float(np.sum(np.abs(a)))

@@ -83,6 +83,24 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, "sweep = d:20,25,...,55\n"))
         assert cfg.sweep == ("d", tuple(float(v) for v in range(20, 60, 5)))
 
+    @pytest.mark.parametrize("text, count, end", [
+        ("d:20.1,20.2,...,21", 10, 21.0),
+        ("d:0.1,0.2,...,0.9", 9, 0.9),
+    ])
+    def test_sweep_ellipsis_ends_on_the_written_value(self, tmp_path, text, count, end):
+        name, values = parse_config(write(tmp_path, f"sweep = {text}\n")).sweep
+        assert name == "d" and len(values) == count
+        assert values[-1] == end
+        assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_key_set_twice_rejected_naming_the_first_line(self, tmp_path):
+        path = write(tmp_path, "n_elements = 40\nm_antennas = 2\nN_Elements = 80\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert exc.value.code is ConfigErrorCode.BAD_SYNTAX
+        assert exc.value.line == 3
+        assert "n_elements" in str(exc.value) and "line 1" in exc.value.message
+
     def test_sweep_ellipsis_bad_end_rejected(self, tmp_path):
         path = write(tmp_path, "sweep = d:20,25,...,53\n")
         with pytest.raises(ConfigError) as exc:
@@ -309,6 +327,8 @@ CONFIG_MISTAKES = [
     ("power-vs-distance", "n_elements = 1000000000000"),
     ("power-vs-distance", "m_antennas = 1001"),
     ("power-vs-n", "sweep = n:100,10001"),
+    ("power-vs-distance", "n_elements = 40\nn_elements = 80"),
+    ("power-vs-distance", "schemes = joint,joint"),
 ]
 
 
