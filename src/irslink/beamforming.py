@@ -232,6 +232,7 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
     until no row changes in it.  Takes ``t`` of shape (R,) and ``a``,
     ``start`` of shape (R, N); returns the refined (R, N) coefficients.
     """
+    levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
     n = a.shape[1]
     if n == 0:
         return np.array(start, dtype=np.complex128)
@@ -242,8 +243,6 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
     total = t + np.cumsum(terms, axis=1, out=terms)[:, -1]
     del terms
     v = np.array(start, dtype=np.complex128)
-    nlev = 1 << bits
-    levels = np.exp(2j * np.pi * np.arange(nlev) / nlev)
     live = np.arange(v.shape[0])  # rows that changed in the previous pass
     for _ in range(_REFINE_PASSES):
         changed = np.zeros(v.shape[0], dtype=bool)

@@ -18,7 +18,7 @@ arrays with ``ScenarioLinks.block``; ``realize`` is the one-row case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -43,9 +43,6 @@ DB_LIMIT = 300.0
 # for arrays too large to allocate: a study holds (block, N) arrays.
 MAX_ELEMENTS = 10_000
 MAX_ANTENNAS = 1_000
-_REAL_FIELDS = ("bs_position", "irs_position", "user_position", "pl_exponent_bs_irs",
-                "pl_exponent_bs_user", "pl_exponent_irs_user", "c0_db", "noise_power_dbm",
-                "antenna_spacing_wavelengths")
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,9 @@ class ScenarioConfig:
             raise ValueError(f"m_antennas must be in [1, {MAX_ANTENNAS}], got {self.m_antennas}")
         if not 0 <= self.n_elements <= MAX_ELEMENTS:
             raise ValueError(f"n_elements must be in [0, {MAX_ELEMENTS}], got {self.n_elements}")
-        for name in _REAL_FIELDS:
-            if not all(math.isfinite(x) for x in np.ravel(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for f in fields(self):
+            if not all(math.isfinite(x) for x in np.ravel(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("c0_db", "noise_power_dbm"):
             if abs(getattr(self, name)) > DB_LIMIT:
                 raise ValueError(f"{name} must be within +-{DB_LIMIT:g}, got {getattr(self, name)}")

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .beamforming import alternating_optimize, min_power_for_snr
 from . import experiments
-from .channel import realize
+from .channel import ScenarioConfig, realize
 from .experiments import (
     STUDIES,
     ConfigError,
@@ -29,15 +29,6 @@ from .experiments import (
 from .numerics import SeededRng
 from .reflection import ConstraintSet
 
-_SCENARIO_FLOAT_KEYS = (
-    "pl_exponent_bs_irs",
-    "pl_exponent_bs_user",
-    "pl_exponent_irs_user",
-    "c0_db",
-    "noise_power_dbm",
-    "antenna_spacing_wavelengths",
-)
-_TOP_FLOAT_KEYS = ("snr_target_db", "interferer_power_dbm")
 _MAX_SWEEP_STEPS = 10_000
 
 
@@ -125,16 +116,16 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
     """Parse a flat key=value config file into an ExperimentConfig.
 
     Lines are 'key = value'; '#' starts a comment; a key may be set only
-    once.  Unset keys take the defaults (five transmit antennas, forty
-    elements, exponents 2.2/3.2, -80 dBm noise, 20 dB target SNR); the
-    experiment's entry in ``STUDIES`` sets the sweep, schemes, realization
-    count and scenario defaults.
+    once.  The keys are the fields of ``ScenarioConfig`` and those of
+    ``ExperimentConfig`` but ``scenario``; each value parses as the type of
+    its field's default (a tuple as an 'x,y' point), except ``sweep`` and
+    ``schemes``.  Unset keys keep the experiment's defaults in ``STUDIES``.
     """
-    study = STUDIES.get(experiment, STUDIES["power-vs-distance"])
+    defaults = STUDIES.get(experiment, STUDIES["power-vs-distance"]).defaults
+    scen_defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+    top_defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "scenario"}
     scen_kwargs: dict = {}
-    top_kwargs: dict = dict(
-        sweep=study.sweep, schemes=study.schemes, n_realizations=study.n_realizations
-    )
+    top_kwargs: dict = {}
 
     if path is not None:
         p = Path(path)
@@ -161,20 +152,14 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
                 )
             first_line[key] = lineno
             try:
-                if key in ("m_antennas", "n_elements"):
-                    scen_kwargs[key] = _parse_int(key, value, lineno)
-                elif key in _SCENARIO_FLOAT_KEYS:
-                    scen_kwargs[key] = _parse_float(key, value, lineno)
-                elif key in ("bs_position", "irs_position", "user_position"):
-                    scen_kwargs[key] = _parse_point(value, key, lineno)
-                elif key in _TOP_FLOAT_KEYS:
-                    top_kwargs[key] = _parse_float(key, value, lineno)
-                elif key in ("n_realizations", "master_seed"):
-                    top_kwargs[key] = _parse_int(key, value, lineno)
-                elif key == "schemes":
+                if key == "schemes":
                     top_kwargs[key] = tuple(s.strip() for s in value.split(",") if s.strip())
                 elif key == "sweep":
                     top_kwargs[key] = _parse_sweep(value, lineno)
+                elif key in scen_defaults:
+                    scen_kwargs[key] = _parse_value(key, value, lineno, scen_defaults[key])
+                elif key in top_defaults:
+                    top_kwargs[key] = _parse_value(key, value, lineno, top_defaults[key])
                 else:
                     raise ConfigError(ConfigErrorCode.UNKNOWN_KEY, f"unknown key {key!r}", lineno)
             except ValueError as exc:
@@ -183,48 +168,41 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
                 raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{key}: {exc}", lineno) from None
 
     try:
-        scenario = replace(study.scenario, **scen_kwargs)
+        scenario = replace(defaults.scenario, **scen_kwargs)
     except ValueError as exc:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, str(exc)) from None
-    return ExperimentConfig(scenario=scenario, **top_kwargs)
+    return replace(defaults, scenario=scenario, **top_kwargs)
 
 
-def _parse_int(key: str, value: str, line: int) -> int:
+def _parse_value(key: str, value: str, line: int, default):
+    """``value`` as the type of ``default``: a point, an integer or a number."""
+    if isinstance(default, tuple):
+        return _parse_point(value, key, line)
+    kind, noun = (int, "an integer") if isinstance(default, int) else (float, "a number")
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(ConfigErrorCode.TYPE_MISMATCH, f"{key} expects an integer, got {value!r}", line) from None
-
-
-def _parse_float(key: str, value: str, line: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(ConfigErrorCode.TYPE_MISMATCH, f"{key} expects a number, got {value!r}", line) from None
+        raise ConfigError(
+            ConfigErrorCode.TYPE_MISMATCH, f"{key} expects {noun}, got {value!r}", line
+        ) from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config as key=value text that reparses to an equal config."""
-    s = cfg.scenario
-    lines = [
-        f"bs_position = {s.bs_position[0]!r},{s.bs_position[1]!r}",
-        f"irs_position = {s.irs_position[0]!r},{s.irs_position[1]!r}",
-        f"user_position = {s.user_position[0]!r},{s.user_position[1]!r}",
-        f"m_antennas = {s.m_antennas}",
-        f"n_elements = {s.n_elements}",
-        f"pl_exponent_bs_irs = {s.pl_exponent_bs_irs!r}",
-        f"pl_exponent_bs_user = {s.pl_exponent_bs_user!r}",
-        f"pl_exponent_irs_user = {s.pl_exponent_irs_user!r}",
-        f"c0_db = {s.c0_db!r}",
-        f"noise_power_dbm = {s.noise_power_dbm!r}",
-        f"antenna_spacing_wavelengths = {s.antenna_spacing_wavelengths!r}",
-        f"snr_target_db = {cfg.snr_target_db!r}",
-        f"interferer_power_dbm = {cfg.interferer_power_dbm!r}",
-        f"n_realizations = {cfg.n_realizations}",
-        f"master_seed = {cfg.master_seed}",
-        f"schemes = {','.join(cfg.schemes)}",
-        f"sweep = {cfg.sweep[0]}:{','.join(repr(v) for v in cfg.sweep[1])}",
-    ]
+    settings = [(f.name, getattr(cfg.scenario, f.name)) for f in fields(ScenarioConfig)]
+    settings += [(f.name, getattr(cfg, f.name)) for f in fields(ExperimentConfig)
+                 if f.name != "scenario"]
+    lines = []
+    for key, value in settings:
+        if key == "schemes":
+            text = ",".join(value)
+        elif key == "sweep":
+            text = f"{value[0]}:{','.join(repr(v) for v in value[1])}"
+        elif isinstance(value, tuple):
+            text = ",".join(repr(v) for v in value)
+        else:
+            text = repr(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -303,10 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", dest="config_path", default=None, help="key=value config file")
         sp.add_argument("--out", dest="out_path", default=None, help="output CSV path")
-        sp.add_argument("--seed", dest="seed", type=int, default=None, help="master seed override")
+        sp.add_argument("--seed", dest="seed_override", metavar="SEED", type=int, default=None,
+                        help="master seed override")
         sp.add_argument(
-            "--realizations", dest="realizations", type=int, default=None,
-            help="realization count override",
+            "--realizations", dest="realizations_override", metavar="REALIZATIONS", type=int,
+            default=None, help="realization count override",
         )
         sp.add_argument("--quiet", action="store_true", help="suppress the summary printout")
         sp.add_argument("--workers", type=int, default=1,
@@ -315,17 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    inv = CliInvocation(
-        subcommand=args.subcommand,
-        config_path=args.config_path,
-        out_path=args.out_path,
-        seed_override=args.seed,
-        realizations_override=args.realizations,
-        quiet=args.quiet,
-        workers=args.workers,
-    )
-    return run(inv)
+    return run(CliInvocation(**vars(_build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

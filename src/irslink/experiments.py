@@ -110,7 +110,6 @@ class ExperimentConfig:
     master_seed: int = 1
     snr_target_db: float = 20.0
     interferer_power_dbm: float = 30.0
-    keep_samples: bool = False
 
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
@@ -156,7 +155,11 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class ExperimentResult:
-    """Aggregated rows, plus optional per-realization samples."""
+    """Aggregated rows, and the per-realization samples behind them.
+
+    A study's result always carries its samples: one array per (sweep
+    value, key), in realization order.
+    """
 
     rows: list[ResultRow]
     samples: dict[tuple[float, str], np.ndarray] = field(default_factory=dict)
@@ -388,38 +391,38 @@ class Study(NamedTuple):
     ``metric`` maps one block at one sweep value to its samples per key (a
     scheme); each row must be what the realization gives alone.  ``rows``
     turns those values, stacked over all realizations of one sweep value,
-    into (scheme, metric, unit) rows.
+    into (scheme, metric, unit) rows.  ``defaults`` is the configuration
+    of a run that sets nothing: only its sweep variable may be swept, and
+    its schemes are the ones allowed.
     """
 
     runner: str  # public entry point, looked up by name when called
-    sweep: tuple[str, tuple[float, ...]]  # default; only its variable may be swept
+    defaults: ExperimentConfig
     min_elements: int | None  # smallest swept element count; None for a distance sweep
     single_antenna: bool
-    schemes: tuple[str, ...]  # allowed, and the default
-    n_realizations: int
-    scenario: ScenarioConfig
     metric: _BlockMetric  # (g, h_r, h_d, cfg) of one block
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
 
 
 STUDIES = {
     "power-vs-distance": Study(
-        runner="run_power_vs_distance", sweep=("d", _DEFAULT_DISTANCES), min_elements=None,
-        single_antenna=False, schemes=POWER_DISTANCE_SCHEMES, n_realizations=500,
-        scenario=ScenarioConfig(), metric=partial(_required_powers, _signal_gains),
-        rows=_power_rows,
+        runner="run_power_vs_distance", defaults=ExperimentConfig(), min_elements=None,
+        single_antenna=False, metric=partial(_required_powers, _signal_gains), rows=_power_rows,
     ),
     "power-vs-n": Study(
-        runner="run_power_vs_n", sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
-        min_elements=1, single_antenna=False, schemes=("continuous", "b1", "b2"),
-        n_realizations=500, scenario=ScenarioConfig(),
+        runner="run_power_vs_n",
+        defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
+                                  schemes=("continuous", "b1", "b2")),
+        min_elements=1, single_antenna=False,
         metric=partial(_required_powers, _quantized_gains), rows=_power_rows,
     ),
     "interference-vs-n": Study(
-        runner="run_interference_vs_n", sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
-        min_elements=0, single_antenna=True, schemes=("joint_amp_phase", "phase_only", "no_irs"),
-        n_realizations=200, scenario=ScenarioConfig(m_antennas=1),
-        metric=_interference_powers, rows=_interference_rows,
+        runner="run_interference_vs_n",
+        defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
+                                  sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
+                                  schemes=("joint_amp_phase", "phase_only", "no_irs"),
+                                  n_realizations=200),
+        min_elements=0, single_antenna=True, metric=_interference_powers, rows=_interference_rows,
     ),
 }
 
@@ -553,15 +556,16 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
             ConfigErrorCode.INVALID_VALUE,
             f"{study} requires m_antennas = 1, got {cfg.scenario.m_antennas}",
         )
-    unknown = [s for s in cfg.schemes if s not in spec.schemes]
+    defaults = spec.defaults
+    unknown = [s for s in cfg.schemes if s not in defaults.schemes]
     if unknown:
         raise ConfigError(
             ConfigErrorCode.INVALID_VALUE,
-            f"unknown scheme(s) {unknown}; allowed: {list(spec.schemes)}",
+            f"unknown scheme(s) {unknown}; allowed: {list(defaults.schemes)}",
         )
     name, values = cfg.sweep
-    if name != spec.sweep[0]:
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{study} sweeps {spec.sweep[0]!r}")
+    if name != defaults.sweep[0]:
+        raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{study} sweeps {defaults.sweep[0]!r}")
     if "bs_irs_mrt" in cfg.schemes and cfg.scenario.n_elements == 0:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, "scheme 'bs_irs_mrt' needs n_elements >= 1")
     if spec.min_elements is not None:
@@ -591,11 +595,13 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     rows: list[ResultRow] = []
     samples: dict[tuple[float, str], np.ndarray] = {}
     for k, value in enumerate(values):
-        stacked = {key: np.concatenate([s[k][key] for s in shards]) for key in shards[0][k]}
+        # each shard's arrays are dropped as they are stacked, so that no
+        # sample is held twice
+        stacked = {key: np.concatenate([s[k].pop(key) for s in shards])
+                   for key in list(shards[0][k])}
         rows += [ResultRow(float(value), scheme, metric, unit, n, cfg.master_seed)
                  for scheme, metric, unit in spec.rows(stacked)]
-        if cfg.keep_samples:
-            samples.update({(float(value), key): arr for key, arr in stacked.items()})
+        samples.update({(float(value), key): arr for key, arr in stacked.items()})
     return ExperimentResult(rows=rows, samples=samples)
 
 

@@ -65,7 +65,6 @@ def power_vs_distance():
         schemes=("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs"),
         n_realizations=500,
         master_seed=MASTER_SEED,
-        keep_samples=True,
     )
     return run_power_vs_distance(cfg)
 
@@ -78,7 +77,6 @@ def interference():
         schemes=("joint_amp_phase", "phase_only", "no_irs"),
         n_realizations=200,
         master_seed=MASTER_SEED,
-        keep_samples=True,
     )
     return run_interference_vs_n(cfg)
 

@@ -498,6 +498,12 @@ class TestRefineLevels:
         # t = 0 and a single a_0 = 1: every level reaches |a_0| exactly
         assert np.array_equal(got[1], start[1])
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_rejects_zero_bits(self, n):
+        # the levels are ConstraintSet.discrete_phase(bits)'s, as in discrete_refine
+        with pytest.raises(ValueError, match="bits >= 1"):
+            refine_levels(np.ones(2), np.ones((2, n), complex), np.ones((2, n), complex), 0)
+
     def test_no_elements(self):
         t = np.array([1.0 + 1j, 0.5j])
         got = refine_levels(t, np.zeros((2, 0), complex), np.zeros((2, 0), complex), 1)

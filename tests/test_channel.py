@@ -70,7 +70,8 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(pl_exponent_bs_user=0.0)
 
-    @pytest.mark.parametrize("field", ["c0_db", "noise_power_dbm", "pl_exponent_bs_user",
+    @pytest.mark.parametrize("field", ["c0_db", "noise_power_dbm", "pl_exponent_bs_irs",
+                                       "pl_exponent_bs_user", "pl_exponent_irs_user",
                                        "antenna_spacing_wavelengths"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_numbers(self, field, value):

@@ -1,6 +1,7 @@
 import math
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irslink.channel import ScenarioConfig
 from irslink.cli import (
     CliInvocation,
     main,
@@ -24,6 +26,15 @@ from irslink.experiments import (
     run_power_vs_distance,
     run_power_vs_n,
 )
+
+
+def keyed(cfg):
+    """Every config key of ``cfg`` and its value: the fields of
+    ScenarioConfig and those of ExperimentConfig but ``scenario``."""
+    out = {f.name: getattr(cfg.scenario, f.name) for f in fields(ScenarioConfig)}
+    out.update((f.name, getattr(cfg, f.name)) for f in fields(ExperimentConfig)
+               if f.name != "scenario")
+    return out
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -143,11 +154,20 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         path = write(
             tmp_path,
-            "m_antennas = 2\nn_elements = 9\nsweep = n:5,10\nschemes = continuous\n"
-            "master_seed = 7\nnoise_power_dbm = -77.5\n",
+            "bs_position = 1.5,-0.5\nirs_position = 45.25,3.5\nuser_position = 48.5,0.75\n"
+            "m_antennas = 2\nn_elements = 9\npl_exponent_bs_irs = 2.1\n"
+            "pl_exponent_bs_user = 3.3\npl_exponent_irs_user = 2.9\nc0_db = -31.5\n"
+            "noise_power_dbm = -77.5\nantenna_spacing_wavelengths = 0.25\n"
+            "snr_target_db = 12.5\ninterferer_power_dbm = 27.5\nn_realizations = 17\n"
+            "master_seed = 7\nschemes = continuous,b2\nsweep = n:5,10\n",
         )
         cfg = parse_config(path, experiment="power-vs-n")
-        reparsed = parse_config(write(tmp_path, serialize_config(cfg), "round.txt"))
+        values, defaults = keyed(cfg), keyed(parse_config(None, experiment="power-vs-n"))
+        # every key is set, and to a value that is not its default
+        assert [k for k in values if values[k] == defaults[k]] == []
+        text = serialize_config(cfg)
+        assert {line.partition(" = ")[0] for line in text.splitlines()} == set(values)
+        reparsed = parse_config(write(tmp_path, text, "round.txt"))
         assert reparsed == cfg
 
 
@@ -277,6 +297,12 @@ class TestMain:
         assert text.count("continuous") == 2
         assert ",6,3" in text  # realization and seed overrides recorded
 
+    def test_help_names_the_override_values(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["power-vs-n", "--help"])
+        out = capsys.readouterr().out
+        assert "--seed SEED" in out and "--realizations REALIZATIONS" in out
+
     def test_main_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
@@ -329,6 +355,8 @@ CONFIG_MISTAKES = [
     ("power-vs-n", "sweep = n:100,10001"),
     ("power-vs-distance", "n_elements = 40\nn_elements = 80"),
     ("power-vs-distance", "schemes = joint,joint"),
+    ("power-vs-distance", "user_position = nan,0"),
+    ("power-vs-distance", "antenna_spacing_wavelengths = inf"),
 ]
 
 

@@ -47,7 +47,6 @@ DIST_CFG = ExperimentConfig(
     schemes=("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs"),
     n_realizations=30,
     master_seed=11,
-    keep_samples=True,
 )
 
 N_CFG = ExperimentConfig(
@@ -56,7 +55,6 @@ N_CFG = ExperimentConfig(
     schemes=("continuous", "b1", "b2"),
     n_realizations=25,
     master_seed=12,
-    keep_samples=True,
 )
 
 INT_CFG = ExperimentConfig(
@@ -65,7 +63,6 @@ INT_CFG = ExperimentConfig(
     schemes=("joint_amp_phase", "phase_only", "no_irs"),
     n_realizations=25,
     master_seed=13,
-    keep_samples=True,
 )
 
 
@@ -233,7 +230,7 @@ class TestPowerVsDistance:
     def test_csv_bytes_pinned(self):
         # sha256 of the CSV written by the per-realization solvers that the
         # closed-form block gains replaced
-        result = run_power_vs_distance(replace(DIST_CFG, n_realizations=6, keep_samples=False))
+        result = run_power_vs_distance(replace(DIST_CFG, n_realizations=6))
         digest = hashlib.sha256(result.to_csv_text().encode("ascii")).hexdigest()
         assert digest == "266d2c08e6652d25b514db5e3cb85131783b032fc0cd8213d82ebd8fda9e1ffd"
 
@@ -414,7 +411,7 @@ class TestPowerVsN:
     def test_csv_bytes_pinned(self):
         # sha256 of the CSV written by the per-realization implementation
         # that block refinement replaced
-        text = run_power_vs_n(replace(N_CFG, n_realizations=6, keep_samples=False)).to_csv_text()
+        text = run_power_vs_n(replace(N_CFG, n_realizations=6)).to_csv_text()
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "f0c881c90ea569c9e6e6e7b82b8b9b4f54dbd7a6f5b5e3fed86f4ff652757ed9"
 
@@ -520,7 +517,6 @@ class TestInterferenceVsN:
             schemes=("joint_amp_phase", "no_irs"),
             n_realizations=50,
             master_seed=14,
-            keep_samples=True,
         )
         res = run_interference_vs_n(cfg)
         joint = res.samples[(60.0, "joint_amp_phase")]
@@ -531,7 +527,7 @@ class TestInterferenceVsN:
     def test_csv_bytes_pinned(self):
         # sha256 of the CSV written by the per-realization nulling loop that
         # the block kernel replaced
-        cfg = replace(INT_CFG, n_realizations=6, keep_samples=False)
+        cfg = replace(INT_CFG, n_realizations=6)
         text = run_interference_vs_n(cfg).to_csv_text()
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "c7529432c80cc01195fcd34a2d785fc4cc099e0e0d91011871973b7e3b2faa60"
@@ -605,7 +601,7 @@ class TestInterferenceGains:
         # the default interference scenario at N = 60: a stopping rule of
         # 1e-12 and 200 passes would change some of these rows, so the
         # library call and the study share one rule
-        scen = replace(experiments.STUDIES["interference-vs-n"].scenario, n_elements=60)
+        scen = replace(experiments.STUDIES["interference-vs-n"].defaults.scenario, n_elements=60)
         channels = [realize(scen, SeededRng(20240811, i)) for i in range(200)]
         block = experiments._interference_gains(*stacked(channels), ("phase_only",))
         alone = [null_interference(ch, ConstraintSet.unit_modulus())[1] for ch in channels]
