@@ -2,8 +2,9 @@
 
 Subcommands: power-vs-distance, power-vs-n, interference-vs-n (Monte
 Carlo studies writing CSV) and solve-once (single realization, printed
-for inspection).  Exit codes: 0 success, 1 configuration error, 2 runtime
-error.
+for inspection).  The config file is read as UTF-8.  Exit codes: 0
+success, 1 configuration error (a command-line mistake, or a config file
+that cannot be read or breaks a rule), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -43,14 +44,19 @@ class CliInvocation:
     workers: int = 1
 
 
-def _parse_point(text: str, key: str, line: int) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(ConfigErrorCode.TYPE_MISMATCH, f"{key} needs 'x,y', got {text!r}", line)
+def _number(text: str, key: str, line: int, kind: type = float):
+    """``text`` as a ``kind``: an int, a float, or for ``tuple`` an 'x,y'
+    point of floats.  Anything else is a TYPE_MISMATCH on ``line``."""
     try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(ConfigErrorCode.TYPE_MISMATCH, f"{key}: {exc}", line) from None
+        if kind is tuple:
+            x, y = text.split(",")
+            return (float(x), float(y))
+        return kind(text)
+    except ValueError:
+        noun = {int: "an integer", float: "a number", tuple: "'x,y'"}[kind]
+        raise ConfigError(
+            ConfigErrorCode.TYPE_MISMATCH, f"{key} expects {noun}, got {text!r}", line
+        ) from None
 
 
 def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
@@ -74,12 +80,7 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
                     line,
                 )
             step = values[-1] - values[-2]
-            try:
-                end = float(tokens[i + 1])
-            except ValueError:
-                raise ConfigError(
-                    ConfigErrorCode.TYPE_MISMATCH, f"bad sweep value {tokens[i + 1]!r}", line
-                ) from None
+            end = _number(tokens[i + 1], "sweep", line)
             if step <= 0 or end <= values[-1]:
                 raise ConfigError(
                     ConfigErrorCode.INVALID_VALUE, "'...' continuation must ascend", line
@@ -104,10 +105,7 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
             values.append(end)
             i += 2
             continue
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ConfigError(ConfigErrorCode.TYPE_MISMATCH, f"bad sweep value {tok!r}", line) from None
+        values.append(_number(tok, "sweep", line))
         i += 1
     return name, tuple(values)
 
@@ -115,8 +113,8 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
 def parse_config(path: str | None, experiment: str | None = None) -> ExperimentConfig:
     """Parse a flat key=value config file into an ExperimentConfig.
 
-    Lines are 'key = value'; '#' starts a comment; a key may be set only
-    once.  The keys are the fields of ``ScenarioConfig`` and those of
+    The file is read as UTF-8.  Lines are 'key = value'; '#' starts a
+    comment; a key may be set only once.  The keys are the fields of ``ScenarioConfig`` and those of
     ``ExperimentConfig`` but ``scenario``; each value parses as the type of
     its field's default (a tuple as an 'x,y' point), except ``sweep`` and
     ``schemes``.  Unset keys keep the experiment's defaults in ``STUDIES``.
@@ -128,10 +126,16 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
     top_kwargs: dict = {}
 
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(ConfigErrorCode.MISSING_FILE, f"config file not found: {path}")
-        text = p.read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(
+                ConfigErrorCode.MISSING_FILE, f"cannot read config file {path}: {exc.strerror}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                ConfigErrorCode.BAD_SYNTAX, f"config file {path} is not UTF-8: byte {exc.start}"
+            ) from None
         first_line: dict[str, int] = {}  # the line that set each key
         for lineno, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.split("#", 1)[0].strip()
@@ -151,40 +155,22 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
                     lineno,
                 )
             first_line[key] = lineno
-            try:
-                if key == "schemes":
-                    top_kwargs[key] = tuple(s.strip() for s in value.split(",") if s.strip())
-                elif key == "sweep":
-                    top_kwargs[key] = _parse_sweep(value, lineno)
-                elif key in scen_defaults:
-                    scen_kwargs[key] = _parse_value(key, value, lineno, scen_defaults[key])
-                elif key in top_defaults:
-                    top_kwargs[key] = _parse_value(key, value, lineno, top_defaults[key])
-                else:
-                    raise ConfigError(ConfigErrorCode.UNKNOWN_KEY, f"unknown key {key!r}", lineno)
-            except ValueError as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{key}: {exc}", lineno) from None
+            if key == "schemes":
+                top_kwargs[key] = tuple(s.strip() for s in value.split(",") if s.strip())
+            elif key == "sweep":
+                top_kwargs[key] = _parse_sweep(value, lineno)
+            elif key in scen_defaults:
+                scen_kwargs[key] = _number(value, key, lineno, type(scen_defaults[key]))
+            elif key in top_defaults:
+                top_kwargs[key] = _number(value, key, lineno, type(top_defaults[key]))
+            else:
+                raise ConfigError(ConfigErrorCode.UNKNOWN_KEY, f"unknown key {key!r}", lineno)
 
     try:
         scenario = replace(defaults.scenario, **scen_kwargs)
     except ValueError as exc:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, str(exc)) from None
     return replace(defaults, scenario=scenario, **top_kwargs)
-
-
-def _parse_value(key: str, value: str, line: int, default):
-    """``value`` as the type of ``default``: a point, an integer or a number."""
-    if isinstance(default, tuple):
-        return _parse_point(value, key, line)
-    kind, noun = (int, "an integer") if isinstance(default, int) else (float, "a number")
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(
-            ConfigErrorCode.TYPE_MISMATCH, f"{key} expects {noun}, got {value!r}", line
-        ) from None
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -243,11 +229,6 @@ def run(inv: CliInvocation) -> int:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, "--out is required for experiment subcommands")
         if inv.workers < 1:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"workers must be >= 1, got {inv.workers}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if inv.subcommand == "solve-once":
             return _solve_once(cfg)
         runner = getattr(experiments, STUDIES[inv.subcommand].runner)
@@ -271,8 +252,15 @@ def run(inv: CliInvocation) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a command-line mistake is a configuration error: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irslink",
         description="Link-level studies of a passive reflecting surface",
     )

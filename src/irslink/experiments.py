@@ -194,7 +194,8 @@ def _sweep_key(value: float) -> str:
 def _sweep_scenarios(cfg: ExperimentConfig) -> list[ScenarioConfig]:
     """The scenario of each sweep value.
 
-    A scenario that fails its own validation raises ConfigError.
+    A fractional count or a scenario that fails its own validation raises
+    ConfigError.
     """
     name, values = cfg.sweep
     scenarios = []
@@ -203,8 +204,10 @@ def _sweep_scenarios(cfg: ExperimentConfig) -> list[ScenarioConfig]:
             if name == "d":
                 y = cfg.scenario.user_position[1]
                 scenarios.append(replace(cfg.scenario, user_position=(float(value), y)))
-            else:
+            elif float(value).is_integer():
                 scenarios.append(replace(cfg.scenario, n_elements=int(value)))
+            else:
+                raise ValueError("element counts must be integers")
         except ValueError as exc:
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE, f"sweep value {name} = {value:g}: {exc}"
@@ -569,11 +572,11 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     if "bs_irs_mrt" in cfg.schemes and cfg.scenario.n_elements == 0:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, "scheme 'bs_irs_mrt' needs n_elements >= 1")
     if spec.min_elements is not None:
-        bad = [v for v in values if not float(v).is_integer() or v < spec.min_elements]
+        bad = [v for v in values if v < spec.min_elements]
         if bad:
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE,
-                f"element counts must be integers >= {spec.min_elements}, got {bad}",
+                f"element counts must be >= {spec.min_elements}, got {bad}",
             )
 
     n = cfg.n_realizations

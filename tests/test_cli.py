@@ -123,6 +123,20 @@ class TestParseConfig:
             parse_config("/nonexistent/cfg.txt")
         assert exc.value.code is ConfigErrorCode.MISSING_FILE
 
+    def test_directory_error_names_path_and_reason(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(tmp_path))
+        assert exc.value.code is ConfigErrorCode.MISSING_FILE
+        assert str(tmp_path) in exc.value.message and "directory" in exc.value.message
+
+    def test_non_utf8_file_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("n_elements = 40  # caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert exc.value.code is ConfigErrorCode.BAD_SYNTAX
+        assert "UTF-8" in exc.value.message
+
     def test_unknown_key_error_carries_line(self, tmp_path):
         path = write(tmp_path, "m_antennas = 4\nbogus_key = 3\n")
         with pytest.raises(ConfigError) as exc:
@@ -137,6 +151,23 @@ class TestParseConfig:
             parse_config(path)
         assert exc.value.code is ConfigErrorCode.TYPE_MISMATCH
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("text", [
+        "bs_position = 1.5,east",
+        "bs_position = 1,2,3",
+        "sweep = d:10,far",
+        "sweep = d:10,20,...,far",
+        "m_antennas = 2.5",
+        "master_seed = 0x10",
+        "snr_target_db = high",
+    ])
+    def test_every_number_mismatch_carries_its_line(self, tmp_path, text):
+        path = write(tmp_path, f"# comment\n{text}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert exc.value.code is ConfigErrorCode.TYPE_MISMATCH
+        assert exc.value.line == 2
+        assert text.partition(" = ")[0] in exc.value.message
 
     def test_invariant_violation_names_key(self, tmp_path):
         path = write(tmp_path, "n_elements = -1\n")
@@ -298,14 +329,29 @@ class TestMain:
         assert ",6,3" in text  # realization and seed overrides recorded
 
     def test_help_names_the_override_values(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["power-vs-n", "--help"])
+        assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--seed SEED" in out and "--realizations REALIZATIONS" in out
 
-    def test_main_rejects_unknown_subcommand(self):
-        with pytest.raises(SystemExit):
+    def test_main_rejects_unknown_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
+        assert exc.value.code == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "abc"], ["--workers", "1.5"], ["--realizations", "ten"], ["--bogus"],
+    ], ids=" ".join)
+    def test_command_line_mistake_is_exit_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "m.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["power-vs-distance", "--out", str(out), *flags])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: irslink") and "config error: " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sub, workers", [
         pytest.param("power-vs-n", "0", id="0"),
@@ -360,10 +406,10 @@ CONFIG_MISTAKES = [
 ]
 
 
-@pytest.mark.parametrize("sub, text", CONFIG_MISTAKES, ids=[t for _, t in CONFIG_MISTAKES])
-def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
+def assert_rejected_early(tmp_path, capsys, sub, config_path):
+    """run() exits 1 with a config error and no CSV, under 1 MiB allocated."""
     out = tmp_path / "x.csv"
-    inv = CliInvocation(subcommand=sub, config_path=write(tmp_path, text + "\n"),
+    inv = CliInvocation(subcommand=sub, config_path=config_path,
                         out_path=str(out), realizations_override=2, quiet=True)
     tracemalloc.start()
     try:
@@ -374,6 +420,21 @@ def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
         tracemalloc.stop()
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, text", CONFIG_MISTAKES, ids=[t for _, t in CONFIG_MISTAKES])
+def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
+    assert_rejected_early(tmp_path, capsys, sub, write(tmp_path, text + "\n"))
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_unreadable_config_is_exit_1(tmp_path, capsys, kind):
+    path = tmp_path / "cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"n_elements = 40\n\xff\xfe\n")
+    assert_rejected_early(tmp_path, capsys, "power-vs-distance", str(path))
 
 
 SCHEME_NAMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs", "continuous", "b1", "b2",

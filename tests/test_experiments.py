@@ -121,9 +121,10 @@ class TestExperimentConfig:
             ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("sweep", [("d", (float("nan"),)), ("d", (10.0, float("inf"))),
-                                       ("d", (0.0, 10.0)), ("n", (-1.0,))])
+                                       ("d", (0.0, 10.0)), ("n", (-1.0,)), ("n", (10.5,))])
     def test_every_sweep_scenario_is_validated(self, sweep):
-        # d = 0 puts the user on the transmitter; n = -1 is no surface size
+        # d = 0 puts the user on the transmitter; n = -1 and n = 10.5 are no
+        # surface size
         with pytest.raises(ConfigError, match="sweep"):
             ExperimentConfig(sweep=sweep)
 
@@ -404,9 +405,14 @@ class TestPowerVsN:
                 assert n_result.value(n, f"loss_b{b}_quant") <= bound + 0.3
 
     def test_rejects_fractional_element_count(self):
-        bad = ExperimentConfig(sweep=("n", (10.5,)), schemes=("continuous",), n_realizations=2)
-        with pytest.raises(ConfigError):
-            run_power_vs_n(bad)
+        # rejected where the sweep is built, before any study can run
+        with pytest.raises(ConfigError, match="integers"):
+            ExperimentConfig(sweep=("n", (10.5,)), schemes=("continuous",), n_realizations=2)
+
+    def test_rejects_element_count_below_the_study_minimum(self):
+        with pytest.raises(ConfigError, match=">= 1"):
+            run_power_vs_n(ExperimentConfig(sweep=("n", (0.0, 4.0)), schemes=("continuous",),
+                                            n_realizations=2))
 
     def test_csv_bytes_pinned(self):
         # sha256 of the CSV written by the per-realization implementation
