@@ -29,10 +29,14 @@ from .reflection import (
 
 # Elements scanned together by refine_levels; 16 and 64 were slower.
 _CHUNK = 32
-# Stopping rules, one per solver, as the studies use them: refinement makes
-# at most _REFINE_PASSES full passes; nulling stops after the first pass that
-# lowers the residual power by at most _NULL_TOL times its previous value,
-# or after _NULL_PASSES passes.
+# Stopping rules, one per solver, as the studies use them: the alternating
+# optimizer stops after the first outer iteration that raises the gain by
+# less than _ALTERNATE_TOL times its previous value, or after
+# _ALTERNATE_ITERS iterations; refinement makes at most _REFINE_PASSES full
+# passes; nulling stops after the first pass that lowers the residual power
+# by at most _NULL_TOL times its previous value, or after _NULL_PASSES passes.
+_ALTERNATE_TOL = 1e-4
+_ALTERNATE_ITERS = 100
 _REFINE_PASSES = 20
 _NULL_TOL = 1e-14
 _NULL_PASSES = 400
@@ -141,25 +145,17 @@ def _rank_one_beam(g: np.ndarray) -> np.ndarray:
     return mrt(np.conj(g[np.argmax(np.linalg.norm(g, axis=1))]))
 
 
-def alternating_optimize(
-    ch: ChannelRealization,
-    c: ConstraintSet,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-) -> BeamformingSolution:
+def alternating_optimize(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
     """Joint transmit/reflect optimization by alternating closed forms.
 
     Repeats (i) refl <- align_phases(ch, w, c) and (ii) w <- mrt(h_eff)
-    until the relative objective improvement drops below ``tol`` or
-    ``max_iter`` is reached.  The run is started once from the direct-link
-    MRT beamformer and once from the transmitter-surface beam, and the
-    better fixed point is returned, which makes the result dominate both
-    heuristic baselines on every realization.
+    until an iteration raises the gain by less than ``_ALTERNATE_TOL``
+    times its previous value, or for ``_ALTERNATE_ITERS`` iterations.  The
+    run is started once from the direct-link MRT beamformer and once from
+    the transmitter-surface beam, and the better fixed point is returned,
+    which makes the result dominate both heuristic baselines on every
+    realization.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     direct_norm = np.linalg.norm(ch.h_bs_user)
     if ch.n_elements == 0 or c.kind is ConstraintKind.ABSORB:
         w = mrt(ch.h_bs_user)
@@ -179,7 +175,7 @@ def alternating_optimize(
         w = w0
         trace: list[float] = []
         refl = None
-        for _ in range(max_iter):
+        for _ in range(_ALTERNATE_ITERS):
             candidate = align_phases(ch, w, c)
             h_eff = effective_channel(ch, candidate)
             gain = float(np.linalg.norm(h_eff) ** 2)
@@ -189,7 +185,7 @@ def alternating_optimize(
             refl = candidate
             w = mrt(h_eff)
             trace.append(gain)
-            if len(trace) >= 2 and trace[-1] - trace[-2] < tol * trace[-2]:
+            if len(trace) >= 2 and trace[-1] - trace[-2] < _ALTERNATE_TOL * trace[-2]:
                 break
         sol = BeamformingSolution(w=w, refl=refl, gain_linear=trace[-1], trace=tuple(trace))
         if best is None or sol.gain_linear > best.gain_linear:
@@ -314,13 +310,10 @@ def _anti_aligned(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.exp(1j * ((np.pi + ref)[:, None] - np.angle(f)))
 
 
-def null_free_amplitude(
-    t: np.ndarray, f: np.ndarray, anti: np.ndarray | None = None
-) -> np.ndarray:
+def null_free_amplitude(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Free-amplitude nulling optimum of R problems: the anti-aligned state,
-    scaled by min(1, |t_r| / sum_n |f_rn|).  ``anti``, if given, is that
-    state already computed, and is scaled in place."""
-    v = _anti_aligned(t, f) if anti is None else anti
+    scaled by min(1, |t_r| / sum_n |f_rn|)."""
+    v = _anti_aligned(t, f)
     reach = np.sum(np.abs(f), axis=1)
     abs_t = np.hypot(t.real, t.imag)
     shrink = reach > abs_t
@@ -328,25 +321,25 @@ def null_free_amplitude(
     return v
 
 
-def null_phases(t: np.ndarray, f: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+def null_phases(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Cyclic coordinate descent on |t_r + sum_n f_rn v_rn|^2 under
     |v_rn| = 1, for R problems at once.
 
-    Each element in ascending index order moves to its per-element optimum
+    Every row starts from the anti-aligned state.  Each element in
+    ascending index order moves to its per-element optimum
     exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
-    n; elements with f_n = 0 keep their start value.  Row r starts from
-    ``start[r]`` (default the anti-aligned state) and stops after the first
-    pass that lowers its residual power by at most ``_NULL_TOL`` times the
-    previous value, or after ``_NULL_PASSES`` passes; a stopped row leaves
-    the batch.  Every step is the float64 operation of the one-problem loop,
-    in its order (unfused complex products, ``hypot`` magnitudes, ``pow``
-    squares), so a row gets the same bits in any batch.  Takes ``t`` of
-    shape (R,) and ``f``, ``start`` of shape (R, N); returns the (R, N)
+    n; elements with f_n = 0 keep their start value.  Row r stops after the
+    first pass that lowers its residual power by at most ``_NULL_TOL`` times
+    the previous value, or after ``_NULL_PASSES`` passes; a stopped row
+    leaves the batch.  Every step is the float64 operation of the
+    one-problem loop, in its order (unfused complex products, ``hypot``
+    magnitudes, ``pow`` squares), so a row gets the same bits in any batch.
+    Takes ``t`` of shape (R,) and ``f`` of shape (R, N); returns the (R, N)
     coefficients.
     """
-    v = _anti_aligned(t, f) if start is None else np.asarray(start, dtype=np.complex128)
+    v = _anti_aligned(t, f)
     if f.shape[1] == 0:
-        return np.array(v)
+        return v
     # element-major: each step reads one (R,) row; f is only viewed, v copied
     fr, fi = f.real.T, f.imag.T
     vr, vi = v.real.T.copy(), v.imag.T.copy()
@@ -406,11 +399,7 @@ def nulling_residual(t: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(total.real, total.imag), 2)
 
 
-def null_interference(
-    ch: ChannelRealization,
-    c: ConstraintSet,
-    start: ReflectionState | None = None,
-) -> tuple[ReflectionState, float]:
+def null_interference(ch: ChannelRealization, c: ConstraintSet) -> tuple[ReflectionState, float]:
     """Minimize the interference power |t + sum_n f_n v_n|^2 at the user.
 
     Requires a single-antenna interferer (M = 1), whose scalar beamformer
@@ -420,25 +409,20 @@ def null_interference(
     scaled by min(1, |t| / sum|f_n|), is exact: max(0, |t| - sum|f_n|)^2.
     With unit modulus, cyclic coordinate descent (a monotone heuristic:
     :func:`null_phases` on one row) moves each element in turn to its
-    per-element optimum, starting from the anti-aligned state or
-    ``start`` (which applies to this case only), with the stopping rule
-    that the interference study uses.  Returns (state, residual power).
+    per-element optimum, starting from the anti-aligned state, with the
+    stopping rule that the interference study uses.  Returns (state,
+    residual power).
     """
     if ch.m_antennas != 1:
         raise ValueError("interference nulling assumes a single-antenna interferer (M = 1)")
     if c.kind not in (ConstraintKind.IDEAL_CONTINUOUS, ConstraintKind.UNIT_MODULUS):
         raise ValueError(f"unsupported constraint for nulling: {c.kind.value}")
-    if start is not None:
-        if start.n_elements != ch.n_elements:
-            raise ValueError("start state dimension does not match the channel")
-        if not c.contains(start.coefficients):
-            raise ValueError("start state violates the requested constraint")
     t, f = direct_and_cascade(ch, np.ones(1))
     t, f = np.array([t]), f[None, :]
     if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
         v = null_free_amplitude(t, f)
     else:
-        v = null_phases(t, f, None if start is None else start.coefficients[None, :])
+        v = null_phases(t, f)
     return ReflectionState(v[0], c), float(nulling_residual(t, f, v)[0])
 
 

@@ -8,11 +8,11 @@ path loss anchored at a reference loss one metre from the transmitter.
 
 A realization is the scenario's deterministic part (``scenario_links``:
 the line-of-sight matrix and the two faded links' amplitudes) applied to
-unit-variance fading drawn from the realization's stream
-(``draw_fading``).  Sweeps draw that fading once per realization for a
-whole block of realizations at once (``draw_fading_rows``, which keys
-every row's stream in one pass) and form every sweep value's block of
-arrays with ``ScenarioLinks.block``; ``realize`` is the one-row case.
+unit-variance fading drawn from the realization's stream.  Sweeps draw
+that fading once per realization for a whole block of realizations at
+once (``draw_fading_rows``, which keys every row's stream in one pass) and
+form every sweep value's block of arrays with ``ScenarioLinks.block``;
+``realize`` is the one-row call of that path.
 """
 
 from __future__ import annotations
@@ -187,23 +187,16 @@ def gen_rayleigh(pl_linear: float, n: int, rng: SeededRng) -> np.ndarray:
     return np.sqrt(pl_linear) * sample_cscg(rng, n)
 
 
-def draw_fading(rng: SeededRng, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-variance fading of one realization: ``n`` surface-user and
-    ``m`` direct samples, from the substreams ``rng.split(1)`` and
-    ``rng.split(2)``.
-
-    The first ``k`` surface-user samples are those of a ``k``-element draw
-    (see :func:`sample_cscg`), so one draw at the largest element count
-    serves every smaller surface.
-    """
-    fading_r, fading_d = draw_fading_rows(rng.master_seed, [rng.stream_id], m, n)
-    return fading_r[0], fading_d[0]
-
-
 def draw_fading_rows(master_seed: int, streams, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`draw_fading` of the streams ``(master_seed, i)`` for every
-    stream id ``i`` of ``streams``, stacked as (R, n) and (R, m): each
-    link's samples of the whole block are drawn by one call.
+    """Unit-variance fading of the realizations ``(master_seed, i)`` for
+    every stream id ``i`` of ``streams``, stacked as (R, n) surface-user and
+    (R, m) direct samples: row r holds the draws of the substreams
+    ``split(1)`` and ``split(2)`` of its stream, whatever the block, and
+    each link's samples of the whole block are drawn by one call.
+
+    The first ``k`` surface-user samples of a row are those of a
+    ``k``-element draw (see :func:`sample_cscg`), so one draw at the largest
+    element count serves every smaller surface.
     """
     ids = np.array(streams, dtype=np.uint64)
     # the stream ids of SeededRng.split(1) and split(2) of every stream
@@ -224,7 +217,7 @@ class ScenarioLinks(NamedTuple):
     def block(self, fading_r: np.ndarray, fading_d: np.ndarray) -> tuple[np.ndarray, ...]:
         """``(g_bs_irs, h_irs_user, h_bs_user)`` of R realizations: the shared
         (N, M) matrix and (R, N) and (R, M) links from the stacked fading of
-        :func:`draw_fading`, ``fading_r`` (R, >= N; the elements take each
+        :func:`draw_fading_rows`, ``fading_r`` (R, >= N; the elements take each
         row's prefix) and ``fading_d`` (R, M).  Shapes and finiteness are
         checked once for the block, as ``ChannelRealization`` checks one.
         """
@@ -254,12 +247,13 @@ def scenario_links(cfg: ScenarioConfig) -> ScenarioLinks:
 
 
 def realize(cfg: ScenarioConfig, rng: SeededRng) -> ChannelRealization:
-    """Draw one channel realization for the scenario: ``scenario_links(cfg)``
-    applied to ``draw_fading(rng, M, N)``, a pure function of (cfg, rng).
+    """Draw one channel realization for the scenario, a pure function of
+    (cfg, rng): the one-row block of ``scenario_links(cfg).block`` on
+    ``draw_fading_rows(rng.master_seed, [rng.stream_id], M, N)``.
 
-    A sweep's blocks, formed the same way by ``ScenarioLinks.block``, give
-    each row these bits.  With zero elements the surface links are empty.
+    A sweep's blocks give each row these bits.  With zero elements the
+    surface links are empty.
     """
-    fading_r, fading_d = draw_fading(rng, cfg.m_antennas, cfg.n_elements)
-    g, amp_r, amp_d = scenario_links(cfg)
-    return ChannelRealization(g_bs_irs=g, h_irs_user=amp_r * fading_r, h_bs_user=amp_d * fading_d)
+    fading = draw_fading_rows(rng.master_seed, [rng.stream_id], cfg.m_antennas, cfg.n_elements)
+    g, h_r, h_d = scenario_links(cfg).block(*fading)
+    return ChannelRealization(g_bs_irs=g, h_irs_user=h_r[0], h_bs_user=h_d[0])

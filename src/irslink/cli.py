@@ -2,9 +2,9 @@
 
 Subcommands: power-vs-distance, power-vs-n, interference-vs-n (Monte
 Carlo studies writing CSV) and solve-once (single realization, printed
-for inspection).  The config file is read as UTF-8.  Exit codes: 0
-success, 1 configuration error (a command-line mistake, or a config file
-that cannot be read or breaks a rule), 2 runtime error.
+for inspection).  The config file is read as UTF-8, up to 256 KiB.  Exit
+codes: 0 success, 1 configuration error (a command-line mistake, or a
+config file that cannot be read or breaks a rule), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +30,9 @@ from .numerics import SeededRng
 from .reflection import ConstraintSet
 
 _MAX_SWEEP_STEPS = 10_000
+# the largest config file read; a longer one, such as /dev/zero, is refused
+# rather than read until memory runs out
+_MAX_CONFIG_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
 def parse_config(path: str | None, experiment: str | None = None) -> ExperimentConfig:
     """Parse a flat key=value config file into an ExperimentConfig.
 
-    The file is read as UTF-8.  Lines are 'key = value'; '#' starts a
+    The file is read as UTF-8, and at most 256 KiB of it.  Lines are 'key = value'; '#' starts a
     comment; a key may be set only once.  The keys are the fields of ``ScenarioConfig`` and those of
     ``ExperimentConfig`` but ``scenario``; each value parses as the type of
     its field's default (a tuple as an 'x,y' point), except ``sweep`` and
@@ -127,7 +129,13 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
 
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, "rb") as fh:
+                data = fh.read(_MAX_CONFIG_BYTES + 1)
+            if len(data) > _MAX_CONFIG_BYTES:
+                raise ConfigError(
+                    ConfigErrorCode.BAD_SYNTAX, f"config file {path} is larger than 256 KiB"
+                )
+            text = data.decode("utf-8")
         except OSError as exc:
             raise ConfigError(
                 ConfigErrorCode.MISSING_FILE, f"cannot read config file {path}: {exc.strerror}"

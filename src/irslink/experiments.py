@@ -35,7 +35,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .beamforming import (
-    _anti_aligned,
     _rank_one_beam,
     null_free_amplitude,
     null_phases,
@@ -316,9 +315,10 @@ def _interference_gains(
     single-antenna realizations, stacked per key.
 
     With (t, f) what ``direct_and_cascade`` gives each row for w = [1],
-    every row is solved at once: ``joint_amp_phase`` by the disk closed
-    form, ``phase_only`` by :func:`null_phases` from the anti-aligned
-    state, as ``null_interference`` does for one realization.  Key
+    every row is solved at once, as ``null_interference`` solves one
+    realization: ``joint_amp_phase`` by the disk closed form
+    (:func:`null_free_amplitude`), ``phase_only`` by :func:`null_phases`;
+    each solver starts from the anti-aligned state.  Key
     'margin' holds the cancellation feasibility margin sum|f_n| - |t|
     (non-negative means a perfect null is reachable with amplitude
     control).
@@ -327,13 +327,11 @@ def _interference_gains(
     f = np.conj(h_r) * (g @ np.ones(1))
     abs_t = np.hypot(t.real, t.imag)
     out = {"margin": np.sum(np.abs(f), axis=1) - abs_t}
-    # both nulling schemes start from it; null_free_amplitude scales its copy
-    anti = _anti_aligned(t, f)
     for scheme in schemes:
         if scheme == "joint_amp_phase":
-            out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f, anti.copy()))
+            out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f))
         elif scheme == "phase_only":
-            out[scheme] = nulling_residual(t, f, null_phases(t, f, anti))
+            out[scheme] = nulling_residual(t, f, null_phases(t, f))
         elif scheme == "no_irs":
             out[scheme] = np.float_power(abs_t, 2)
         else:

@@ -170,13 +170,6 @@ class TestAlternatingOptimize:
             sol = alternating_optimize(ch, c)
             assert received_gain(ch, sol.refl, sol.w) == pytest.approx(sol.gain_linear, rel=1e-9)
 
-    def test_validates_arguments(self):
-        ch = make_channel()
-        with pytest.raises(ValueError):
-            alternating_optimize(ch, UNIT, tol=0.0)
-        with pytest.raises(ValueError):
-            alternating_optimize(ch, UNIT, max_iter=0)
-
 
 def rank_one_optimum(ch: ChannelRealization) -> float:
     """max ||h_d + sum_n v_n conj(h_r_n) G_n||^2 over |v_n| <= 1 for a rank-one G.
@@ -241,7 +234,7 @@ class TestBsIrsMrt:
         ch = make_channel(m=4, n=20, seed=9, d=50.0)
         blocked = dataclasses.replace(ch, h_bs_user=np.zeros_like(ch.h_bs_user))
         a = bs_irs_mrt(blocked, UNIT).gain_linear
-        b = alternating_optimize(blocked, UNIT, tol=1e-10).gain_linear
+        b = alternating_optimize(blocked, UNIT).gain_linear
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_requires_elements(self):
@@ -592,22 +585,6 @@ class TestNullInterference:
         assert abs(res - best) <= 1e-6 * scale
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_restarts_agree_on_residual(self, monkeypatch, seed):
-        # the free-amplitude problem is convex: every start, with any pass
-        # cap, gives the disk optimum
-        ch = make_channel(m=1, n=5, seed=700 + seed, d=50.0)
-        t, f = direct_and_cascade(ch, np.ones(1))
-        scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
-        g = np.random.default_rng(seed)
-        for passes in range(1, 11):
-            amp = g.uniform(0, 1, 5)
-            pha = g.uniform(0, 2 * np.pi, 5)
-            start = ReflectionState(amp * np.exp(1j * pha), IDEAL)
-            monkeypatch.setattr(beamforming, "_NULL_PASSES", passes)
-            _, res = null_interference(ch, IDEAL, start=start)
-            assert abs(res - disk_optimum(t, f)) <= 1e-15 * scale
-
-    @pytest.mark.parametrize("seed", range(4))
     def test_unit_modulus_never_beats_free_amplitude(self, seed):
         ch = make_channel(m=1, n=8, seed=800 + seed, d=50.0)
         _, res_free = null_interference(ch, IDEAL)
@@ -624,23 +601,22 @@ class TestNullInterference:
 
     @pytest.mark.parametrize("constraint", [IDEAL, UNIT])
     def test_residual_non_increasing_per_pass(self, monkeypatch, constraint):
-        # residual after k full passes, all from the same start
-        ch = make_channel(m=1, n=10, seed=900, d=50.0)
-        g = np.random.default_rng(0)
-        start = ReflectionState(np.exp(1j * g.uniform(0, 2 * np.pi, 10)), UNIT)
-        if constraint is IDEAL:
-            start = ReflectionState(start.coefficients * 0.9, IDEAL)
+        # residual after k full passes, on a row whose unit-modulus residual
+        # still falls on every one of them
+        t, f = nulling_batch(r=40, n=30, seed=2)
+        ch = synthetic_channel(t[2], f[2])
         monkeypatch.setattr(beamforming, "_NULL_TOL", 1e-300)
         residuals = []
         for k in range(1, 12):
             monkeypatch.setattr(beamforming, "_NULL_PASSES", k)
-            residuals.append(null_interference(ch, constraint, start=start)[1])
+            residuals.append(null_interference(ch, constraint)[1])
         if constraint is IDEAL:
             # free amplitudes are solved in closed form, whatever the pass cap
             t, f = direct_and_cascade(ch, np.ones(1))
             scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
             assert all(abs(r - disk_optimum(t, f)) <= 1e-15 * scale for r in residuals)
             return
+        assert len(set(residuals)) == 11
         assert np.all(np.diff(residuals) <= 1e-12 * np.maximum(residuals[:-1], 1e-300))
 
 
@@ -708,10 +684,6 @@ class TestNullingClosedForms:
         f = np.array([c[1] for c in cases[-200:]])
         want = np.array([loop_free(tr, fr)[0] for tr, fr in zip(t, f)])
         assert null_free_amplitude(t, f).tobytes() == want.tobytes()
-        # a given anti-aligned state is scaled in place, to the same bits
-        anti = beamforming._anti_aligned(t, f)
-        assert null_free_amplitude(t, f, anti) is anti
-        assert anti.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("t, f", nulling_cases())
     def test_phase_only_never_below_annulus_optimum(self, t, f):
@@ -732,17 +704,16 @@ class TestNullingClosedForms:
             assert unit >= annulus_optimum(t, f) * (1 - 1e-12)
 
 
-def loop_null(t, f, start=None, tol=1e-14, max_passes=400):
+def loop_null(t, f, tol=1e-14, max_passes=400):
     """Reference: unit-modulus nulling as one Python loop per element, the
-    per-realization implementation that :func:`null_phases` replaced.
+    per-realization implementation that :func:`null_phases` replaced, from
+    the anti-aligned state.
 
     Returns (coefficients, residual power, [r before the first pass, r after
     each pass])."""
-    if start is None:
-        ref = np.angle(t) if t != 0 else 0.0
-        start = np.exp(1j * (np.pi + ref - np.angle(f)))
+    ref = np.angle(t) if t != 0 else 0.0
     f_list = [complex(x) for x in f]
-    vals = [complex(x) for x in start]
+    vals = [complex(x) for x in np.exp(1j * (np.pi + ref - np.angle(f)))]
     total = 0j  # as sum() adds: from +0.0, one term after another
     for fn, vn in zip(f_list, vals):
         total = total + fn * vn
@@ -779,15 +750,14 @@ def nulling_batch(r=24, n=16, seed=0):
     return t, f
 
 
-def assert_matches_loop(t, f, start=None, tol=beamforming._NULL_TOL,
-                        max_passes=beamforming._NULL_PASSES):
+def assert_matches_loop(t, f, tol=beamforming._NULL_TOL, max_passes=beamforming._NULL_PASSES):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(beamforming, "_NULL_TOL", tol)
         mp.setattr(beamforming, "_NULL_PASSES", max_passes)
-        got = null_phases(t, f, start)
+        got = null_phases(t, f)
     res = nulling_residual(t, f, got)
     for k in range(len(t)):
-        v, r, _ = loop_null(t[k], f[k], None if start is None else start[k], tol, max_passes)
+        v, r, _ = loop_null(t[k], f[k], tol, max_passes)
         assert got[k].tobytes() == v.tobytes(), k
         assert res[k].tobytes() == np.float64(r).tobytes(), k
 
@@ -871,9 +841,7 @@ class TestNullPhases:
     @pytest.mark.parametrize("max_passes", [1, 2, 3])
     def test_explicit_start_and_pass_caps(self, max_passes):
         t, f = nulling_batch(seed=1)
-        start = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, f.shape))
-        assert_matches_loop(t, f, start, tol=1e-14, max_passes=max_passes)
-        assert_matches_loop(t, f, None, tol=1e-14, max_passes=max_passes)
+        assert_matches_loop(t, f, tol=1e-14, max_passes=max_passes)
 
     def test_rows_stopping_on_different_passes(self):
         t, f = nulling_batch(r=40, n=30, seed=2)
@@ -893,18 +861,14 @@ class TestNullPhases:
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_equals_row_by_row(self, monkeypatch, seed):
         t, f = nulling_batch(seed=seed)
-        start = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, f.shape))
         monkeypatch.setattr(beamforming, "_NULL_TOL", 1e-10)
         monkeypatch.setattr(beamforming, "_NULL_PASSES", 30)
-        for s in (None, start):
-            got = null_phases(t, f, s)
-            alone = np.concatenate([
-                null_phases(t[k:k + 1], f[k:k + 1], None if s is None else s[k:k + 1])
-                for k in range(len(t))])
-            assert got.tobytes() == alone.tobytes()
-            assert nulling_residual(t, f, got).tobytes() == np.concatenate(
-                [nulling_residual(t[k:k + 1], f[k:k + 1], alone[k:k + 1])
-                 for k in range(len(t))]).tobytes()
+        got = null_phases(t, f)
+        alone = np.concatenate([null_phases(t[k:k + 1], f[k:k + 1]) for k in range(len(t))])
+        assert got.tobytes() == alone.tobytes()
+        assert nulling_residual(t, f, got).tobytes() == np.concatenate(
+            [nulling_residual(t[k:k + 1], f[k:k + 1], alone[k:k + 1])
+             for k in range(len(t))]).tobytes()
 
     def test_residual_squared_by_pow(self):
         # pow(x, 2) and x * x differ in the last bit on a few of these rows

@@ -9,7 +9,6 @@ from irslink.channel import (
     ChannelRealization,
     ScenarioConfig,
     ScenarioLinks,
-    draw_fading,
     draw_fading_rows,
     gen_bs_irs_los,
     gen_rayleigh,
@@ -166,23 +165,20 @@ class TestRealize:
 
     def test_direct_link_mean_energy(self):
         # E||h_d||^2 = M * PL(bs-user); 1e4 realizations put the sample mean
-        # within 0.5% (1 sigma), so the 2% window is a 4 sigma check.
+        # within 0.5% (1 sigma), so the 2% window is a 4 sigma check.  The
+        # rows are realize's draws of the streams (77, i), made as one block.
         cfg = ScenarioConfig(m_antennas=4, n_elements=2)
-        total = 0.0
         k = 10**4
-        for i in range(k):
-            total += np.linalg.norm(realize(cfg, SeededRng(77, i)).h_bs_user) ** 2
+        _, _, h_d = scenario_links(cfg).block(*draw_fading_rows(77, range(k), 4, 2))
         expected = 4 * path_loss(cfg.bs_user_distance(), cfg.pl_exponent_bs_user, cfg.c0_db)
-        assert total / k == pytest.approx(expected, rel=0.02)
+        assert np.mean(np.sum(np.abs(h_d) ** 2, axis=1)) == pytest.approx(expected, rel=0.02)
 
     def test_surface_link_mean_energy(self):
         cfg = ScenarioConfig(m_antennas=2, n_elements=8)
-        total = 0.0
         k = 5000
-        for i in range(k):
-            total += np.linalg.norm(realize(cfg, SeededRng(78, i)).h_irs_user) ** 2
+        _, h_r, _ = scenario_links(cfg).block(*draw_fading_rows(78, range(k), 2, 8))
         expected = 8 * path_loss(cfg.irs_user_distance(), cfg.pl_exponent_irs_user, cfg.c0_db)
-        assert total / k == pytest.approx(expected, rel=0.03)
+        assert np.mean(np.sum(np.abs(h_r) ** 2, axis=1)) == pytest.approx(expected, rel=0.03)
 
     def test_user_position_does_not_touch_los_matrix(self):
         cfg_a = ScenarioConfig(user_position=(30.0, 0.0))
@@ -220,8 +216,7 @@ class TestRealize:
 
 def stacked_fading(m, n, rows=4):
     """Unit-variance fading of ``rows`` realizations, stacked per link."""
-    draws = [draw_fading(SeededRng(8, i), m, n) for i in range(rows)]
-    return tuple(np.array(column) for column in zip(*draws))
+    return draw_fading_rows(8, range(rows), m, n)
 
 
 class TestDrawFadingRows:
@@ -230,14 +225,15 @@ class TestDrawFadingRows:
     def test_rows_are_the_stacked_draws(self, master, m, n):
         fading_r, fading_d = draw_fading_rows(master, range(3, 23), m, n)
         assert fading_r.shape == (20, n) and fading_d.shape == (20, m)
-        want_r, want_d = (np.array(c) for c in
-                          zip(*[draw_fading(SeededRng(master, i), m, n) for i in range(3, 23)]))
+        # each row as its stream draws it alone
+        want_r, want_d = (np.concatenate(c) for c in
+                          zip(*[draw_fading_rows(master, [i], m, n) for i in range(3, 23)]))
         assert fading_r.tobytes() == want_r.tobytes()
         assert fading_d.tobytes() == want_d.tobytes()
 
     def test_substreams_are_the_splits(self):
         rng = SeededRng(8, 2**64 - 1)
-        fading_r, fading_d = draw_fading(rng, 3, 5)
+        fading_r, fading_d = (x[0] for x in draw_fading_rows(rng.master_seed, [rng.stream_id], 3, 5))
         assert fading_r.tobytes() == sample_cscg(rng.split(1), 5).tobytes()
         assert fading_d.tobytes() == sample_cscg(rng.split(2), 3).tobytes()
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from irslink.channel import ScenarioConfig
 from irslink.cli import (
+    _MAX_CONFIG_BYTES,
     CliInvocation,
     main,
     parse_config,
@@ -427,14 +429,34 @@ def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
     assert_rejected_early(tmp_path, capsys, sub, write(tmp_path, text + "\n"))
 
 
-@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def padded_config(size):
+    """A valid config of ``size`` bytes: one key, then a comment."""
+    head = b"n_elements = 40\n#"
+    return head + b"x" * (size - len(head))
+
+
+UNREADABLE = ["non-utf8", "directory", "over-cap"] + (
+    ["dev-zero"] if sys.platform.startswith("linux") else [])
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
 def test_unreadable_config_is_exit_1(tmp_path, capsys, kind):
     path = tmp_path / "cfg"
     if kind == "directory":
         path.mkdir()
+    elif kind == "over-cap":
+        path.write_bytes(padded_config(_MAX_CONFIG_BYTES + 1))
+    elif kind == "dev-zero":
+        path = "/dev/zero"  # endless
     else:
         path.write_bytes(b"n_elements = 40\n\xff\xfe\n")
     assert_rejected_early(tmp_path, capsys, "power-vs-distance", str(path))
+
+
+def test_config_at_the_size_cap_is_read(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_bytes(padded_config(_MAX_CONFIG_BYTES))
+    assert parse_config(str(path)).scenario.n_elements == 40
 
 
 SCHEME_NAMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs", "continuous", "b1", "b2",
