@@ -27,8 +27,11 @@ from .reflection import (
     project,
 )
 
-# Elements scanned together by refine_levels; 16 and 64 were slower.
-_CHUNK = 32
+# Elements each row of refine_levels scans per step.  Against 32, in medians
+# of alternating runs: 16 was 26% slower on the benchmark study's blocks (40
+# rows) and even on the default study's (436 rows); 48 and 64 were even on
+# the former and 20-23% slower on the latter.
+_WINDOW = 32
 # Stopping rules, one per solver, as the studies use them: the alternating
 # optimizer stops after the first outer iteration that raises the gain by
 # less than _ALTERNATE_TOL times its previous value, or after
@@ -219,15 +222,20 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
     such a pass (or after ``_REFINE_PASSES`` full passes) and gets the
     trajectory it has alone.
 
-    Each pass is scanned in chunks of ``_CHUNK`` elements.  A row's running
-    total moves only when one of its elements changes, so the decisions of
-    a chunk's elements up to a row's first change are the ones the
-    element-by-element loop takes; all of them are computed at once, with
-    the loop's arithmetic.  Only that first change is applied, the row's
-    cursor moves past it, and the chunk is scanned again from the cursors
-    until no row changes in it.  Takes ``t`` of shape (R,) and ``a``,
-    ``start`` of shape (R, N); returns the refined (R, N) coefficients.
+    Each row scans from its own cursor, a window of ``_WINDOW`` elements at
+    a time, whatever pass it is in.  A row's running total moves only when
+    one of its elements changes, so the decisions of a window's elements up
+    to the row's first change are the ones the element-by-element loop
+    takes; all of them are computed at once, with the loop's arithmetic.
+    Only that first change is applied and the cursor moves just past it; a
+    window without a change moves the cursor by its width.  Takes ``t`` of
+    shape (R,) and ``a``, ``start`` of shape (R, N), and raises ValueError
+    on other shapes; returns the refined (R, N) coefficients.
     """
+    if np.ndim(t) != 1 or np.ndim(a) != 2 or np.shape(a) != np.shape(start) \
+            or np.shape(a)[0] != np.shape(t)[0]:
+        raise ValueError("refine_levels needs t of shape (R,) and a, start of shape (R, N), "
+                         f"got {np.shape(t)}, {np.shape(a)}, {np.shape(start)}")
     levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
     n = a.shape[1]
     if n == 0:
@@ -239,34 +247,49 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
     total = t + np.cumsum(terms, axis=1, out=terms)[:, -1]
     del terms
     v = np.array(start, dtype=np.complex128)
-    live = np.arange(v.shape[0])  # rows that changed in the previous pass
-    for _ in range(_REFINE_PASSES):
-        changed = np.zeros(v.shape[0], dtype=bool)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            offsets = np.arange(hi - lo)
-            # the rows scanning this chunk, and the offset each scans from
-            rows, cursor = live, np.zeros(live.size, dtype=np.intp)
-            while rows.size:
-                an, vn = a[rows, lo:hi], v[rows, lo:hi]
-                rest = total[rows, None] - an * vn
-                candidates = rest[..., None] + an[..., None] * levels
-                powers = np.abs(candidates)
-                k = powers.argmax(axis=2)
-                better = ((levels[k] != vn)
-                          & (np.take_along_axis(powers, k[..., None], axis=2)[..., 0]
-                             > np.abs(rest + an * vn))
-                          & (offsets >= cursor[:, None]))
-                hit = np.flatnonzero(better.any(axis=1))
-                first = better[hit].argmax(axis=1)
-                best = k[hit, first]
-                rows, cursor = rows[hit], first + 1
-                v[rows, lo + first] = levels[best]
-                total[rows] = candidates[hit, first, best]
-                changed[rows] = True
-        live = np.flatnonzero(changed)
-        if not live.size:
-            break
+    a_flat, v_flat = a.reshape(-1), v.reshape(-1)
+    offsets = np.arange(_WINDOW)
+    # per live row: the flat index of the next element it scans, one past
+    # its last element, its pass and whether that pass has changed it
+    stop = np.arange(1, v.shape[0] + 1) * n
+    cursor = stop - n
+    passes = np.ones(cursor.size, dtype=np.intp)
+    changed = np.zeros(cursor.size, dtype=bool)
+    while cursor.size:
+        at = cursor[:, None] + offsets
+        # a window reaching past a row's end reads the next row's elements
+        # (the last row's are clipped); they are masked out of the decisions
+        inside = at < stop[:, None]
+        an, vn = a_flat.take(at, mode="clip"), v_flat.take(at, mode="clip")
+        now = an * vn
+        rest = total[:, None] - now
+        current = np.abs(rest + now)
+        candidates = rest + an * levels[:, None, None]
+        powers = np.abs(candidates)
+        # the first maximum over the levels, as argmax takes it
+        top, k = powers[0], np.zeros(an.shape, dtype=np.intp)
+        for level in range(1, len(levels)):
+            k[powers[level] > top] = level
+            top = np.maximum(top, powers[level])
+        better = (levels[k] != vn) & (top > current) & inside
+        hit = better.any(axis=1)
+        first = better.argmax(axis=1)
+        moved = np.flatnonzero(hit)
+        step = first[moved]
+        best = k[moved, step]
+        v_flat[cursor[moved] + step] = levels[best]
+        total[moved] = candidates[best, moved, step]
+        changed[moved] = True
+        cursor += np.where(hit, first + 1, _WINDOW)
+        done = cursor >= stop
+        if done.any():
+            again = done & changed & (passes < _REFINE_PASSES)
+            cursor[again] = stop[again] - n
+            passes[again] += 1
+            changed[again] = False
+            stay = ~done | again
+            cursor, stop, passes, changed, total = (
+                x[stay] for x in (cursor, stop, passes, changed, total))
     return v
 
 

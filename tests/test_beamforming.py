@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from irslink import beamforming
+from irslink import beamforming, experiments
 from irslink.beamforming import (
     BeamformingSolution,
     Codebook,
@@ -349,10 +349,10 @@ def refinement_batch(bits, r=16, n=24, seed=0):
 
 
 def lockstep_refine(t, a, start, bits, passes, log=None):
-    """Reference: the lockstep kernel that the chunked scan of
-    :func:`refine_levels` replaced, one numpy step per element for all rows
-    until no row changes.  Appends (pass, element, changed rows) of every
-    step that changes a row to ``log`` if given."""
+    """Reference: a lockstep kernel that :func:`refine_levels`' windowed
+    scan replaced, one numpy step per element for all rows until no row
+    changes.  Appends (pass, element, changed rows) of every step that
+    changes a row to ``log`` if given."""
     if a.shape[1] == 0:
         return np.array(start, dtype=np.complex128)
     terms = a * start
@@ -381,7 +381,7 @@ def lockstep_refine(t, a, start, bits, passes, log=None):
     return v
 
 
-K = beamforming._CHUNK
+K = beamforming._WINDOW
 
 
 def flips_at(n, wrong):
@@ -400,8 +400,8 @@ def boundary_batch(bits, n, seed=0):
     """refinement_batch rows of length ``n`` (uniform starts, many changes),
     rows started from nearly aligned phases (few changes, as in the
     studies), and, for 1 bit and n = 2K + 1, rows whose changes sit at
-    chunk edges: at K - 1 and K, at 3, 4 and 10 (consecutive and several
-    in one chunk) plus K + 5, at the last element, and none at all."""
+    window edges: at K - 1 and K, at 3, 4 and 10 (consecutive and several
+    in one window) plus K + 5, at the last element, and none at all."""
     t, a, start = refinement_batch(bits, r=12, n=n, seed=seed)
     g = np.random.default_rng(seed + 100)
     nlev = 1 << bits
@@ -418,8 +418,80 @@ def boundary_batch(bits, n, seed=0):
     return t, a, start
 
 
+def changes_by_pass(log, row):
+    """The elements that ``row`` changes in each pass of a lockstep log."""
+    passes = {}
+    for p, e, rows in log:
+        if row in rows:
+            passes.setdefault(p, []).append(e)
+    return [passes[p] for p in sorted(passes)]
+
+
+def steps_per_pass(changes, n, passes):
+    """Steps that a row scanning windows of K elements from its own cursor
+    takes in each pass it runs: one per change, at the window holding it,
+    and one per window without a change; a pass that changes nothing ends
+    the row, as does the last of ``passes`` passes."""
+    per_pass = []
+    for p in range(min(len(changes) + 1, passes)):
+        cursor, steps = 0, 0
+        for e in changes[p] if p < len(changes) else []:
+            steps += (e - cursor) // K + 1
+            cursor = e + 1
+        steps += -(-(n - cursor) // K)
+        per_pass.append(steps)
+    return per_pass
+
+
+class StepCounter:
+    """Stands in for numpy in ``beamforming`` and counts the steps of
+    :func:`refine_levels`' scan, which calls ``flatnonzero`` once a step."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, x):
+        self.steps += 1
+        return np.flatnonzero(x)
+
+
+def tied_rows(n):
+    """2-bit rows on which element 0 has two levels tied for the best, both
+    strictly better than its start: t = 2 + 2j, a_0 = 1, v_0 = -1, so level
+    0 gives |3 + 2j| and level 1 (cos(pi/2) rounds away) |2 + 3j|; the
+    other a_n are zero.  The second row scales the first by 1/8."""
+    a = np.zeros((2, n), complex)
+    a[:, 0] = [1.0, 0.125]
+    start = np.ones((2, n), complex)
+    start[:, 0] = -1.0
+    return np.array([2 + 2j, 0.25 + 0.25j]), a, start
+
+
+def cursor_batch(bits):
+    """Rows of length n = 2K whose cursors part ways: rows whose pass-1
+    changes sit on the last element of both windows (K - 1 and n - 1), on
+    element 0 only, and on every element (that row is still in pass 1 when
+    the others are in pass 2 or done), refinement_batch rows that settle
+    after different pass counts, and, for 2 bits, tied_rows."""
+    n = 2 * K
+    rows = [flips_at(n, w) for w in ([K - 1, n - 1], [0], range(n))]
+    t = np.r_[[r[0] for r in rows]]
+    a = np.array([r[1] for r in rows])
+    start = np.array([r[2] for r in rows])
+    tr, ar, sr = refinement_batch(bits, r=8, n=n, seed=5)
+    t, a, start = np.r_[t, tr], np.r_[a, ar], np.r_[start, sr]
+    if bits == 2:
+        tt, at, st = tied_rows(n)
+        t, a, start = np.r_[t, tt], np.r_[a, at], np.r_[start, st]
+    return t, a, start
+
+
 class TestRefineLevels:
-    """The chunked kernel against the lockstep kernel, bit for bit."""
+    """The windowed kernel against the lockstep kernel, bit for bit.  (A
+    "chunk" in a test name is a window.)"""
 
     @staticmethod
     def row_by_row(t, a, start, bits, passes):
@@ -469,6 +541,90 @@ class TestRefineLevels:
         # each nearly aligned row changes some, but under half, of its
         # elements in pass 1
         assert all(1 <= len(first_pass.get(r, [])) < n // 2 for r in range(12, 24))
+
+    @pytest.mark.parametrize("passes", [1, 2, 20])
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_rows_in_different_passes_match_the_lockstep_kernel(self, monkeypatch, bits, passes):
+        t, a, start = cursor_batch(bits)
+        monkeypatch.setattr(beamforming, "_REFINE_PASSES", passes)
+        got = refine_levels(t, a, start, bits)
+        assert got.tobytes() == lockstep_refine(t, a, start, bits, passes).tobytes()
+        assert got.tobytes() == np.ascontiguousarray(
+            self.row_by_row(t, a, start, bits, passes)).tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_each_row_steps_from_its_own_cursor(self, monkeypatch, bits):
+        # the scan takes as many steps as its slowest row needs alone, and
+        # some step holds rows in different passes
+        t, a, start = cursor_batch(bits)
+        n = a.shape[1]
+        log = []
+        lockstep_refine(t, a, start, bits, 20, log)
+        changes = [changes_by_pass(log, r) for r in range(len(t))]
+        assert changes[0][0] == [K - 1, n - 1]
+        assert changes[1][0] == [0]
+        assert changes[2][0] == list(range(n))
+        steps = [steps_per_pass(c, n, 20) for c in changes]
+        # row 1 starts pass 2 before row 2 ends pass 1
+        assert steps[1][0] < steps[2][0]
+        assert len({len(x) for x in steps}) >= 3
+        counter = StepCounter()
+        monkeypatch.setattr(beamforming, "np", counter)
+        refine_levels(t, a, start, bits)
+        assert counter.steps == max(sum(x) for x in steps)
+
+    def test_level_indices_past_127(self):
+        # 8 bits: 256 levels; a small batch, as the lockstep kernel is slow
+        t, a, start = refinement_batch(8, r=6, n=5, seed=8)
+        got = refine_levels(t, a, start, 8)
+        assert not np.array_equal(got, start)
+        assert got.tobytes() == lockstep_refine(t, a, start, 8, 20).tobytes()
+
+    def test_ties_go_to_the_lowest_level(self):
+        n = 2 * K
+        t, a, start = tied_rows(n)
+        levels = np.exp(1j * ConstraintSet.discrete_phase(2).phase_levels())
+        powers = np.abs(t[:, None] + a[:, :1] * levels)
+        assert np.all(powers[:, 0] == powers[:, 1])
+        assert np.all(powers[:, 0] > np.abs(t - a[:, 0]))
+        got = refine_levels(t, a, start, 2)
+        assert np.all(got[:, 0] == levels[0])
+        assert got.tobytes() == lockstep_refine(t, a, start, 2, 20).tobytes()
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_study_block_matches_the_lockstep_kernel(self, monkeypatch, bits):
+        # 40 rows at N = 300, started from the rounded aligned phases that
+        # the power-vs-n study refines
+        scen = ScenarioConfig(m_antennas=5, n_elements=300, user_position=(50.0, 0.0))
+        channels = [realize(scen, SeededRng(20240811, i)) for i in range(40)]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return refine_levels(*args)
+
+        monkeypatch.setattr(experiments, "refine_levels", spy)
+        experiments._quantized_gains(channels[0].g_bs_irs,
+                                     np.array([ch.h_irs_user for ch in channels]),
+                                     np.array([ch.h_bs_user for ch in channels]), (f"b{bits}",))
+        (t, a, start, _), = calls
+        got = refine_levels(t, a, start, bits)
+        assert got.tobytes() == lockstep_refine(t, a, start, bits, 20).tobytes()
+        # the rounded start is not a fixed point
+        assert not np.array_equal(got, start)
+
+    @pytest.mark.parametrize("t_shape, a_shape, start_shape", [
+        ((3,), (3, 4), (1, 4)),
+        ((1,), (3, 4), (3, 4)),
+        ((3,), (4,), (4,)),
+        ((3,), (3, 4), (3, 5)),
+        ((3, 1), (3, 4), (3, 4)),
+        ((), (1, 4), (1, 4)),
+    ])
+    def test_rejects_mismatched_shapes(self, t_shape, a_shape, start_shape):
+        with pytest.raises(ValueError, match="shape"):
+            refine_levels(np.ones(t_shape), np.ones(a_shape, complex),
+                          np.ones(start_shape, complex), 1)
 
     def test_batch_covers_rows_converging_on_different_passes(self, monkeypatch):
         # the rows of the batch above stop changing after different pass
@@ -602,9 +758,11 @@ class TestNullInterference:
     @pytest.mark.parametrize("constraint", [IDEAL, UNIT])
     def test_residual_non_increasing_per_pass(self, monkeypatch, constraint):
         # residual after k full passes, on a row whose unit-modulus residual
-        # still falls on every one of them
+        # falls by 30-40% on each of passes 2 and 3, and after that
+        # only moves by round-off, which differs between numpy's SIMD
+        # kernels
         t, f = nulling_batch(r=40, n=30, seed=2)
-        ch = synthetic_channel(t[2], f[2])
+        ch = synthetic_channel(t[13], f[13])
         monkeypatch.setattr(beamforming, "_NULL_TOL", 1e-300)
         residuals = []
         for k in range(1, 12):
@@ -616,7 +774,7 @@ class TestNullInterference:
             scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
             assert all(abs(r - disk_optimum(t, f)) <= 1e-15 * scale for r in residuals)
             return
-        assert len(set(residuals)) == 11
+        assert residuals[1] < 0.9 * residuals[0] and residuals[2] < 0.9 * residuals[1]
         assert np.all(np.diff(residuals) <= 1e-12 * np.maximum(residuals[:-1], 1e-300))
 
 

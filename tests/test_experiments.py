@@ -421,6 +421,20 @@ class TestPowerVsN:
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "f0c881c90ea569c9e6e6e7b82b8b9b4f54dbd7a6f5b5e3fed86f4ff652757ed9"
 
+    def test_bench_study_csv_bytes_pinned(self):
+        # sha256 of the CSV of the benchmark's power_n study, as the
+        # refinement kernel that scanned fixed chunks in lockstep wrote it
+        cfg = ExperimentConfig(
+            scenario=ScenarioConfig(m_antennas=5, user_position=(50.0, 0.0)),
+            sweep=("n", (150.0, 300.0)),
+            schemes=("continuous", "b1", "b2"),
+            n_realizations=40,
+            master_seed=20240811,
+        )
+        text = run_power_vs_n(cfg).to_csv_text()
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert digest == "3d3bf52a43b6387f0679867023b7845fadcfcee8d247c0ad60b577acb7b283a4"
+
     def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
         block = shrink_blocks(monkeypatch, 8)
         cfg = replace(N_CFG, sweep=("n", (4.0, 8.0)))
