@@ -53,8 +53,9 @@ class ScenarioConfig:
     swept transmitter-user horizontal distance in the distance study.
     Every number must be finite; ``c0_db``, ``noise_power_dbm`` and the
     path-loss gain of each link in dB must lie within ``DB_LIMIT``, and
-    the antenna spacing within (0, 1000] wavelengths.  There are at most
-    ``MAX_ANTENNAS`` antennas and ``MAX_ELEMENTS`` elements.
+    the antenna spacing within (0, 1000] wavelengths.  The two counts are
+    integers (Python's or numpy's): at most ``MAX_ANTENNAS`` antennas and
+    ``MAX_ELEMENTS`` elements.
     """
 
     bs_position: Point = (0.0, 0.0)
@@ -70,6 +71,9 @@ class ScenarioConfig:
     antenna_spacing_wavelengths: float = 0.5
 
     def __post_init__(self) -> None:
+        for count in ("m_antennas", "n_elements"):
+            if not isinstance(getattr(self, count), (int, np.integer)):
+                raise ValueError(f"{count} must be an integer, got {getattr(self, count)!r}")
         if not 1 <= self.m_antennas <= MAX_ANTENNAS:
             raise ValueError(f"m_antennas must be in [1, {MAX_ANTENNAS}], got {self.m_antennas}")
         if not 0 <= self.n_elements <= MAX_ELEMENTS:

@@ -14,9 +14,10 @@ reused for every sweep value (the block's streams are keyed together, with
 the bits each stream has alone), and each sweep value hands the study's
 metric one block of three arrays, the shared line-of-sight matrix ``g``
 (N, M) and the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  Both
-power studies take their optimum in closed form on these arrays, which the
-rank-one ``g`` allows, and power-versus-N refines the block's discrete
-phases together; the interference study nulls the block's rows together.
+power studies share one metric, ``_power_gains``: the closed form that the
+rank-one ``g`` allows, computed once per block and serving every power
+scheme, with power-versus-N's discrete phases refined for the whole block
+together; the interference study nulls the block's rows together.
 Every realization gets the same values as it would alone, and the tests
 check them against the general per-realization solvers of ``beamforming``.
 """
@@ -29,7 +30,6 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,6 +111,10 @@ class ExperimentConfig:
     interferer_power_dbm: float = 30.0
 
     def __post_init__(self) -> None:
+        for count in ("n_realizations", "master_seed"):
+            if not isinstance(getattr(self, count), (int, np.integer)):
+                raise ConfigError(ConfigErrorCode.INVALID_VALUE,
+                                  f"{count} must be an integer, got {getattr(self, count)!r}")
         if self.n_realizations < 1:
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE,
@@ -222,41 +226,41 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
-def _rank_one_terms(g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray) -> tuple:
-    """For a block sharing the rank-one ``g`` = gamma b^H: b, the unit
-    principal right vector of G (None without elements), and per row
-    p = b^H h_d, r = sum_n |h_r,n| ||G[n, :]|| (both 0 without elements),
-    ||h_d|| and the joint optimum ||h_d||^2 + r^2 + 2r|p| (Wu & Zhang,
-    IEEE TWC 2019).  Row reductions, not matrix products, so that each row
-    gets the bits it gets alone."""
+def _power_gains(
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
+) -> dict[str, np.ndarray]:
+    """Channel power gain per scheme of a block of realizations that share
+    one rank-one ``g`` = gamma b^H, in closed form, stacked per key.
+
+    b is the unit principal right vector of G; per row, p = b^H h_d,
+    r = sum_n |h_r,n| ||G[n, :]|| (both 0 without elements) and c = |p|.
+    For a fixed beam w, aligned phases give the gain
+    (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2, so the schemes' gains are
+
+    - joint and continuous: ||h_d||^2 + r^2 + 2rc, the joint optimum (Wu
+      & Zhang, IEEE TWC 2019), reached by w* = mrt(q), q = h_d + r e^{j
+      arg p} b, and unit-modulus phases aligned to w*;
+    - bs_user_mrt (w = h_d / ||h_d||): (||h_d|| + rc / ||h_d||)^2;
+    - bs_irs_mrt (w = b): (c + r)^2;
+    - no_irs: ||h_d||^2;
+    - b{b} (N >= 1): the phases aligned to w* rounded to the b-bit
+      lattice, key 'b{b}_quant', then refined at w*, key 'b{b}'.  The
+      beam is re-matched to each state v: the gain is ||h_d + s b||^2,
+      s = sum_n conj(gamma_n v_n) h_r,n.
+
+    Row reductions, not matrix products, so that each row gets the bits it
+    gets alone.
+    """
     norm_d = np.linalg.norm(h_d, axis=1)
     r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
     b = _rank_one_beam(g) if len(g) else None
     p = np.sum(_mul(h_d, np.conj(b)), axis=1) if len(g) else np.zeros(len(h_d), np.complex128)
-    return b, p, r, norm_d, norm_d**2 + r**2 + 2.0 * r * np.abs(p)
-
-
-def _signal_gains(
-    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
-) -> dict[str, np.ndarray]:
-    """Channel power gain per signal-enhancement scheme of a block of
-    realizations that share one rank-one ``g``, in closed form, stacked
-    per scheme.
-
-    For a fixed beam w, aligned phases give the gain
-    (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2.  With b, p and r from
-    :func:`_rank_one_terms` and c = |p|, the schemes' gains are
-
-    - joint: ||h_d||^2 + r^2 + 2rc, the joint optimum;
-    - bs_user_mrt (w = h_d / ||h_d||): (||h_d|| + rc / ||h_d||)^2;
-    - bs_irs_mrt (w = b): (c + r)^2;
-    - no_irs: ||h_d||^2.
-    """
-    _, p, r, norm_d, joint = _rank_one_terms(g, h_r, h_d)
     c = np.abs(p)
+    joint = norm_d**2 + r**2 + 2.0 * r * c
     gains: dict[str, np.ndarray] = {}
+    a = None  # the lattice schemes' terms, made by the first of them
     for scheme in schemes:
-        if scheme == "joint":
+        if scheme in ("joint", "continuous"):
             gains[scheme] = joint
         elif scheme == "bs_user_mrt":
             if not norm_d.all():
@@ -268,43 +272,22 @@ def _signal_gains(
             gains[scheme] = (c + r) ** 2
         elif scheme == "no_irs":
             gains[scheme] = norm_d**2
+        elif scheme in ("b1", "b2"):
+            if a is None:
+                f = _mul(np.conj(h_r), g @ b)  # so that s = conj(sum_n f_n v_n)
+                # (t, a) of direct_and_cascade at w*, both times ||q||:
+                # h_d^H q = ||h_d||^2 + r|p| and b^H q = p + r e^{j arg p}
+                t = norm_d**2 + r * c
+                a = _mul(f, (p + r * unit_phases(p))[:, None])
+            bits = int(scheme[1:])
+            # the phases aligned to w* (t is real and >= 0), on the lattice
+            quantized = unit_phases(np.conj(a), bits)
+            for key, v in ((f"{scheme}_quant", quantized),
+                           (scheme, refine_levels(t, a, quantized, bits))):
+                s = np.conj(np.sum(f * v, axis=1))
+                gains[key] = np.linalg.norm(h_d + _mul(s[:, None], b), axis=1) ** 2
         else:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown scheme {scheme!r}")
-    return gains
-
-
-def _quantized_gains(
-    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
-) -> dict[str, np.ndarray]:
-    """Continuous-phase optimum and its b-bit quantized/refined variants of
-    a block of realizations that share one rank-one ``g`` = gamma b^H
-    (N >= 1), in closed form, stacked per key.
-
-    Keys are the requested schemes among 'continuous' (the unit-modulus
-    joint optimum of :func:`_rank_one_terms`, reached by w* = mrt(q),
-    q = h_d + r e^{j arg p} b, and phases aligned to w*) and 'b{b}' (those
-    phases rounded to the b-bit lattice, then refined at w*), plus
-    'b{b}_quant' (rounding only) for every 'b{b}'.  The beam is re-matched
-    to each state v: the gain is ||h_d + s b||^2, s = sum_n conj(gamma_n
-    v_n) h_r,n.
-    """
-    b, p, r, norm_d, joint = _rank_one_terms(g, h_r, h_d)
-    f = _mul(np.conj(h_r), g @ b)  # so that s = conj(sum_n f_n v_n)
-    # (t, a) of direct_and_cascade at w*, both times ||q||: h_d^H q =
-    # ||h_d||^2 + r|p| and b^H q = p + r e^{j arg p}
-    t = norm_d**2 + r * np.abs(p)
-    a = _mul(f, (p + r * unit_phases(p))[:, None])
-
-    def block_gains(v: np.ndarray) -> np.ndarray:
-        s = np.conj(np.sum(f * v, axis=1))
-        return np.linalg.norm(h_d + _mul(s[:, None], b), axis=1) ** 2
-
-    gains = {"continuous": joint} if "continuous" in schemes else {}
-    for bits in (int(s[1:]) for s in schemes if s != "continuous"):
-        # the phases aligned to w* (t is real and >= 0), on the lattice
-        quantized = unit_phases(np.conj(a), bits)
-        gains[f"b{bits}_quant"] = block_gains(quantized)
-        gains[f"b{bits}"] = block_gains(refine_levels(t, a, quantized, bits))
     return gains
 
 
@@ -340,17 +323,16 @@ def _interference_gains(
 
 
 def _required_powers(
-    block_gains: _BlockMetric, g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray,
-    cfg: ExperimentConfig,
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, cfg: ExperimentConfig
 ) -> dict[str, np.ndarray]:
-    """``min_power_for_snr`` of every row's gain per scheme, on arrays.
+    """``min_power_for_snr`` of every row's :func:`_power_gains` per key.
 
     Each log10 is ``math.log10`` of one element, as ``min_power_for_snr``
     takes it: ``np.log10``'s SIMD loops can round differently.
     """
     level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
     powers = {}
-    for scheme, gains in block_gains(g, h_r, h_d, cfg.schemes).items():
+    for scheme, gains in _power_gains(g, h_r, h_d, cfg.schemes).items():
         bad = gains[gains <= 0]
         if len(bad):
             raise ValueError(f"channel gain must be > 0 to reach any SNR, got {bad[0]}")
@@ -408,14 +390,14 @@ class Study(NamedTuple):
 STUDIES = {
     "power-vs-distance": Study(
         runner="run_power_vs_distance", defaults=ExperimentConfig(), min_elements=None,
-        single_antenna=False, metric=partial(_required_powers, _signal_gains), rows=_power_rows,
+        single_antenna=False, metric=_required_powers, rows=_power_rows,
     ),
     "power-vs-n": Study(
         runner="run_power_vs_n",
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
         min_elements=1, single_antenna=False,
-        metric=partial(_required_powers, _quantized_gains), rows=_power_rows,
+        metric=_required_powers, rows=_power_rows,
     ),
     "interference-vs-n": Study(
         runner="run_interference_vs_n",

@@ -103,7 +103,7 @@ class SeededRng:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not 0 <= v < 1 << 64:
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < 1 << 64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
 
     def split(self, index: int) -> "SeededRng":

@@ -325,3 +325,57 @@ def test_criterion_7_determinism(tmp_path):
         ok,
         "reruns and parallel runs produce byte-identical CSV for both studies",
     )
+
+
+EXACT_REALIZATIONS = 20000
+DB_PER_RELATIVE_ERROR = 10.0 / np.log(10.0)  # d(10 log10 x) / (dx / x)
+
+
+def direct_path_gain(scen: ScenarioConfig) -> float:
+    """PL_d, the mean of |h_d,m|^2: c0 at 1 m times d^-alpha, from the model."""
+    d = np.hypot(*np.subtract(scen.user_position, scen.bs_position))
+    return 10.0 ** ((scen.c0_db - 10.0 * scen.pl_exponent_bs_user * np.log10(d)) / 10.0)
+
+
+@pytest.mark.parametrize("seed", [MASTER_SEED, 1])
+def test_no_irs_power_matches_its_exact_mean(seed):
+    # ||h_d||^2 is Gamma(M, PL_d), so E[1/||h_d||^2] = 1/((M-1) PL_d) and the
+    # mean of 1/||h_d||^2 has relative standard error sqrt(1/(M-2)/R)
+    cfg = ExperimentConfig(schemes=("no_irs",), n_realizations=EXACT_REALIZATIONS,
+                           master_seed=seed)
+    result = run_power_vs_distance(cfg)
+    m = cfg.scenario.m_antennas
+    sigma = DB_PER_RELATIVE_ERROR * np.sqrt(1.0 / (m - 2) / EXACT_REALIZATIONS)
+    level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
+    z = {}
+    for d in cfg.sweep[1]:
+        scen = ScenarioConfig(user_position=(d, cfg.scenario.user_position[1]))
+        exact = level - 10.0 * np.log10((m - 1) * direct_path_gain(scen))
+        z[d] = (result.value(d, "no_irs") - exact) / sigma
+    worst = max(z.values(), key=abs)
+    check(
+        f"exact-mean no_irs power, seed {seed}",
+        all(abs(x) <= 5.0 for x in z.values()),
+        f"all {len(z)} distances within 5 sigma of 10^((snr+noise)/10) / ((M-1) PL_d), "
+        f"sigma = {sigma:.4f} dB at M = {m}, R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
+    )
+
+
+@pytest.mark.parametrize("seed", [MASTER_SEED, 1])
+def test_no_irs_interference_matches_its_exact_mean(seed):
+    # |t|^2 is Exp(PL_d): its mean has relative standard error 1/sqrt(R)
+    cfg = ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
+                           sweep=("n", (20.0, 100.0)), schemes=("no_irs",),
+                           n_realizations=EXACT_REALIZATIONS, master_seed=seed)
+    result = run_interference_vs_n(cfg)
+    sigma = DB_PER_RELATIVE_ERROR / np.sqrt(EXACT_REALIZATIONS)
+    exact = (cfg.interferer_power_dbm + 10.0 * np.log10(direct_path_gain(cfg.scenario))
+             - cfg.scenario.noise_power_dbm)
+    z = {n: (result.value(n, "no_irs") - exact) / sigma for n in cfg.sweep[1]}
+    worst = max(z.values(), key=abs)
+    check(
+        f"exact-mean no_irs interference, seed {seed}",
+        all(abs(x) <= 5.0 for x in z.values()),
+        f"N = 20 and 100 within 5 sigma of P_int PL_d / noise = {exact:.3f} dB, "
+        f"sigma = {sigma:.4f} dB at R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
+    )

@@ -321,7 +321,10 @@ def loop_refine(t, a, start, bits, passes):
             rest = total - an * v[n]
             powers = np.abs(rest + an * levels)
             k = int(np.argmax(powers))
-            if levels[k] != v[n] and powers[k] > abs(rest + an * v[n]):
+            # np.abs of an array, as the kernels take it: Python's abs() of
+            # a numpy complex can differ from it in the last bit
+            current = np.abs(np.array([rest + an * v[n]]))[0]
+            if levels[k] != v[n] and powers[k] > current:
                 v[n] = levels[k]
                 total = rest + an * v[n]
                 changed = True
@@ -573,6 +576,18 @@ class TestRefineLevels:
         refine_levels(t, a, start, bits)
         assert counter.steps == max(sum(x) for x in steps)
 
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("batch", [*(f"refinement-{seed}" for seed in range(6)), "cursor"])
+    def test_rows_match_the_elementwise_loop(self, batch, bits):
+        # rows with zero a_n, exact ties and different pass counts
+        name, _, seed = batch.partition("-")
+        t, a, start = (refinement_batch(bits, seed=int(seed)) if name == "refinement"
+                       else cursor_batch(bits))
+        got = refine_levels(t, a, start, bits)
+        for r in range(len(t)):
+            want = loop_refine(t[r], a[r], start[r], bits, beamforming._REFINE_PASSES)
+            assert got[r].tobytes() == want.tobytes(), r
+
     def test_level_indices_past_127(self):
         # 8 bits: 256 levels; a small batch, as the lockstep kernel is slow
         t, a, start = refinement_batch(8, r=6, n=5, seed=8)
@@ -604,9 +619,9 @@ class TestRefineLevels:
             return refine_levels(*args)
 
         monkeypatch.setattr(experiments, "refine_levels", spy)
-        experiments._quantized_gains(channels[0].g_bs_irs,
-                                     np.array([ch.h_irs_user for ch in channels]),
-                                     np.array([ch.h_bs_user for ch in channels]), (f"b{bits}",))
+        experiments._power_gains(channels[0].g_bs_irs,
+                                 np.array([ch.h_irs_user for ch in channels]),
+                                 np.array([ch.h_bs_user for ch in channels]), (f"b{bits}",))
         (t, a, start, _), = calls
         got = refine_levels(t, a, start, bits)
         assert got.tobytes() == lockstep_refine(t, a, start, bits, 20).tobytes()

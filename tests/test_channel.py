@@ -54,6 +54,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(n_elements=-1)
 
+    @pytest.mark.parametrize("field, value", [("n_elements", 2.5), ("n_elements", 40.0),
+                                              ("m_antennas", 2.5)])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScenarioConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = ScenarioConfig(m_antennas=np.int64(4), n_elements=np.int32(10))
+        assert (cfg.m_antennas, cfg.n_elements) == (4, 10)
+
     def test_array_sizes_are_bounded(self):
         ScenarioConfig(m_antennas=MAX_ANTENNAS, n_elements=MAX_ELEMENTS)
         with pytest.raises(ValueError, match="m_antennas"):

@@ -108,6 +108,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(master_seed=1 << 64)
 
+    @pytest.mark.parametrize("field, value", [("n_realizations", 2.5), ("n_realizations", 3.0),
+                                              ("master_seed", 1.5), ("master_seed", "7")])
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer") as info:
+            ExperimentConfig(**{field: value})
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
+    def test_numpy_integer_counts_and_seeds_give_the_same_csv(self):
+        cfg = replace(DIST_CFG, n_realizations=3)
+        same = replace(cfg, n_realizations=np.int64(3), master_seed=np.uint64(cfg.master_seed))
+        assert run_power_vs_distance(same).to_csv_text() == run_power_vs_distance(cfg).to_csv_text()
+
     def test_rejects_sweep_values_printing_the_same_key(self):
         with pytest.raises(ConfigError, match="colliding"):
             ExperimentConfig(sweep=("d", (50.0, 50.000000001)))
@@ -248,7 +260,7 @@ class TestSignalSchemeGains:
         channels = [realize(scen, SeededRng(77, i)) for i in range(6)]
         schemes = POWER_DISTANCE_SCHEMES if n else ("joint", "bs_user_mrt", "no_irs")
         g, h_r, h_d = stacked(channels)
-        block = experiments._signal_gains(g, h_r, h_d, schemes)
+        block = experiments._power_gains(g, h_r, h_d, schemes)
         for k, ch in enumerate(channels):
             w = mrt(ch.h_bs_user)
             solved = {
@@ -261,38 +273,40 @@ class TestSignalSchemeGains:
             for scheme, gain in solved.items():
                 assert abs(block[scheme][k] - gain) <= 1e-12 * gain, (scheme, k)
             # one realization alone gets the bits it gets in the block
-            row = alone(experiments._signal_gains, ch, schemes)
+            row = alone(experiments._power_gains, ch, schemes)
             assert all(row[s] == block[s][k] for s in schemes), k
 
     def test_surface_beam_needs_elements(self):
         ch = realize(ScenarioConfig(n_elements=0), SeededRng(1, 0))
         with pytest.raises(ValueError, match="element"):
-            experiments._signal_gains(*one_row(ch), ("bs_irs_mrt",))
+            experiments._power_gains(*one_row(ch), ("bs_irs_mrt",))
 
     def test_unknown_scheme_rejected(self):
         ch = realize(ScenarioConfig(), SeededRng(1, 0))
         with pytest.raises(ConfigError):
-            experiments._signal_gains(*one_row(ch), ("zf",))
+            experiments._power_gains(*one_row(ch), ("zf",))
 
 
 class TestRequiredPowers:
-    def gains_metric(self, gains):
-        return lambda g, h_r, h_d, schemes: {s: gains for s in schemes}
+    @staticmethod
+    def fix_gains(monkeypatch, gains):
+        monkeypatch.setattr(experiments, "_power_gains",
+                            lambda g, h_r, h_d, schemes: {s: gains for s in schemes})
 
-    def test_powers_are_min_power_for_snr_per_row(self):
+    def test_powers_are_min_power_for_snr_per_row(self, monkeypatch):
         gains = np.exp(np.random.default_rng(4).uniform(-60.0, 10.0, 2000))
+        self.fix_gains(monkeypatch, gains)
         cfg = ExperimentConfig(snr_target_db=17.3, schemes=("joint", "no_irs"))
-        powers = experiments._required_powers(self.gains_metric(gains), None, None, None, cfg)
+        powers = experiments._required_powers(None, None, None, cfg)
         want = np.array([min_power_for_snr(x, 17.3, cfg.scenario.noise_power_dbm) for x in gains])
         assert powers.keys() == {"joint", "no_irs"}
         assert all(p.tobytes() == want.tobytes() for p in powers.values())
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3])
-    def test_non_positive_gain_raises(self, bad):
-        gains = np.array([1.0, bad, 2.0])
+    def test_non_positive_gain_raises(self, monkeypatch, bad):
+        self.fix_gains(monkeypatch, np.array([1.0, bad, 2.0]))
         with pytest.raises(ValueError, match="gain must be > 0"):
-            experiments._required_powers(self.gains_metric(gains), None, None, None,
-                                         ExperimentConfig())
+            experiments._required_powers(None, None, None, ExperimentConfig())
 
 
 def assert_same_channel(block, k, want):
@@ -448,7 +462,7 @@ class TestPowerVsN:
         for i in (block - 1, block, 2 * block + 2):
             scen = replace(cfg.scenario, n_elements=8)
             ch = realize(scen, SeededRng(cfg.master_seed, i))
-            gains = alone(experiments._quantized_gains, ch, cfg.schemes)
+            gains = alone(experiments._power_gains, ch, cfg.schemes)
             for scheme, gain in gains.items():
                 power = min_power_for_snr(gain, cfg.snr_target_db, scen.noise_power_dbm)
                 assert long.samples[(8.0, scheme)][i] == power, (i, scheme)
@@ -467,7 +481,7 @@ class TestQuantizedGains:
         h_d[1] = 0.0  # a blocked direct link
         h_r[2] = 0.0  # a surface that reaches the user with nothing
         schemes = ("continuous", "b1", "b2")
-        block = experiments._quantized_gains(g, h_r, h_d, schemes)
+        block = experiments._power_gains(g, h_r, h_d, schemes)
         for k in range(len(h_r)):
             ch = ChannelRealization(g, h_r[k], h_d[k])
             sol = alternating_optimize(ch, unit)
@@ -481,8 +495,22 @@ class TestQuantizedGains:
             for key, gain in solved.items():
                 assert abs(block[key][k] - gain) <= 1e-12 * gain, (key, k)
             # one realization alone gets the bits it gets in the block
-            row = alone(experiments._quantized_gains, ch, schemes)
+            row = alone(experiments._power_gains, ch, schemes)
             assert all(row[key] == block[key][k] for key in block), k
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_both_studies_schemes_in_one_call_match_each_set(self, m):
+        scen = ScenarioConfig(m_antennas=m, n_elements=40, user_position=(50.0, 0.0))
+        block = stacked([realize(scen, SeededRng(79, i)) for i in range(6)])
+        n_schemes = experiments.STUDIES["power-vs-n"].defaults.schemes
+        both = experiments._power_gains(*block, POWER_DISTANCE_SCHEMES + n_schemes)
+        apart = {**experiments._power_gains(*block, POWER_DISTANCE_SCHEMES),
+                 **experiments._power_gains(*block, n_schemes)}
+        assert list(both) == list(apart)
+        assert list(apart)[-5:] == ["continuous", "b1_quant", "b1", "b2_quant", "b2"]
+        for key, gains in apart.items():
+            assert both[key].tobytes() == gains.tobytes(), key
+        assert both["continuous"].tobytes() == both["joint"].tobytes()
 
 
 class TestInterferenceVsN:

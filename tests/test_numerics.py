@@ -63,6 +63,16 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(0, 1 << 64)
 
+    @pytest.mark.parametrize("field, pair", [("master_seed", (1.5, 0)), ("master_seed", (1.0, 0)),
+                                             ("stream_id", (0, 2.5))])
+    def test_rejects_non_integer_seed(self, field, pair):
+        with pytest.raises(ValueError, match=field):
+            SeededRng(*pair)
+
+    def test_numpy_integer_seed_draws_the_same_stream(self):
+        a = sample_cscg(SeededRng(np.uint64(5), np.int64(3)), 8)
+        assert a.tobytes() == sample_cscg(SeededRng(5, 3), 8).tobytes()
+
 
 class TestSampleCscg:
     def test_empty_draw(self):
