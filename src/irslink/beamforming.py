@@ -5,8 +5,9 @@ alignment, the rank-one transmitter-surface beam, free-amplitude
 interference nulling), the alternating joint optimizer, elementwise
 refinement of discrete phases and the cyclic unit-modulus nulling
 heuristic (both vectorized over a batch of independent problems, each
-row getting the bits it gets alone), codebook selection, and the
-SNR-to-transmit-power mapping.
+row getting the bits it gets alone; nulling also over several element
+counts of one batch, each a prefix of its elements), codebook selection,
+and the SNR-to-transmit-power mapping.
 """
 
 from __future__ import annotations
@@ -333,15 +334,19 @@ def _anti_aligned(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.exp(1j * ((np.pi + ref)[:, None] - np.angle(f)))
 
 
-def null_free_amplitude(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Free-amplitude nulling optimum of R problems: the anti-aligned state,
-    scaled by min(1, |t_r| / sum_n |f_rn|)."""
-    v = _anti_aligned(t, f)
-    reach = np.sum(np.abs(f), axis=1)
-    abs_t = np.hypot(t.real, t.imag)
+def _within_reach(v: np.ndarray, abs_t: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Scales row r of the anti-aligned state ``v`` in place by
+    min(1, |t_r| / reach_r), reach_r being sum_n |f_rn|."""
     shrink = reach > abs_t
     v[shrink] *= (abs_t[shrink] / reach[shrink])[:, None]
     return v
+
+
+def null_free_amplitude(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Free-amplitude nulling optimum of R problems: the anti-aligned state,
+    scaled by min(1, |t_r| / sum_n |f_rn|)."""
+    return _within_reach(_anti_aligned(t, f), np.hypot(t.real, t.imag),
+                         np.sum(np.abs(f), axis=1))
 
 
 def null_phases(t: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -353,67 +358,98 @@ def null_phases(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
     n; elements with f_n = 0 keep their start value.  Row r stops after the
     first pass that lowers its residual power by at most ``_NULL_TOL`` times
-    the previous value, or after ``_NULL_PASSES`` passes; a stopped row
-    leaves the batch.  Every step is the float64 operation of the
-    one-problem loop, in its order (unfused complex products, ``hypot``
-    magnitudes, ``pow`` squares), so a row gets the same bits in any batch.
-    Takes ``t`` of shape (R,) and ``f`` of shape (R, N); returns the (R, N)
-    coefficients.
+    the previous value, or after ``_NULL_PASSES`` passes.  Every step is
+    the float64 operation of the one-problem loop, in its order (unfused
+    complex products, ``hypot`` magnitudes, ``pow`` squares), so a row gets
+    the same bits in any batch.  Takes ``t`` of shape (R,) and ``f`` of
+    shape (R, N); returns the (R, N) coefficients.  The one-size call of
+    :func:`_null_prefixes`.
     """
-    v = _anti_aligned(t, f)
-    if f.shape[1] == 0:
-        return v
-    # element-major: each step reads one (R,) row; f is only viewed, v copied
-    fr, fi = f.real.T, f.imag.T
-    vr, vi = v.real.T.copy(), v.imag.T.copy()
-    del v
-    # r = t + sum_n f_n v_n, the sum taken in element order from +0.0; both
-    # parts in one buffer, which keeps the peak memory of a block lower
-    terms = fr * vr
-    terms -= fi * vi
-    terms[0] += 0.0
-    rr = t.real + np.cumsum(terms, axis=0, out=terms)[-1]
-    terms = np.multiply(fr, vi, out=terms)
-    terms += fi * vr
-    terms[0] += 0.0
-    ri = t.imag + np.cumsum(terms, axis=0, out=terms)[-1]
+    return _null_prefixes(t, f, _anti_aligned(t, f), [f.shape[1]])[0]
+
+
+def _null_prefixes(t: np.ndarray, f: np.ndarray, start: np.ndarray, sizes) -> list[np.ndarray]:
+    """:func:`null_phases` of ``(t, f[:, :n])`` for every n of ``sizes``, in
+    one loop; ``start`` is ``_anti_aligned(t, f)``, whose first n columns
+    are the start of size n.
+
+    Each (row, size) problem keeps its own cursor, pass count and residual,
+    and the states of all problems are packed in one array, so the loop
+    runs for the steps of the slowest problem, not for their sum over the
+    sizes.  A problem's stopping test is made at the step that ends its
+    pass, and the loop looks for pass ends only at the next step where
+    some problem ends one.  Returns the (R, n) coefficients of each size.
+    """
+    rows, width = f.shape
+    sizes = np.asarray(sizes, dtype=np.intp)
+    live = np.flatnonzero(sizes)  # a size without elements keeps its empty start
+    if not (rows and live.size):
+        return [start[:, :n].copy() for n in sizes]
+    fr, fi = f.real, f.imag
+    # r = t + sum_n f_n v_n of every size, the sum taken in element order
+    # from +0.0: one running sum over the widest, read at each size's end;
+    # taken before the states are made, which keeps the peak memory lower
+    terms = fr * start.real
+    terms -= fi * start.imag
+    terms[:, 0] += 0.0
+    rr = t.real[:, None] + np.cumsum(terms, axis=1, out=terms)[:, sizes[live] - 1]
+    terms = np.multiply(fr, start.imag, out=terms)
+    terms += fi * start.real
+    terms[:, 0] += 0.0
+    ri = t.imag[:, None] + np.cumsum(terms, axis=1, out=terms)[:, sizes[live] - 1]
     del terms
-    fixed = (fr == 0) & (fi == 0)
-    masked = fixed.any(axis=1)
+    # the states of size k are the (rows, sizes[k]) array at offsets[k]
+    offsets = rows * np.concatenate(([0], np.cumsum(sizes)))
+    state = np.empty(offsets[-1], dtype=np.complex128)
+    out = [state[lo:lo + rows * n].reshape(rows, n) for n, lo in zip(sizes, offsets)]
+    for n, v in zip(sizes, out):
+        v[:] = start[:, :n]
+    # per problem, in (size, row) order: its size, the flat index of the
+    # element it steps next in the packed states and in f, one past its
+    # last state, its pass and its residual power when that pass began
+    size = np.repeat(sizes[live], rows)
+    at = (offsets[live][:, None] + np.arange(rows) * sizes[live][:, None]).reshape(-1)
+    at_f = np.tile(np.arange(rows) * width, live.size)
+    stop = at + size
+    rr, ri = rr.T.reshape(-1), ri.T.reshape(-1)
     prev = np.float_power(np.hypot(rr, ri), 2)
-    live = np.arange(len(t))  # the batch row of each active row
-    stopped = []  # (batch rows, vr, vi) of rows that left the batch
-    for _ in range(_NULL_PASSES):
-        for n, (frn, fin, vrn, vin) in enumerate(zip(fr, fi, vr, vi)):
+    passes = np.ones(size.size, dtype=np.intp)
+    f_flat = f.reshape(-1)
+    arg_f = np.arctan2(fi, fr).reshape(-1)
+    fixed = f_flat == 0
+    masked = fixed.any()
+    while size.size:
+        for _ in range((stop - at).min()):  # steps until a problem ends its pass
+            fn, vn = f_flat.take(at_f), state.take(at)
+            frn, fin, vrn, vin = fn.real, fn.imag, vn.real, vn.imag
             cr = rr - (frn * vrn - fin * vin)
             ci = ri - (frn * vin + fin * vrn)
-            w = np.exp(1j * (np.pi + np.arctan2(ci, cr) - np.arctan2(fin, frn)))
+            w = np.exp(1j * (np.pi + np.arctan2(ci, cr) - arg_f.take(at_f)))
             wr, wi = w.real, w.imag
             nr = cr + (frn * wr - fin * wi)
             ni = ci + (frn * wi + fin * wr)
-            if masked[n]:
-                keep = fixed[n]
-                wr, wi = np.where(keep, vrn, wr), np.where(keep, vin, wi)
+            if masked:
+                keep = fixed.take(at_f)
+                w = np.where(keep, vn, w)
                 nr, ni = np.where(keep, rr, nr), np.where(keep, ri, ni)
-            vrn[:] = wr
-            vin[:] = wi
+            state[at] = w
             rr, ri = nr, ni
-        cur = np.float_power(np.hypot(rr, ri), 2)
-        done = prev - cur <= _NULL_TOL * np.maximum(prev, 1e-300)
+            at += 1
+            at_f += 1
+        end = np.flatnonzero(at == stop)
+        cur = np.float_power(np.hypot(rr[end], ri[end]), 2)
+        last = prev[end]
+        done = (last - cur <= _NULL_TOL * np.maximum(last, 1e-300)) | (passes[end] >= _NULL_PASSES)
+        prev[end] = cur
+        passes[end] += 1
+        at[end] -= size[end]
+        at_f[end] -= size[end]
         if done.any():
-            stopped.append((live[done], vr[:, done], vi[:, done]))
-            go = ~done
-            live, rr, ri, cur = live[go], rr[go], ri[go], cur[go]
-            fr, fi, vr, vi, fixed = (x[:, go] for x in (fr, fi, vr, vi, fixed))
-            if not live.size:
-                break
-        prev = cur
-    stopped.append((live, vr, vi))
-    v = np.empty(f.shape, dtype=np.complex128)
-    for rows, re, im in stopped:
-        v.real[rows] = re.T
-        v.imag[rows] = im.T
-    return v
+            stay = np.ones(size.size, dtype=bool)
+            stay[end[done]] = False
+            size, at, at_f, stop, rr, ri, prev, passes = (
+                x[stay] for x in (size, at, at_f, stop, rr, ri, prev, passes))
+    return out
 
 
 def nulling_residual(t: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:

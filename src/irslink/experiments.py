@@ -11,13 +11,16 @@ pipe; elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
 realizations are walked in blocks of as many rows as an element budget
 allows (``_block_rows``): each realization's fading is drawn once and
 reused for every sweep value (the block's streams are keyed together, with
-the bits each stream has alone), and each sweep value hands the study's
-metric one block of three arrays, the shared line-of-sight matrix ``g``
-(N, M) and the stacked links ``h_r`` (R, N) and ``h_d`` (R, M).  Both
-power studies share one metric, ``_power_gains``: the closed form that the
-rank-one ``g`` allows, computed once per block and serving every power
-scheme, with power-versus-N's discrete phases refined for the whole block
-together; the interference study nulls the block's rows together.
+the bits each stream has alone), and the study's metric gets the block
+once, for every sweep value.  A sweep value's arrays are the shared
+line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r`` (R, N) and
+``h_d`` (R, M).  Both power studies share one metric, ``_power_gains``:
+the closed form that the rank-one ``g`` allows, computed for each sweep
+value in turn and serving every power scheme, with power-versus-N's
+discrete phases refined for the whole block together.  The interference
+study's swept surfaces are nested, each the first N elements of the
+largest, so it forms the largest value's arrays once and nulls the block's
+rows at every swept N in one loop.
 Every realization gets the same values as it would alone, and the tests
 check them against the general per-realization solvers of ``beamforming``.
 """
@@ -35,9 +38,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .beamforming import (
+    _anti_aligned,
+    _null_prefixes,
     _rank_one_beam,
-    null_free_amplitude,
-    null_phases,
+    _within_reach,
     nulling_residual,
     refine_levels,
 )
@@ -47,10 +51,16 @@ from .reflection import unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
-# Realizations evaluated together at one sweep value: as many as keep
-# rows x (largest swept N) within _ELEMENT_BUDGET, and at least _MIN_ROWS.
-# A block's arrays are (rows, N), so memory does not grow with
-# n_realizations, and wide blocks spread the kernels' per-call cost.
+# Realizations evaluated together: as many as keep rows x (the study's
+# block width) within _ELEMENT_BUDGET, and at least _MIN_ROWS.  The width
+# is the largest swept N for the power studies, whose metric holds one
+# value's (rows, N) arrays at a time, and the sum of the swept N for the
+# interference study, whose nulling holds every value's (rows, N) state at
+# once: 16 bytes per element of that sum, besides about 80 per element of
+# the largest N (fading, channel, cascade, anti-aligned start and angles).
+# A block at the row floor nulls its swept N in runs that fit the budget.
+# So memory does not grow with n_realizations or the sweep's length, and
+# wide blocks spread the kernels' per-call cost.
 _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
@@ -61,9 +71,11 @@ _MIN_ROWS = 64
 # everything.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
-# Maps one block of R realizations, (g (N, M), h_r (R, N), h_d (R, M), cfg),
-# to the values kept as samples, stacked over the block per key.
-_BlockMetric = Callable[..., dict[str, np.ndarray]]
+# Maps one block of R realizations at every sweep value, (the ScenarioLinks
+# of each sweep value, fading_r (R, largest swept N), fading_d (R, M), cfg),
+# to one dict per sweep value, in sweep order, of the values kept as
+# samples, stacked over the block per key.
+_BlockMetric = Callable[..., list[dict[str, np.ndarray]]]
 
 
 class ConfigErrorCode(enum.Enum):
@@ -291,32 +303,59 @@ def _power_gains(
     return gains
 
 
+def _runs(sizes, cap: int) -> list[list[int]]:
+    """``sizes`` cut into consecutive runs, each summing to at most ``cap``
+    or holding a single size."""
+    runs: list[list[int]] = [[]]
+    for n in sizes:
+        if runs[-1] and sum(runs[-1]) + n > cap:
+            runs.append([])
+        runs[-1].append(n)
+    return runs
+
+
 def _interference_gains(
-    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
-) -> dict[str, np.ndarray]:
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes, sizes
+) -> list[dict[str, np.ndarray]]:
     """Residual interference channel gain per scheme of a block of
-    single-antenna realizations, stacked per key.
+    single-antenna realizations, stacked per key, for each element count n
+    of ``sizes``: the surface of the first n rows of ``g`` and columns of
+    ``h_r``.
 
     With (t, f) what ``direct_and_cascade`` gives each row for w = [1],
     every row is solved at once, as ``null_interference`` solves one
     realization: ``joint_amp_phase`` by the disk closed form
-    (:func:`null_free_amplitude`), ``phase_only`` by :func:`null_phases`;
-    each solver starts from the anti-aligned state.  Key
-    'margin' holds the cancellation feasibility margin sum|f_n| - |t|
-    (non-negative means a perfect null is reachable with amplitude
-    control).
+    (:func:`null_free_amplitude`), ``phase_only`` by :func:`null_phases`,
+    every size in one loop (in runs of sizes whose states fit
+    ``_ELEMENT_BUDGET``, when a block at its row floor would exceed it);
+    each solver starts from the anti-aligned state, computed once for all
+    sizes.  Key 'margin' holds the cancellation feasibility margin
+    sum|f_n| - |t| (non-negative means a perfect null is reachable with
+    amplitude control).
     """
     t = np.conj(h_d[:, 0])  # vdot(h_d, [1]) of each row
     f = np.conj(h_r) * (g @ np.ones(1))
     abs_t = np.hypot(t.real, t.imag)
-    out = {"margin": np.sum(np.abs(f), axis=1) - abs_t}
+    start = _anti_aligned(t, f)
+    reach = [np.sum(np.abs(f[:, :n]), axis=1) for n in sizes]
+    out = [{"margin": r - abs_t} for r in reach]
+    # scheme by scheme, so that each scheme's states are held only while
+    # its residuals are taken
     for scheme in schemes:
         if scheme == "joint_amp_phase":
-            out[scheme] = nulling_residual(t, f, null_free_amplitude(t, f))
+            for n, r, gains in zip(sizes, reach, out):
+                gains[scheme] = nulling_residual(
+                    t, f[:, :n], _within_reach(start[:, :n].copy(), abs_t, r))
         elif scheme == "phase_only":
-            out[scheme] = nulling_residual(t, f, null_phases(t, f))
+            rest = iter(out)
+            for run in _runs(sizes, _ELEMENT_BUDGET // max(len(t), 1)):
+                # popped, so that no view keeps the packed states alive after
+                phases = _null_prefixes(t, f, start, run)
+                for n, gains in zip(run, rest):
+                    gains[scheme] = nulling_residual(t, f[:, :n], phases.pop(0))
         elif scheme == "no_irs":
-            out[scheme] = np.float_power(abs_t, 2)
+            for gains in out:
+                gains[scheme] = np.float_power(abs_t, 2)
         else:
             raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown scheme {scheme!r}")
     return out
@@ -341,15 +380,25 @@ def _required_powers(
     return powers
 
 
-def _interference_powers(
-    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, cfg: ExperimentConfig
-) -> dict[str, np.ndarray]:
+def _power_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
+                   cfg: ExperimentConfig) -> list[dict[str, np.ndarray]]:
+    # each sweep value's arrays are built and consumed in turn, so a block
+    # holds one value's (R, N) arrays at a time
+    return [_required_powers(*link.block(fading_r, fading_d), cfg) for link in links]
+
+
+def _interference_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
+                          cfg: ExperimentConfig) -> list[dict[str, np.ndarray]]:
+    # an element-count sweep's surfaces are nested: each value's arrays are
+    # the first N elements of the last, largest value's, so its block serves all
+    sizes = [len(link.g_bs_irs) for link in links]
     p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
     noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
-    return {
-        key: values if key == "margin" else p_tx_mw * values / noise_mw
-        for key, values in _interference_gains(g, h_r, h_d, cfg.schemes).items()
-    }
+    return [
+        {key: values if key == "margin" else p_tx_mw * values / noise_mw
+         for key, values in gains.items()}
+        for gains in _interference_gains(*links[-1].block(fading_r, fading_d), cfg.schemes, sizes)
+    ]
 
 
 def _power_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
@@ -371,33 +420,38 @@ def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float,
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
-    ``metric`` maps one block at one sweep value to its samples per key (a
-    scheme); each row must be what the realization gives alone.  ``rows``
-    turns those values, stacked over all realizations of one sweep value,
-    into (scheme, metric, unit) rows.  ``defaults`` is the configuration
-    of a run that sets nothing: only its sweep variable may be swept, and
-    its schemes are the ones allowed.
+    ``metric`` maps one block of realizations to its samples per key (a
+    scheme) at every sweep value, in sweep order; each row must be what the
+    realization gives alone.  ``rows`` turns those values, stacked over all
+    realizations of one sweep value, into (scheme, metric, unit) rows.
+    ``block_width`` gives, from the swept element counts, how many elements
+    per realization the metric holds at once (``max`` when it forms each
+    value's arrays in turn, ``sum`` when it solves every value together),
+    which sizes the blocks.  ``defaults`` is the configuration of a run
+    that sets nothing: only its sweep variable may be swept, and its
+    schemes are the ones allowed.
     """
 
     runner: str  # public entry point, looked up by name when called
     defaults: ExperimentConfig
     min_elements: int | None  # smallest swept element count; None for a distance sweep
     single_antenna: bool
-    metric: _BlockMetric  # (g, h_r, h_d, cfg) of one block
+    metric: _BlockMetric  # (links, fading_r, fading_d, cfg) of one block
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
+    block_width: Callable[[list[int]], int]  # elements per row a block holds, from the swept N
 
 
 STUDIES = {
     "power-vs-distance": Study(
         runner="run_power_vs_distance", defaults=ExperimentConfig(), min_elements=None,
-        single_antenna=False, metric=_required_powers, rows=_power_rows,
+        single_antenna=False, metric=_power_samples, rows=_power_rows, block_width=max,
     ),
     "power-vs-n": Study(
         runner="run_power_vs_n",
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
         min_elements=1, single_antenna=False,
-        metric=_required_powers, rows=_power_rows,
+        metric=_power_samples, rows=_power_rows, block_width=max,
     ),
     "interference-vs-n": Study(
         runner="run_interference_vs_n",
@@ -405,15 +459,16 @@ STUDIES = {
                                   sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
                                   schemes=("joint_amp_phase", "phase_only", "no_irs"),
                                   n_realizations=200),
-        min_elements=0, single_antenna=True, metric=_interference_powers, rows=_interference_rows,
+        min_elements=0, single_antenna=True, metric=_interference_samples,
+        rows=_interference_rows, block_width=sum,
     ),
 }
 
 
-def _block_rows(n_max: int) -> int:
-    """Realizations per block when the largest swept element count is
-    ``n_max``."""
-    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(n_max, 1))
+def _block_rows(width: int) -> int:
+    """Realizations per block when a block holds ``width`` elements per
+    realization (``Study.block_width`` of the swept element counts)."""
+    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(width, 1))
 
 
 def _sweep_samples(
@@ -422,25 +477,28 @@ def _sweep_samples(
     """Metrics of realizations ``start`` .. ``stop - 1``, stacked per key,
     for each sweep value in turn.
 
-    The range is walked in blocks of ``_block_rows(n_max)`` realizations,
-    ``n_max`` being the largest swept element count; rows are independent,
-    so the block size moves no bits.  Each realization's fading is drawn
-    once, at ``n_max``; every sweep value's arrays are formed from the
-    block's by ``ScenarioLinks.block``.  One shard of a study; module-level
-    so that worker processes can unpickle it.
+    The range is walked in blocks of ``_block_rows`` realizations, sized by
+    the study's ``block_width`` of the swept element counts; rows are
+    independent, so the block size moves no bits.  Each realization's
+    fading is drawn once, at the largest swept element count ``n_max``,
+    and the study's metric gets each block once, with every sweep value's
+    ``ScenarioLinks``, which form that value's arrays from the block's.
+    One shard of a study; module-level so that worker processes can
+    unpickle it.
     """
-    metric = STUDIES[study].metric
+    spec = STUDIES[study]
     scenarios = _sweep_scenarios(cfg)
     links = [scenario_links(scen) for scen in scenarios]
-    m, n_max = cfg.scenario.m_antennas, max(scen.n_elements for scen in scenarios)
-    rows = _block_rows(n_max)
+    sizes = [scen.n_elements for scen in scenarios]
+    m, n_max = cfg.scenario.m_antennas, max(sizes)
+    rows = _block_rows(spec.block_width(sizes))
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
     for lo in range(start, stop, rows):
         # realization i draws from SeededRng(master_seed, i), whatever its block
         fading_r, fading_d = draw_fading_rows(cfg.master_seed, range(lo, min(lo + rows, stop)),
                                               m, n_max)
-        for blocks, link in zip(per_value, links):
-            blocks.append(metric(*link.block(fading_r, fading_d), cfg))
+        for blocks, samples in zip(per_value, spec.metric(links, fading_r, fading_d, cfg)):
+            blocks.append(samples)
     return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
             for blocks in per_value]
 

@@ -331,10 +331,16 @@ EXACT_REALIZATIONS = 20000
 DB_PER_RELATIVE_ERROR = 10.0 / np.log(10.0)  # d(10 log10 x) / (dx / x)
 
 
+def model_path_gain(a, b, exponent: float, c0_db: float) -> float:
+    """Path gain between points a and b from the model: c0 at 1 m times d^-alpha."""
+    d = np.hypot(*np.subtract(a, b))
+    return 10.0 ** ((c0_db - 10.0 * exponent * np.log10(d)) / 10.0)
+
+
 def direct_path_gain(scen: ScenarioConfig) -> float:
-    """PL_d, the mean of |h_d,m|^2: c0 at 1 m times d^-alpha, from the model."""
-    d = np.hypot(*np.subtract(scen.user_position, scen.bs_position))
-    return 10.0 ** ((scen.c0_db - 10.0 * scen.pl_exponent_bs_user * np.log10(d)) / 10.0)
+    """PL_d, the mean of |h_d,m|^2."""
+    return model_path_gain(scen.user_position, scen.bs_position, scen.pl_exponent_bs_user,
+                           scen.c0_db)
 
 
 @pytest.mark.parametrize("seed", [MASTER_SEED, 1])
@@ -378,4 +384,42 @@ def test_no_irs_interference_matches_its_exact_mean(seed):
         all(abs(x) <= 5.0 for x in z.values()),
         f"N = 20 and 100 within 5 sigma of P_int PL_d / noise = {exact:.3f} dB, "
         f"sigma = {sigma:.4f} dB at R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
+    )
+
+
+@pytest.mark.parametrize("seed", [MASTER_SEED, 1])
+def test_joint_gain_matches_its_exact_mean(seed):
+    # the joint optimum ||h_d||^2 + r^2 + 2 r |p|, with r = kappa sum_n |x_n|
+    # (x_n unit CSCG, kappa = amp_r ||G_n|| = sqrt(PL_r M PL_g)) independent
+    # of h_d, and p = b^H h_d ~ CN(0, PL_d): its mean is M PL_d +
+    # kappa^2 (N + N(N-1) pi/4) + kappa N sqrt(PL_d) pi/2.  The standard
+    # error is taken from the samples, each row's gain read back from its
+    # required power.
+    cfg = ExperimentConfig(schemes=("joint",), n_realizations=EXACT_REALIZATIONS,
+                           master_seed=seed)
+    result = run_power_vs_distance(cfg)
+    scen = cfg.scenario
+    m, n = scen.m_antennas, scen.n_elements
+    level = cfg.snr_target_db + scen.noise_power_dbm
+    pl_g = model_path_gain(scen.bs_position, scen.irs_position, scen.pl_exponent_bs_irs,
+                           scen.c0_db)
+    z, sigma_db = {}, []
+    for d in cfg.sweep[1]:
+        user = (d, scen.user_position[1])
+        pl_d = model_path_gain(user, scen.bs_position, scen.pl_exponent_bs_user, scen.c0_db)
+        pl_r = model_path_gain(user, scen.irs_position, scen.pl_exponent_irs_user, scen.c0_db)
+        kappa = np.sqrt(pl_r * m * pl_g)
+        exact = (m * pl_d + kappa**2 * (n + n * (n - 1) * np.pi / 4)
+                 + kappa * n * np.sqrt(pl_d) * np.pi / 2)
+        gains = 10.0 ** ((level - result.samples[(d, "joint")]) / 10.0)
+        sigma = np.std(gains, ddof=1) / np.sqrt(len(gains))
+        z[d] = (np.mean(gains) - exact) / sigma
+        sigma_db.append(DB_PER_RELATIVE_ERROR * sigma / exact)
+    worst = max(z.values(), key=abs)
+    check(
+        f"exact-mean joint gain, seed {seed}",
+        all(abs(x) <= 5.0 for x in z.values()),
+        f"all {len(z)} distances within 5 sigma of M PL_d + kappa^2 (N + N(N-1) pi/4) "
+        f"+ kappa N sqrt(PL_d) pi/2, sigma = {min(sigma_db):.4f}-{max(sigma_db):.4f} dB at "
+        f"M = {m}, N = {n}, R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
     )

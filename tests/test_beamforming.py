@@ -1065,6 +1065,71 @@ class TestNullPhases:
             assert np.float64(res).tobytes() == np.float64(r).tobytes()
 
 
+class CallCounter:
+    """Stands in for numpy in ``beamforming`` and counts the calls of the
+    named functions."""
+
+    def __init__(self, *names):
+        self.calls = dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        func = getattr(np, name)
+        if name not in self.calls:
+            return func
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return func(*args, **kwargs)
+        return counted
+
+
+class TestNullPrefixes:
+    """Every element count of one block in one call of the nulling loop,
+    against :func:`null_phases` per count and the scalar loop, bit for bit."""
+
+    SIZES = (0, 1, 3, 30)
+
+    # rows 2-6 of nulling_batch have zero f_n, and rows 7 and 8 have t = 0
+    # and t = -0-0j; from row 7 on, no f_n is zero, so the loop needs no mask
+    @pytest.mark.parametrize("first", [0, 7], ids=["zero_f", "no_zero_f"])
+    @pytest.mark.parametrize("tol, max_passes", [(1e-14, 400), (1e-6, 50), (1e-14, 2)])
+    def test_mixed_sizes_match_each_size_alone(self, monkeypatch, first, tol, max_passes):
+        t, f = nulling_batch(r=40, n=30, seed=2)
+        t, f = t[first:], f[first:]
+        monkeypatch.setattr(beamforming, "_NULL_TOL", tol)
+        monkeypatch.setattr(beamforming, "_NULL_PASSES", max_passes)
+        start = beamforming._anti_aligned(t, f)
+        counter = CallCounter("exp", "flatnonzero")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(beamforming, "np", counter)
+            got = beamforming._null_prefixes(t, f, start, self.SIZES)
+        assert [v.shape for v in got] == [(len(t), n) for n in self.SIZES]
+        passes, ends = [], set()
+        for n, v in zip(self.SIZES, got):
+            assert v.tobytes() == null_phases(t, f[:, :n]).tobytes(), n
+            for k in range(len(t)):
+                want, _, trace = loop_null(t[k], f[k, :n], tol, max_passes)
+                assert v[k].tobytes() == want.tobytes(), (n, k)
+                if n:
+                    passes.append((len(trace) - 1, n))
+                    ends.update(p * n for p in range(1, len(trace)))
+        # problems stop on different passes, and the loop runs for the
+        # slowest one's steps, not for the sum over the sizes; it looks for
+        # pass ends (flatnonzero, after the one call that finds the sizes
+        # with elements) only at steps where some problem ends a pass
+        assert len({p for p, _ in passes}) >= (3 if max_passes > 2 else 2)
+        assert counter.calls["exp"] == max(p * n for p, n in passes)
+        assert counter.calls["flatnonzero"] == 1 + len(ends)
+
+    def test_no_rows_or_no_elements(self):
+        t, f = nulling_batch(r=10, n=8)
+        start = beamforming._anti_aligned(t, f)
+        alone = beamforming._null_prefixes(t, f, start, [0, 0])
+        assert [v.shape for v in alone] == [(10, 0), (10, 0)]
+        empty = beamforming._null_prefixes(t[:0], f[:0], start[:0], [0, 2, 8])
+        assert [v.shape for v in empty] == [(0, 0), (0, 2), (0, 8)]
+
+
 def anti_aligned_rows(t, f):
     return np.array([np.exp(1j * (np.pi + (np.angle(tr) if tr != 0 else 0.0) - np.angle(fr)))
                      for tr, fr in zip(t, f)])

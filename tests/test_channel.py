@@ -302,3 +302,18 @@ class TestScenarioBlock:
     def test_rejects_mismatched_fading_shapes(self, fading_r, fading_d):
         with pytest.raises(ValueError, match="does not fit"):
             scenario_links(ScenarioConfig()).block(fading_r, fading_d)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_element_sweep_blocks_are_prefixes_of_the_largest(self, m):
+        # an element-count sweep draws its fading once, at the largest N, and
+        # the interference study forms only the largest value's arrays: every
+        # smaller surface must be its first N elements, bit for bit
+        fading_r, fading_d = draw_fading_rows(31, range(6), m, 100)
+        blocks = {n: scenario_links(ScenarioConfig(m_antennas=m, n_elements=n)).block(
+            fading_r, fading_d) for n in (0, 1, 20, 100)}
+        g_max, h_r_max, h_d_max = blocks[100]
+        for n, (g, h_r, h_d) in blocks.items():
+            assert g.shape == (n, m) and h_r.shape == (6, n)
+            assert g.tobytes() == g_max[:n].tobytes(), n
+            assert h_r.tobytes() == h_r_max[:, :n].tobytes(), n
+            assert h_d.tobytes() == h_d_max.tobytes(), n

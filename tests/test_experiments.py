@@ -77,6 +77,11 @@ def one_row(ch):
     return ch.g_bs_irs, ch.h_irs_user[None, :], ch.h_bs_user[None, :]
 
 
+def interference_gains(g, h_r, h_d, schemes):
+    """``experiments._interference_gains`` at the block's own element count."""
+    return experiments._interference_gains(g, h_r, h_d, schemes, [len(g)])[0]
+
+
 def alone(metric, ch, schemes):
     """``metric`` of a one-row block, as floats per key."""
     return {key: float(values[0]) for key, values in metric(*one_row(ch), schemes).items()}
@@ -317,23 +322,25 @@ def assert_same_channel(block, k, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def shrink_blocks(monkeypatch, n_max, rows=67):
+def shrink_blocks(monkeypatch, width, rows=67):
     """Lower the element budget so that blocks hold ``rows`` realizations
-    (above the floor) at largest swept element count ``n_max``."""
-    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * n_max)
-    assert experiments._block_rows(n_max) == rows
+    (above the floor) at block width ``width``: the largest swept element
+    count of a power study, the sum of them of the interference study."""
+    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * width)
+    assert experiments._block_rows(width) == rows
     return rows
 
 
 class TestSharedDraw:
     @staticmethod
     def built_blocks(monkeypatch, study, cfg):
-        """The block ``(g, h_r, h_d)`` each metric call receives, call by call."""
+        """The block ``(g, h_r, h_d)`` that each sweep value's links form
+        from each metric call's fading, call by call."""
         built = []
 
-        def record(g, h_r, h_d, cfg):
-            built.append((g, h_r, h_d))
-            return {"count": np.zeros(len(h_r))}
+        def record(links, fading_r, fading_d, cfg):
+            built.extend(link.block(fading_r, fading_d) for link in links)
+            return [{"count": np.zeros(len(fading_r))} for _ in links]
 
         spec = experiments.STUDIES[study]
         monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=record))
@@ -581,7 +588,7 @@ class TestInterferenceVsN:
         assert digest == "c7529432c80cc01195fcd34a2d785fc4cc099e0e0d91011871973b7e3b2faa60"
 
     def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
-        block = shrink_blocks(monkeypatch, 30)
+        block = shrink_blocks(monkeypatch, 10 + 30)
         short = run_interference_vs_n(replace(INT_CFG, n_realizations=block - 1))
         long = run_interference_vs_n(replace(INT_CFG, n_realizations=2 * block + 3))
         assert short.samples.keys() == long.samples.keys()
@@ -594,7 +601,7 @@ class TestInterferenceVsN:
         scen = replace(INT_CFG.scenario, n_elements=30)
         for i in (block - 1, block, 2 * block + 2):
             ch = realize(scen, SeededRng(INT_CFG.master_seed, i))
-            for key, value in alone(experiments._interference_gains, ch, INT_CFG.schemes).items():
+            for key, value in alone(interference_gains, ch, INT_CFG.schemes).items():
                 want = value if key == "margin" else p_tx_mw * value / noise_mw
                 assert long.samples[(30.0, key)][i] == want, (i, key)
 
@@ -602,12 +609,72 @@ class TestInterferenceVsN:
 class TestInterferenceGains:
     """The block metric against the per-realization solvers, bit for bit."""
 
+    def test_nested_sizes_give_each_realization_its_own_values(self):
+        # one block solved at N = 0, 1 and 20 in one nulling loop: every
+        # sample is what the solvers give its realization alone
+        cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0)), n_realizations=30)
+        result = run_interference_vs_n(cfg)
+        p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
+        noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
+        for n in (0, 1, 20):
+            scen = replace(cfg.scenario, n_elements=n)
+            for i in range(cfg.n_realizations):
+                ch = realize(scen, SeededRng(cfg.master_seed, i))
+                t, f = direct_and_cascade(ch, np.ones(1))
+                solved = {
+                    "margin": float(np.sum(np.abs(f)) - abs(t)),
+                    "joint_amp_phase": null_interference(ch, ConstraintSet.ideal_continuous())[1],
+                    "phase_only": null_interference(ch, ConstraintSet.unit_modulus())[1],
+                    "no_irs": float(abs(t) ** 2),
+                }
+                for key, value in solved.items():
+                    want = value if key == "margin" else p_tx_mw * value / noise_mw
+                    assert result.samples[(float(n), key)][i] == want, (n, i, key)
+
+    def test_one_call_per_block_sized_by_the_summed_element_counts(self, monkeypatch):
+        # the interference metric holds every swept N at once, so its blocks
+        # are sized by their sum; the power studies' by the largest N
+        block = shrink_blocks(monkeypatch, 1 + 20)
+        cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0)), n_realizations=block + 5)
+        calls = []
+        real = experiments._interference_gains
+
+        def spy(g, h_r, h_d, schemes, sizes):
+            calls.append((g.shape, h_r.shape, list(sizes)))
+            return real(g, h_r, h_d, schemes, sizes)
+
+        monkeypatch.setattr(experiments, "_interference_gains", spy)
+        run_interference_vs_n(cfg)
+        assert calls == [((20, 1), (block, 20), [0, 1, 20]), ((20, 1), (5, 20), [0, 1, 20])]
+
+    def test_blocks_at_the_row_floor_null_in_runs_that_fit_the_budget(self, monkeypatch):
+        # 64-row blocks whose states at N = 0, 1, 20 and 30 would hold 51
+        # elements per row, against a budget of 21 per row: the sizes are
+        # nulled in the runs [0, 1, 20] and [30], with the same samples
+        cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0, 30.0)), n_realizations=70)
+        whole = run_interference_vs_n(cfg)
+        monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 64 * 21)
+        assert experiments._block_rows(51) == 64
+        runs = []
+        real = beamforming._null_prefixes
+
+        def spy(t, f, start, sizes):
+            runs.append((len(t), list(sizes)))
+            return real(t, f, start, sizes)
+
+        monkeypatch.setattr(experiments, "_null_prefixes", spy)
+        split = run_interference_vs_n(cfg)
+        # the last block's 6 rows fit every size in one run
+        assert runs == [(64, [0, 1, 20]), (64, [30]), (6, [0, 1, 20, 30])]
+        assert split.to_csv_text() == whole.to_csv_text()
+        assert_same_samples(whole, split)
+
     @pytest.mark.parametrize("n", [0, 1, 20, 100])
     def test_block_equals_the_solvers(self, n):
         scen = ScenarioConfig(m_antennas=1, n_elements=n, user_position=(50.0, 0.0))
         channels = [realize(scen, SeededRng(78, i)) for i in range(20)]
         schemes = ("joint_amp_phase", "phase_only", "no_irs")
-        block = experiments._interference_gains(*stacked(channels), schemes)
+        block = interference_gains(*stacked(channels), schemes)
         assert list(block) == ["margin", *schemes]
         for k, ch in enumerate(channels):
             t, f = direct_and_cascade(ch, np.ones(1))
@@ -620,7 +687,7 @@ class TestInterferenceGains:
             for key, value in solved.items():
                 assert block[key][k] == value, (key, k)
             # one realization alone gets the bits it gets in the block
-            assert alone(experiments._interference_gains, ch, schemes) == solved
+            assert alone(interference_gains, ch, schemes) == solved
 
     def test_magnitudes_and_squares_as_python_computes_them(self):
         # hypot for |t| and pow for the square: array abs and x * x differ
@@ -630,7 +697,7 @@ class TestInterferenceGains:
         f = g.standard_normal((10000, 2)) + 1j * g.standard_normal((10000, 2))
         los = np.ones((2, 1), complex)
         h_r, h_d = np.conj(f), np.conj(t)[:, None]
-        block = experiments._interference_gains(los, h_r, h_d, ("no_irs",))
+        block = interference_gains(los, h_r, h_d, ("no_irs",))
         pairs = [direct_and_cascade(ChannelRealization(los, hr, hd), np.ones(1))
                  for hr, hd in zip(h_r, h_d)]
         mag = np.array([abs(tr) for tr, _ in pairs])
@@ -643,7 +710,7 @@ class TestInterferenceGains:
     def test_unknown_scheme_rejected(self):
         ch = realize(ScenarioConfig(m_antennas=1), SeededRng(1, 0))
         with pytest.raises(ConfigError):
-            experiments._interference_gains(*one_row(ch), ("zf",))
+            interference_gains(*one_row(ch), ("zf",))
 
     def test_library_call_gives_the_study_row(self, monkeypatch):
         # the default interference scenario at N = 60: a stopping rule of
@@ -651,7 +718,7 @@ class TestInterferenceGains:
         # library call and the study share one rule
         scen = replace(experiments.STUDIES["interference-vs-n"].defaults.scenario, n_elements=60)
         channels = [realize(scen, SeededRng(20240811, i)) for i in range(200)]
-        block = experiments._interference_gains(*stacked(channels), ("phase_only",))
+        block = interference_gains(*stacked(channels), ("phase_only",))
         alone = [null_interference(ch, ConstraintSet.unit_modulus())[1] for ch in channels]
         assert block["phase_only"].tobytes() == np.array(alone).tobytes()
         pairs = [direct_and_cascade(ch, np.ones(1)) for ch in channels]
