@@ -279,8 +279,6 @@ def _power_gains(
                 raise ValueError("MRT undefined for an all-zero channel")
             gains[scheme] = (norm_d + r * c / norm_d) ** 2
         elif scheme == "bs_irs_mrt":
-            if not len(g):
-                raise ValueError("transmitter-surface MRT needs at least one element")
             gains[scheme] = (c + r) ** 2
         elif scheme == "no_irs":
             gains[scheme] = norm_d**2
@@ -298,8 +296,6 @@ def _power_gains(
                            (scheme, refine_levels(t, a, quantized, bits))):
                 s = np.conj(np.sum(f * v, axis=1))
                 gains[key] = np.linalg.norm(h_d + _mul(s[:, None], b), axis=1) ** 2
-        else:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown scheme {scheme!r}")
     return gains
 
 
@@ -356,8 +352,6 @@ def _interference_gains(
         elif scheme == "no_irs":
             for gains in out:
                 gains[scheme] = np.float_power(abs_t, 2)
-        else:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown scheme {scheme!r}")
     return out
 
 
@@ -432,7 +426,6 @@ class Study(NamedTuple):
     schemes are the ones allowed.
     """
 
-    runner: str  # public entry point, looked up by name when called
     defaults: ExperimentConfig
     min_elements: int | None  # smallest swept element count; None for a distance sweep
     single_antenna: bool
@@ -443,18 +436,16 @@ class Study(NamedTuple):
 
 STUDIES = {
     "power-vs-distance": Study(
-        runner="run_power_vs_distance", defaults=ExperimentConfig(), min_elements=None,
-        single_antenna=False, metric=_power_samples, rows=_power_rows, block_width=max,
+        defaults=ExperimentConfig(), min_elements=None, single_antenna=False,
+        metric=_power_samples, rows=_power_rows, block_width=max,
     ),
     "power-vs-n": Study(
-        runner="run_power_vs_n",
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
         min_elements=1, single_antenna=False,
         metric=_power_samples, rows=_power_rows, block_width=max,
     ),
     "interference-vs-n": Study(
-        runner="run_interference_vs_n",
         defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
                                   sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
                                   schemes=("joint_amp_phase", "phase_only", "no_irs"),
@@ -580,7 +571,9 @@ def _fork_shards(study: str, cfg: ExperimentConfig, bounds: list[int]) -> list:
 
 
 def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentResult:
-    """Validate ``cfg`` for ``STUDIES[study]``, then evaluate and aggregate it.
+    """Validate ``cfg`` for ``STUDIES[study]`` (the one check of its schemes
+    and element counts, which the block metrics trust), then evaluate and
+    aggregate it.
 
     With ``workers > 1``, contiguous realization ranges run in separate
     processes, at most one per usable CPU, and are concatenated in

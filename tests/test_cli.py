@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irslink import cli
 from irslink.channel import ScenarioConfig
 from irslink.cli import (
     _MAX_CONFIG_BYTES,
@@ -375,6 +376,49 @@ class TestMain:
     def test_runners_reject_workers_below_one(self, runner):
         with pytest.raises(ConfigError, match="workers"):
             runner(ExperimentConfig(n_realizations=1), workers=0)
+
+    @pytest.mark.parametrize("sub", ["power-vs-distance", "power-vs-n", "interference-vs-n"])
+    @pytest.mark.parametrize("flags, validations", [
+        pytest.param(["--seed", "7", "--realizations", "3"], 2, id="both"),
+        pytest.param(["--seed", "7"], 2, id="seed"),
+        pytest.param(["--realizations", "3"], 2, id="realizations"),
+        pytest.param([], 1, id="neither"),
+    ])
+    def test_overrides_add_one_validation(self, tmp_path, monkeypatch, sub, flags, validations):
+        # parse_config validates the config once, and the overrides, if any,
+        # are applied together: one more validation, not one per override
+        validated = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counted(cfg):
+            validated.append(cfg)
+            post_init(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+        out = tmp_path / "v.csv"
+        argv = [sub, "--config", write(tmp_path, "n_realizations = 2\n"), "--out", str(out)]
+        assert main(argv + ["--quiet"] + flags) == 0
+        assert len(validated) == validations
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[-2:] == ["3" if "--realizations" in flags else "2",
+                            "7" if "--seed" in flags else "1"]
+
+    @pytest.mark.parametrize("sub", ["power-vs-distance", "power-vs-n", "interference-vs-n"])
+    def test_run_calls_the_public_runner_bound_in_cli(self, tmp_path, monkeypatch, sub):
+        # perfbench's tracer times a study by wrapping the public runner
+        # under every module name bound to it, the CLI's included
+        name = "run_" + sub.replace("-", "_")
+        real, calls = getattr(cli, name), []
+
+        def spy(cfg, workers):
+            calls.append(workers)
+            return real(cfg, workers=workers)
+
+        monkeypatch.setattr(cli, name, spy)
+        argv = [sub, "--config", write(tmp_path, "n_realizations = 2\n"), "--quiet",
+                "--out", str(tmp_path / "r.csv"), "--workers", "2"]
+        assert main(argv) == 0
+        assert calls == [2]
 
     def test_workers_flag_gives_identical_csv(self, tmp_path):
         cfg = write(tmp_path, "sweep = n:4,8\nn_realizations = 6\n")

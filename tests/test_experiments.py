@@ -227,10 +227,19 @@ class TestPowerVsDistance:
             assert np.all(joint <= bs_user + 1e-6)
             assert np.all(bs_user <= no_irs + 1e-6)
 
-    def test_unknown_scheme_rejected(self):
-        bad = ExperimentConfig(sweep=("d", (30.0,)), schemes=("joint", "zf"), n_realizations=2)
-        with pytest.raises(ConfigError):
-            run_power_vs_distance(bad)
+    @pytest.mark.parametrize("runner, cfg, other", [
+        pytest.param(run_power_vs_distance, DIST_CFG, "phase_only", id="power-vs-distance"),
+        pytest.param(run_power_vs_n, N_CFG, "joint", id="power-vs-n"),
+        pytest.param(run_interference_vs_n, INT_CFG, "b1", id="interference-vs-n"),
+    ])
+    def test_unknown_scheme_rejected(self, monkeypatch, runner, cfg, other):
+        # a name no study knows, and one that another study allows, are both
+        # rejected before any block is evaluated: the metrics check no names
+        monkeypatch.setattr(experiments, "_sweep_samples", None)
+        for bad in ("zf", other):
+            with pytest.raises(ConfigError, match=bad) as err:
+                runner(replace(cfg, schemes=(cfg.schemes[0], bad), n_realizations=2))
+            assert err.value.code is ConfigErrorCode.INVALID_VALUE
 
     def test_surface_beam_needs_elements(self):
         cfg = ExperimentConfig(scenario=ScenarioConfig(n_elements=0), sweep=("d", (30.0,)),
@@ -280,16 +289,6 @@ class TestSignalSchemeGains:
             # one realization alone gets the bits it gets in the block
             row = alone(experiments._power_gains, ch, schemes)
             assert all(row[s] == block[s][k] for s in schemes), k
-
-    def test_surface_beam_needs_elements(self):
-        ch = realize(ScenarioConfig(n_elements=0), SeededRng(1, 0))
-        with pytest.raises(ValueError, match="element"):
-            experiments._power_gains(*one_row(ch), ("bs_irs_mrt",))
-
-    def test_unknown_scheme_rejected(self):
-        ch = realize(ScenarioConfig(), SeededRng(1, 0))
-        with pytest.raises(ConfigError):
-            experiments._power_gains(*one_row(ch), ("zf",))
 
 
 class TestRequiredPowers:
@@ -706,11 +705,6 @@ class TestInterferenceGains:
         assert block["no_irs"].tobytes() == np.array([abs(tr) ** 2 for tr, _ in pairs]).tobytes()
         assert block["margin"].tobytes() == np.array(
             [np.sum(np.abs(fr)) - abs(tr) for tr, fr in pairs]).tobytes()
-
-    def test_unknown_scheme_rejected(self):
-        ch = realize(ScenarioConfig(m_antennas=1), SeededRng(1, 0))
-        with pytest.raises(ConfigError):
-            interference_gains(*one_row(ch), ("zf",))
 
     def test_library_call_gives_the_study_row(self, monkeypatch):
         # the default interference scenario at N = 60: a stopping rule of
