@@ -33,6 +33,7 @@ import os
 import pickle
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ from .beamforming import (
     nulling_residual,
     refine_levels,
 )
-from .channel import DB_LIMIT, ScenarioConfig, draw_fading_rows, scenario_links
+from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
 from .numerics import db_to_linear
 from .reflection import unit_phases
 
@@ -65,7 +66,7 @@ _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
 # How shard processes start.  A forked shard inherits the imported modules
-# and the validated config, so it starts in milliseconds, and needs no
+# and the run's config and links, so it starts in milliseconds, and needs no
 # process pool (_fork_shards).  Windows has no fork and it is unsafe on
 # macOS, so there a process pool spawns the shards, which re-import
 # everything.
@@ -165,7 +166,8 @@ class ExperimentConfig:
                     ConfigErrorCode.INVALID_VALUE,
                     f"{level} must be finite and within +-{DB_LIMIT:g}, got {getattr(self, level)}",
                 )
-        _sweep_scenarios(self)
+        # not a field, so outside ==, hash, repr and serialization; replace() rebuilds it
+        object.__setattr__(self, "_scenarios", _sweep_scenarios(self))
 
 
 @dataclass(eq=False)
@@ -206,8 +208,8 @@ def _sweep_key(value: float) -> str:
     return f"{value:g}"
 
 
-def _sweep_scenarios(cfg: ExperimentConfig) -> list[ScenarioConfig]:
-    """The scenario of each sweep value.
+def _sweep_scenarios(cfg: ExperimentConfig) -> tuple[ScenarioConfig, ...]:
+    """The scenario of each sweep value, kept as ``cfg._scenarios`` by validation.
 
     A fractional count or a scenario that fails its own validation raises
     ConfigError.
@@ -227,7 +229,7 @@ def _sweep_scenarios(cfg: ExperimentConfig) -> list[ScenarioConfig]:
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE, f"sweep value {name} = {value:g}: {exc}"
             ) from None
-    return scenarios
+    return tuple(scenarios)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -463,32 +465,26 @@ def _block_rows(width: int) -> int:
 
 
 def _sweep_samples(
-    study: str, cfg: ExperimentConfig, start: int, stop: int
+    metric: _BlockMetric, links: list[ScenarioLinks], rows: int, cfg: ExperimentConfig,
+    start: int, stop: int,
 ) -> list[dict[str, np.ndarray]]:
-    """Metrics of realizations ``start`` .. ``stop - 1``, stacked per key,
+    """``metric`` of realizations ``start`` .. ``stop - 1``, stacked per key,
     for each sweep value in turn.
 
-    The range is walked in blocks of ``_block_rows`` realizations, sized by
-    the study's ``block_width`` of the swept element counts; rows are
+    The range is walked in blocks of ``rows`` realizations; rows are
     independent, so the block size moves no bits.  Each realization's
-    fading is drawn once, at the largest swept element count ``n_max``,
-    and the study's metric gets each block once, with every sweep value's
-    ``ScenarioLinks``, which form that value's arrays from the block's.
-    One shard of a study; module-level so that worker processes can
-    unpickle it.
+    fading is drawn once, at the largest swept element count, and the
+    metric gets each block once, with every sweep value's ``links``, which
+    form that value's arrays from the block's.  One shard of a study;
+    module-level so that worker processes can unpickle it.
     """
-    spec = STUDIES[study]
-    scenarios = _sweep_scenarios(cfg)
-    links = [scenario_links(scen) for scen in scenarios]
-    sizes = [scen.n_elements for scen in scenarios]
-    m, n_max = cfg.scenario.m_antennas, max(sizes)
-    rows = _block_rows(spec.block_width(sizes))
-    per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in scenarios]
+    m, n_max = cfg.scenario.m_antennas, max(len(link.g_bs_irs) for link in links)
+    per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in links]
     for lo in range(start, stop, rows):
         # realization i draws from SeededRng(master_seed, i), whatever its block
         fading_r, fading_d = draw_fading_rows(cfg.master_seed, range(lo, min(lo + rows, stop)),
                                               m, n_max)
-        for blocks, samples in zip(per_value, spec.metric(links, fading_r, fading_d, cfg)):
+        for blocks, samples in zip(per_value, metric(links, fading_r, fading_d, cfg)):
             blocks.append(samples)
     return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
             for blocks in per_value]
@@ -502,9 +498,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_shards(study: str, cfg: ExperimentConfig, bounds: list[int]) -> list:
-    """``_sweep_samples`` of realizations ``bounds[k]`` .. ``bounds[k + 1] - 1``
-    for every shard k, each run in a child forked for it, in shard order.
+def _fork_shards(study: str, shard: Callable[[int, int], list], bounds: list[int]) -> list:
+    """``shard(bounds[k], bounds[k + 1])`` for every shard k, each run in a
+    child forked for it, in shard order.
 
     Each child pickles ``(True, samples)`` or ``(False, exception)`` to its
     own pipe and leaves by ``os._exit``: it never returns into the caller's
@@ -532,7 +528,7 @@ def _fork_shards(study: str, cfg: ExperimentConfig, bounds: list[int]) -> list:
                 try:
                     os.close(r)
                     try:
-                        result = (True, _sweep_samples(study, cfg, lo, hi))
+                        result = (True, shard(lo, hi))
                     except Exception as exc:  # raised again in the parent
                         result = (False, exc)
                     with open(w, "wb") as pipe:
@@ -610,21 +606,24 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
                 f"element counts must be >= {spec.min_elements}, got {bad}",
             )
 
+    # built once for every shard: a forked one inherits them, a spawned one unpickles them
+    links = [scenario_links(scen) for scen in cfg._scenarios]
+    block = _block_rows(spec.block_width([scen.n_elements for scen in cfg._scenarios]))
+    shard = partial(_sweep_samples, spec.metric, links, block, cfg)
     n = cfg.n_realizations
     n_shards = min(workers, n, _usable_cpus())
     bounds = [n * k // n_shards for k in range(n_shards + 1)]
     if n_shards == 1:
-        shards = [_sweep_samples(study, cfg, 0, n)]
+        shards = [shard(0, n)]
     elif _START_METHOD == "fork":
-        shards = _fork_shards(study, cfg, bounds)
+        shards = _fork_shards(study, shard, bounds)
     else:
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
         context = multiprocessing.get_context(_START_METHOD)
         with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
-            shards = list(pool.map(_sweep_samples, [study] * n_shards, [cfg] * n_shards,
-                                   bounds[:-1], bounds[1:]))
+            shards = list(pool.map(shard, bounds[:-1], bounds[1:]))
 
     rows: list[ResultRow] = []
     samples: dict[tuple[float, str], np.ndarray] = {}

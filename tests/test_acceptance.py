@@ -423,3 +423,51 @@ def test_joint_gain_matches_its_exact_mean(seed):
         f"+ kappa N sqrt(PL_d) pi/2, sigma = {min(sigma_db):.4f}-{max(sigma_db):.4f} dB at "
         f"M = {m}, N = {n}, R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
     )
+
+
+QUANT_REALIZATIONS = 10000  # at N = 50 both seeds take about 2 s on 2 cores
+
+
+@pytest.mark.parametrize("seed", [MASTER_SEED, 1])
+def test_quantized_gain_matches_its_exact_mean(seed):
+    # rounding aligns element n to -arg p, so sum_n f_n v_n = e^{-j arg p}
+    # sum_n |f_n| e^{j delta_n}, the rounding error delta_n uniform on one
+    # lattice cell (K = 2^b levels) and independent of |f_n| = kappa |x_n| and
+    # of p ~ CN(0, PL_d).  With E[e^{j delta}] = s_K = (K / pi) sin(pi / K) and
+    # E|x_n| = E|p| / sqrt(PL_d) = sqrt(pi) / 2, the mean of b{b}_quant's gain
+    # ||h_d||^2 - |p|^2 + ||p| + sum_n |f_n| e^{-j delta_n}|^2 is M PL_d +
+    # 2 (sqrt(PL_d) sqrt(pi) / 2) (N kappa sqrt(pi) / 2) s_K + N kappa^2 +
+    # N(N-1) kappa^2 (pi / 4) s_K^2.  The standard error is taken from the
+    # samples, each row's gain read back from its required power.
+    n = 50
+    cfg = ExperimentConfig(sweep=("n", (float(n),)), schemes=("b1", "b2"),
+                           n_realizations=QUANT_REALIZATIONS, master_seed=seed)
+    result = run_power_vs_n(cfg)
+    scen = cfg.scenario
+    m = scen.m_antennas
+    level = cfg.snr_target_db + scen.noise_power_dbm
+    pl_d = direct_path_gain(scen)
+    pl_r = model_path_gain(scen.user_position, scen.irs_position, scen.pl_exponent_irs_user,
+                           scen.c0_db)
+    pl_g = model_path_gain(scen.bs_position, scen.irs_position, scen.pl_exponent_bs_irs,
+                           scen.c0_db)
+    kappa = np.sqrt(pl_r * m * pl_g)
+    half_sqrt_pi = np.sqrt(np.pi) / 2
+    z, sigma_db = {}, []
+    for bits in (1, 2):
+        k = 1 << bits
+        s_k = k / np.pi * np.sin(np.pi / k)
+        exact = (m * pl_d + 2 * (np.sqrt(pl_d) * half_sqrt_pi) * (n * kappa * half_sqrt_pi) * s_k
+                 + n * kappa**2 + n * (n - 1) * kappa**2 * np.pi / 4 * s_k**2)
+        gains = 10.0 ** ((level - result.samples[(float(n), f"b{bits}_quant")]) / 10.0)
+        sigma = np.std(gains, ddof=1) / np.sqrt(len(gains))
+        z[bits] = (np.mean(gains) - exact) / sigma
+        sigma_db.append(DB_PER_RELATIVE_ERROR * sigma / exact)
+    check(
+        f"exact-mean quantized gain, seed {seed}",
+        all(abs(x) <= 5.0 for x in z.values()),
+        f"b1_quant and b2_quant within 5 sigma of M PL_d + 2 (sqrt(PL_d) sqrt(pi)/2) "
+        f"(N kappa sqrt(pi)/2) s_K + N kappa^2 + N(N-1) kappa^2 (pi/4) s_K^2, "
+        f"sigma = {sigma_db[0]:.4f} / {sigma_db[1]:.4f} dB at M = {m}, N = {n}, "
+        f"R = {QUANT_REALIZATIONS}; z = {z[1]:+.2f} / {z[2]:+.2f}",
+    )

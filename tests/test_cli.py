@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irslink import cli
+from irslink import cli, experiments
 from irslink.channel import ScenarioConfig
 from irslink.cli import (
     _MAX_CONFIG_BYTES,
@@ -21,6 +22,7 @@ from irslink.cli import (
     serialize_config,
 )
 from irslink.experiments import (
+    STUDIES,
     ConfigError,
     ConfigErrorCode,
     ExperimentConfig,
@@ -402,6 +404,42 @@ class TestMain:
         row = out.read_text().splitlines()[1].split(",")
         assert row[-2:] == ["3" if "--realizations" in flags else "2",
                             "7" if "--seed" in flags else "1"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("sub", ["power-vs-distance", "power-vs-n", "interference-vs-n"])
+    @pytest.mark.parametrize("flags, validations", [
+        pytest.param(["--seed", "7", "--realizations", "24"], 2, id="overrides"),
+        pytest.param([], 1, id="neither"),
+    ])
+    def test_each_config_expands_its_sweep_once(self, tmp_path, monkeypatch, workers, sub,
+                                                 flags, validations):
+        # each validated config builds its sweep's scenarios once and keeps
+        # them; the run builds each sweep value's links once, before its
+        # shards start, and no shard builds either again.  The spies append
+        # to a file, so that forked shards are counted too
+        calls = tmp_path / "calls"
+        spied = {"ExperimentConfig": (ExperimentConfig, "__post_init__"),
+                 "ScenarioConfig": (ScenarioConfig, "__post_init__"),
+                 "sweep": (experiments, "_sweep_scenarios"),
+                 "links": (experiments, "scenario_links")}
+        for key, (owner, name) in spied.items():
+            def spy(*args, key=key, real=getattr(owner, name)):
+                with open(calls, "a") as fh:
+                    fh.write(key + "\n")
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = [sub, "--config", write(tmp_path, "n_realizations = 12\n"), "--quiet",
+                "--out", str(tmp_path / "s.csv"), "--workers", workers]
+        assert main(argv + flags) == 0
+        made = calls.read_text().split()
+        # one ScenarioConfig for the config file's scenario, one per sweep
+        # value and validation
+        sweep = len(STUDIES[sub].defaults.sweep[1])
+        assert {key: made.count(key) for key in spied} == {
+            "ExperimentConfig": validations, "ScenarioConfig": 1 + validations * sweep,
+            "sweep": validations, "links": sweep}
 
     @pytest.mark.parametrize("sub", ["power-vs-distance", "power-vs-n", "interference-vs-n"])
     def test_run_calls_the_public_runner_bound_in_cli(self, tmp_path, monkeypatch, sub):

@@ -6,14 +6,14 @@ import pickle
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irslink import beamforming, experiments
-from irslink.channel import ChannelRealization, ScenarioConfig, realize
+from irslink.channel import ChannelRealization, ScenarioConfig, realize, scenario_links
 from irslink.experiments import (
     POWER_DISTANCE_SCHEMES,
     ConfigError,
@@ -144,6 +144,18 @@ class TestExperimentConfig:
         # surface size
         with pytest.raises(ConfigError, match="sweep"):
             ExperimentConfig(sweep=sweep)
+
+    def test_keeps_the_scenarios_it_validated(self):
+        # one scenario per sweep value, kept outside the config's fields: a
+        # replaced sweep gets its own, and equality, hash and repr ignore them
+        cfg = ExperimentConfig(sweep=("d", (30.0, 40.0)))
+        assert [scen.user_position for scen in cfg._scenarios] == [(30.0, 0.0), (40.0, 0.0)]
+        moved = replace(cfg, sweep=("d", (45.0,)))
+        assert [scen.user_position for scen in moved._scenarios] == [(45.0, 0.0)]
+        assert "_scenarios" not in {f.name for f in fields(cfg)} and "_scenarios" not in repr(cfg)
+        same = replace(moved, sweep=cfg.sweep)
+        assert same == cfg and hash(same) == hash(cfg) and same._scenarios == cfg._scenarios
+        assert pickle.loads(pickle.dumps(cfg))._scenarios == cfg._scenarios
 
     def test_rejects_empty_scheme_list(self):
         with pytest.raises(ConfigError, match="scheme"):
@@ -332,7 +344,7 @@ def shrink_blocks(monkeypatch, width, rows=67):
 
 class TestSharedDraw:
     @staticmethod
-    def built_blocks(monkeypatch, study, cfg):
+    def built_blocks(study, cfg):
         """The block ``(g, h_r, h_d)`` that each sweep value's links form
         from each metric call's fading, call by call."""
         built = []
@@ -341,9 +353,10 @@ class TestSharedDraw:
             built.extend(link.block(fading_r, fading_d) for link in links)
             return [{"count": np.zeros(len(fading_r))} for _ in links]
 
-        spec = experiments.STUDIES[study]
-        monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=record))
-        experiments._sweep_samples(study, cfg, 0, cfg.n_realizations)
+        links = [scenario_links(scen) for scen in cfg._scenarios]
+        width = experiments.STUDIES[study].block_width([len(link.g_bs_irs) for link in links])
+        experiments._sweep_samples(record, links, experiments._block_rows(width), cfg, 0,
+                                   cfg.n_realizations)
         return built
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -355,10 +368,10 @@ class TestSharedDraw:
         block = shrink_blocks(monkeypatch, 40)  # both sweeps reach N = 40
         count = block + offset
         cfg = ExperimentConfig(sweep=sweep, n_realizations=count, master_seed=21)
-        built = self.built_blocks(monkeypatch, study, cfg)
+        built = self.built_blocks(study, cfg)
         # blocks in turn, each evaluated at every sweep value in turn
         expected = [[realize(scen, SeededRng(21, i)) for i in range(lo, min(lo + block, count))]
-                    for lo in range(0, count, block) for scen in experiments._sweep_scenarios(cfg)]
+                    for lo in range(0, count, block) for scen in cfg._scenarios]
         assert [len(h_r) for _, h_r, _ in built] == [len(b) for b in expected]
         for got, want in zip(built, expected):
             assert len(got[2]) == len(want)
@@ -369,9 +382,9 @@ class TestSharedDraw:
         block = experiments._block_rows(40)
         cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), n_realizations=block + 1,
                                master_seed=21)
-        built = self.built_blocks(monkeypatch, "power-vs-n", cfg)
+        built = self.built_blocks("power-vs-n", cfg)
         assert [len(h_r) for _, h_r, _ in built] == [block, block, 1, 1]
-        for k, scen in enumerate(experiments._sweep_scenarios(cfg)):
+        for k, scen in enumerate(cfg._scenarios):
             for i in (0, block - 1, block):
                 assert_same_channel(built[k + 2 * (i // block)], i % block,
                                     realize(scen, SeededRng(21, i)))
@@ -825,9 +838,9 @@ def before_each_shard(monkeypatch, act):
     inherit the patch."""
     real = experiments._sweep_samples
 
-    def patched(study, cfg, start, stop):
-        act(start)
-        return real(study, cfg, start, stop)
+    def patched(*args):  # (metric, links, rows, cfg, start, stop)
+        act(args[-2])
+        return real(*args)
 
     monkeypatch.setattr(experiments, "_sweep_samples", patched)
 
@@ -855,6 +868,31 @@ class TestForkedShards:
         assert getattr(caught.value, "line", None) == getattr(error, "line", None)
         assert_reaped(forked)
         assert open_fds() == fds
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runner, cfg, serial", [
+        (run_power_vs_distance, DIST_CFG, "dist_result"),
+        (run_power_vs_n, N_CFG, "n_result"),
+        (run_interference_vs_n, INT_CFG, "int_result"),
+    ], ids=["distance", "n", "interference"])
+    def test_shards_get_the_runs_links(self, monkeypatch, pools, request, workers, runner, cfg,
+                                       serial):
+        # the run builds every sweep value's links before its shards start,
+        # in process or forked: a shard that built its sweep's scenarios or
+        # links again would raise
+        one = request.getfixturevalue(serial)  # built before the spies raise
+
+        def refuse(*args):
+            raise AssertionError("a shard rebuilt its sweep")
+
+        def act(start):
+            monkeypatch.setattr(experiments, "_sweep_scenarios", refuse)
+            monkeypatch.setattr(experiments, "scenario_links", refuse)
+
+        before_each_shard(monkeypatch, act)
+        result = runner(cfg, workers=workers)
+        assert pools == ["fork"] * (workers - 1) * 2
+        assert result.to_csv_text() == one.to_csv_text()
 
     def test_child_exit_without_result_names_its_status(self, monkeypatch, forked):
         before_each_shard(monkeypatch, lambda start: start and os._exit(3))
