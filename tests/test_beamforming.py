@@ -1067,10 +1067,13 @@ class TestNullPhases:
 
 class CallCounter:
     """Stands in for numpy in ``beamforming`` and counts the calls of the
-    named functions."""
+    named functions: all of them in ``calls``, and in ``array_calls`` those
+    whose first argument is an array (a vector step's ``exp``, not a lone
+    problem's)."""
 
     def __init__(self, *names):
         self.calls = dict.fromkeys(names, 0)
+        self.array_calls = dict.fromkeys(names, 0)
 
     def __getattr__(self, name):
         func = getattr(np, name)
@@ -1079,6 +1082,7 @@ class CallCounter:
 
         def counted(*args, **kwargs):
             self.calls[name] += 1
+            self.array_calls[name] += isinstance(args[0], np.ndarray)
             return func(*args, **kwargs)
         return counted
 
@@ -1091,35 +1095,56 @@ class TestNullPrefixes:
 
     # rows 2-6 of nulling_batch have zero f_n, and rows 7 and 8 have t = 0
     # and t = -0-0j; from row 7 on, no f_n is zero, so the loop needs no mask
-    @pytest.mark.parametrize("first", [0, 7], ids=["zero_f", "no_zero_f"])
-    @pytest.mark.parametrize("tol, max_passes", [(1e-14, 400), (1e-6, 50), (1e-14, 2)])
+    by_rows = pytest.mark.parametrize("first", [0, 7], ids=["zero_f", "no_zero_f"])
+    by_rule = pytest.mark.parametrize("tol, max_passes", [(1e-14, 400), (1e-6, 50), (1e-14, 2)])
+
+    @by_rows
+    @by_rule
     def test_mixed_sizes_match_each_size_alone(self, monkeypatch, first, tol, max_passes):
+        self.mixed_sizes(monkeypatch, beamforming._NULL_ALONE, first, tol, max_passes)
+
+    @by_rows
+    @by_rule
+    def test_mixed_sizes_without_hand_over(self, monkeypatch, first, tol, max_passes):
+        self.mixed_sizes(monkeypatch, 0, first, tol, max_passes)
+
+    def mixed_sizes(self, monkeypatch, alone, first, tol, max_passes):
+        """SIZES in one call, with hand-over threshold ``alone``, against
+        null_phases per size and loop_null per problem, and the calls the
+        loop makes."""
         t, f = nulling_batch(r=40, n=30, seed=2)
         t, f = t[first:], f[first:]
         monkeypatch.setattr(beamforming, "_NULL_TOL", tol)
         monkeypatch.setattr(beamforming, "_NULL_PASSES", max_passes)
+        monkeypatch.setattr(beamforming, "_NULL_ALONE", alone)
         start = beamforming._anti_aligned(t, f)
         counter = CallCounter("exp", "flatnonzero")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(beamforming, "np", counter)
             got = beamforming._null_prefixes(t, f, start, self.SIZES)
         assert [v.shape for v in got] == [(len(t), n) for n in self.SIZES]
-        passes, ends = [], set()
+        problems = []  # (passes, size, row)
         for n, v in zip(self.SIZES, got):
             assert v.tobytes() == null_phases(t, f[:, :n]).tobytes(), n
             for k in range(len(t)):
                 want, _, trace = loop_null(t[k], f[k, :n], tol, max_passes)
                 assert v[k].tobytes() == want.tobytes(), (n, k)
                 if n:
-                    passes.append((len(trace) - 1, n))
-                    ends.update(p * n for p in range(1, len(trace)))
-        # problems stop on different passes, and the loop runs for the
+                    problems.append((len(trace) - 1, n, k))
+        # problems stop on different passes, and the vector loop runs for the
         # slowest one's steps, not for the sum over the sizes; it looks for
         # pass ends (flatnonzero, after the one call that finds the sizes
-        # with elements) only at steps where some problem ends a pass
-        assert len({p for p, _ in passes}) >= (3 if max_passes > 2 else 2)
-        assert counter.calls["exp"] == max(p * n for p, n in passes)
-        assert counter.calls["flatnonzero"] == 1 + len(ends)
+        # with elements) only at steps where some problem ends a pass.  It
+        # stops at the first of those steps with at most _NULL_ALONE problems
+        # left (at once if there are that few), and each of them takes its
+        # remaining steps alone, one scalar exp per element with f_n != 0
+        assert len({p for p, _, _ in problems}) >= (3 if max_passes > 2 else 2)
+        ends = sorted({p * n for passes, n, _ in problems for p in range(1, passes + 1)})
+        handover = next(e for e in [0, *ends] if sum(p * n > e for p, n, _ in problems) <= alone)
+        assert counter.array_calls["exp"] == handover
+        assert counter.calls["flatnonzero"] == 1 + sum(e <= handover for e in ends)
+        lone_steps = sum(f[k, s % n] != 0 for p, n, k in problems for s in range(handover, p * n))
+        assert counter.calls["exp"] - counter.array_calls["exp"] == lone_steps
 
     def test_no_rows_or_no_elements(self):
         t, f = nulling_batch(r=10, n=8)
@@ -1128,6 +1153,97 @@ class TestNullPrefixes:
         assert [v.shape for v in alone] == [(10, 0), (10, 0)]
         empty = beamforming._null_prefixes(t[:0], f[:0], start[:0], [0, 2, 8])
         assert [v.shape for v in empty] == [(0, 0), (0, 2), (0, 8)]
+
+
+class TestNullAlone:
+    """The nulling loop's last problems, handed to the one-problem loop on
+    Python floats, against the scalar loop, bit for bit: at any hand-over
+    threshold, so also byte-equal to each other."""
+
+    # size 17 ends its passes where size 30 stands part-way through one
+    SIZES = (0, 1, 3, 17, 30)
+    PROBLEMS = 40 * 4
+
+    @staticmethod
+    def batch():
+        # rows 2-5 have a zero f_n, row 6 is all zeros, and rows 7 and 8 have
+        # t = 0 and t = -0-0j; no two rows share their first f_n
+        return nulling_batch(r=40, n=30, seed=2)
+
+    def loop(self, tol, max_passes):
+        """loop_null of every (row, size) problem of the batch with elements:
+        its coefficients and its passes."""
+        t, f = self.batch()
+        out = {}
+        for n in self.SIZES:
+            for k in range(len(t) if n else 0):
+                v, _, trace = loop_null(t[k], f[k, :n], tol, max_passes)
+                out[k, n] = v, len(trace) - 1
+        return out
+
+    def hand_over(self, monkeypatch, alone, tol, max_passes):
+        """_null_prefixes of the batch, checked against loop_null; returns
+        (row, size, first element, pass) of each problem handed over."""
+        t, f = self.batch()
+        monkeypatch.setattr(beamforming, "_NULL_TOL", tol)
+        monkeypatch.setattr(beamforming, "_NULL_PASSES", max_passes)
+        monkeypatch.setattr(beamforming, "_NULL_ALONE", alone)
+        handed = []
+        real = beamforming._null_alone
+
+        def spy(fn, arg_f, v, first, rr, ri, prev, passes):
+            row, = np.flatnonzero(np.all(f[:, :len(fn)] == fn, axis=1))
+            handed.append((int(row), len(fn), first, passes))
+            return real(fn, arg_f, v, first, rr, ri, prev, passes)
+
+        monkeypatch.setattr(beamforming, "_null_alone", spy)
+        got = beamforming._null_prefixes(t, f, beamforming._anti_aligned(t, f), self.SIZES)
+        want = self.loop(tol, max_passes)
+        for (k, n), (v, _) in want.items():
+            assert got[self.SIZES.index(n)][k].tobytes() == v.tobytes(), (k, n)
+        return handed
+
+    @pytest.mark.parametrize("alone", [0, 1, 11, PROBLEMS], ids=["never", "one", "some", "all"])
+    @pytest.mark.parametrize("tol, max_passes", [(1e-14, 400), (1e-14, 3)])
+    def test_any_threshold_gives_the_loops_bits(self, monkeypatch, alone, tol, max_passes):
+        handed = self.hand_over(monkeypatch, alone, tol, max_passes)
+        assert len(handed) <= alone
+        if alone == self.PROBLEMS:
+            assert len(handed) == self.PROBLEMS
+
+    def test_hand_over_part_way_through_a_pass(self, monkeypatch):
+        # the threshold is the count of problems left when the last size-17
+        # problem stops, one fewer than at any earlier pass end, so the loop
+        # hands over at that step; with a cap of 3 passes it is step 51, where
+        # the size-30 problems stand at element 21 of their second pass, rows
+        # with a zero f_n and t = 0 among them
+        steps = {key: passes * key[1] for key, (_, passes) in self.loop(1e-14, 3).items()}
+        end = max(s for (_, n), s in steps.items() if n == 17)
+        left = sorted((k, n, end % n, end // n + 1) for (k, n), s in steps.items() if s > end)
+        assert end % 30
+        assert {2, 3, 7, 8} <= {k for k, n, _, _ in left if n == 30}
+        assert sorted(self.hand_over(monkeypatch, len(left), 1e-14, 3)) == left
+
+    def test_hand_over_at_once(self, monkeypatch):
+        # every problem from its start, rows with a zero f_n and t = 0 among
+        # them; some stop on the pass cap, where a fourth pass would still
+        # change them
+        handed = self.hand_over(monkeypatch, self.PROBLEMS, 1e-14, 3)
+        assert sorted(handed) == [(k, n, 0, 1) for k in range(40) for n in self.SIZES if n]
+        three, four = self.loop(1e-14, 3), self.loop(1e-14, 4)
+        assert sum(three[key][0].tobytes() != four[key][0].tobytes() for key in three) >= 10
+
+    def test_one_row_call_runs_alone(self):
+        # null_phases of one row never enters the vector loop (flatnonzero
+        # is called once, to find the sizes with elements)
+        t, f = nulling_batch(seed=3)
+        for k in (0, 4, 6, 7, 8):
+            counter = CallCounter("flatnonzero")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(beamforming, "np", counter)
+                got = null_phases(t[k:k + 1], f[k:k + 1])
+            assert counter.calls["flatnonzero"] == 1
+            assert got[0].tobytes() == loop_null(t[k], f[k])[0].tobytes(), k
 
 
 def anti_aligned_rows(t, f):

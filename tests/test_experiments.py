@@ -736,6 +736,69 @@ class TestInterferenceGains:
         assert 0 < np.count_nonzero(other != block["phase_only"]) < len(channels)
 
 
+class TestLoneSlowProblem:
+    """The default interference scenario at seed 20240820, at N = 40: of the
+    first 141 realizations, the last takes over 250 nulling passes (286 on
+    AVX-512 kernels, 274 with AVX2 off too), and finishes them alone once
+    the others have stopped."""
+
+    CFG = replace(experiments.STUDIES["interference-vs-n"].defaults, sweep=("n", (40.0,)),
+                  n_realizations=141, master_seed=20240820)
+    SLOW = 140
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_interference_vs_n(self.CFG)
+
+    def slow_channel(self):
+        return realize(replace(self.CFG.scenario, n_elements=40),
+                       SeededRng(self.CFG.master_seed, self.SLOW))
+
+    def test_one_problem_needs_over_100_passes(self, monkeypatch):
+        t, f = direct_and_cascade(self.slow_channel(), np.ones(1))
+        t, f = np.array([t]), f[None, :]
+        full = null_phases(t, f)
+        monkeypatch.setattr(beamforming, "_NULL_PASSES", 100)
+        assert null_phases(t, f).tobytes() != full.tobytes()
+
+    def test_same_bits_handed_over_or_not_and_in_shards(self, monkeypatch, pools, result):
+        # the alone loop must give the bits of the vector loop, wherever a
+        # row is handed over: in the 141-row block or in a shard's 70 or 71
+        with monkeypatch.context() as mp:
+            mp.setattr(beamforming, "_NULL_ALONE", 0)
+            vector = run_interference_vs_n(self.CFG)
+        usable_cpus(monkeypatch, 2)
+        sharded = run_interference_vs_n(self.CFG, workers=2)
+        assert pools == (["fork", "fork"] if sys.platform == "linux" else ["spawn"])
+        for other in (vector, sharded):
+            assert other.to_csv_text() == result.to_csv_text()
+            assert_same_samples(result, other)
+        # and the library call of that realization alone, the study's row
+        _, residual = null_interference(self.slow_channel(), ConstraintSet.unit_modulus())
+        p_tx_mw = db_to_linear(self.CFG.interferer_power_dbm)
+        noise_mw = db_to_linear(self.CFG.scenario.noise_power_dbm)
+        assert result.samples[(40.0, "phase_only")][self.SLOW] == p_tx_mw * residual / noise_mw
+
+    def test_lone_problem_takes_no_vector_steps(self, monkeypatch):
+        # one array exp per vector step and one for the block's start state:
+        # 161 here, against over 4000 were the slow problem's steps taken as
+        # vector steps
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                calls.append(isinstance(x, np.ndarray))
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(beamforming, "np", CountingNumpy())
+        run_interference_vs_n(self.CFG)
+        assert sum(calls) <= 400
+        assert len(calls) - sum(calls) > 100 * 40
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """How each shard process a study starts, in order: "fork" for every
