@@ -5,9 +5,10 @@ alignment, the rank-one transmitter-surface beam, free-amplitude
 interference nulling), the alternating joint optimizer, elementwise
 refinement of discrete phases and the cyclic unit-modulus nulling
 heuristic (both vectorized over a batch of independent problems, each
-row getting the bits it gets alone; nulling also over several element
-counts of one batch, each a prefix of its elements), codebook selection,
-and the SNR-to-transmit-power mapping.
+row getting the bits it gets alone; refinement also over rows of several
+lengths laid end to end, nulling over several element counts of one
+batch, each a prefix of its elements), codebook selection, and the
+SNR-to-transmit-power mapping.
 """
 
 from __future__ import annotations
@@ -238,29 +239,54 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
     Only that first change is applied and the cursor moves just past it; a
     window without a change moves the cursor by its width.  Takes ``t`` of
     shape (R,) and ``a``, ``start`` of shape (R, N), and raises ValueError
-    on other shapes; returns the refined (R, N) coefficients.
+    on other shapes; returns the refined (R, N) coefficients.  The
+    equal-length call of :func:`_refine_rows`.
     """
     if np.ndim(t) != 1 or np.ndim(a) != 2 or np.shape(a) != np.shape(start) \
             or np.shape(a)[0] != np.shape(t)[0]:
         raise ValueError("refine_levels needs t of shape (R,) and a, start of shape (R, N), "
                          f"got {np.shape(t)}, {np.shape(a)}, {np.shape(start)}")
-    levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
     n = a.shape[1]
     if n == 0:
+        ConstraintSet.discrete_phase(bits)  # the check of bits that _refine_rows makes
         return np.array(start, dtype=np.complex128)
-    # summed in element order, one term after another; in place and before
-    # the copy below, so that at most one (R, N) array is held besides the
-    # inputs
-    terms = a * start
-    total = t + np.cumsum(terms, axis=1, out=terms)[:, -1]
-    del terms
+    # before the copy below, so that at most one (R, N) array is held
+    # besides the inputs
+    total = _start_totals(t, a, start)
     v = np.array(start, dtype=np.complex128)
-    a_flat, v_flat = a.reshape(-1), v.reshape(-1)
+    _refine_rows(total, a.reshape(-1), v.reshape(-1), np.full(len(v), n), bits)
+    return v
+
+
+def _start_totals(t: np.ndarray, a: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """t_r + sum_n a_rn start_rn of each row, summed in element order, one
+    term after another (in place in the products): the running totals that
+    :func:`_refine_rows` starts from."""
+    terms = a * start
+    return t + np.cumsum(terms, axis=1, out=terms)[:, -1]
+
+
+def _refine_rows(total: np.ndarray, a_flat: np.ndarray, v_flat: np.ndarray, lengths,
+                 bits: int) -> None:
+    """:func:`refine_levels`' scan of rows of any length, laid end to end,
+    refining the states ``v_flat`` in place.
+
+    Row r is the ``lengths[r]`` elements of ``a_flat`` and ``v_flat`` that
+    follow the rows before it; it starts from the running total
+    ``total[r]`` = t_r + sum_n a_rn v_rn, summed in element order (the
+    loop writes into ``total``).  Each row keeps its own first and stop
+    index, cursor and pass count, so it gets the bits it gets alone, and
+    rows of several lengths are refined in one loop that runs for the
+    steps of the slowest row, not for their sum.
+    """
+    levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
     offsets = np.arange(_WINDOW)
-    # per live row: the flat index of the next element it scans, one past
-    # its last element, its pass and whether that pass has changed it
-    stop = np.arange(1, v.shape[0] + 1) * n
-    cursor = stop - n
+    # per live row: the flat index of its first element, of the next
+    # element it scans and one past its last element, its pass and whether
+    # that pass has changed it
+    stop = np.cumsum(lengths)
+    begin = stop - lengths
+    cursor = begin.copy()
     passes = np.ones(cursor.size, dtype=np.intp)
     changed = np.zeros(cursor.size, dtype=bool)
     while cursor.size:
@@ -272,7 +298,11 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
         now = an * vn
         rest = total[:, None] - now
         current = np.abs(rest + now)
-        candidates = rest + an * levels[:, None, None]
+        # the sum taken in place: past a few hundred KiB (as with the
+        # hundreds of rows of a study's merged sweep), a second array of
+        # this size costs several times the sum itself in fresh pages
+        candidates = an * levels[:, None, None]
+        candidates += rest
         powers = np.abs(candidates)
         # the first maximum over the levels, as argmax takes it
         top, k = powers[0], np.zeros(an.shape, dtype=np.intp)
@@ -292,13 +322,12 @@ def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) ->
         done = cursor >= stop
         if done.any():
             again = done & changed & (passes < _REFINE_PASSES)
-            cursor[again] = stop[again] - n
+            cursor[again] = begin[again]
             passes[again] += 1
             changed[again] = False
             stay = ~done | again
-            cursor, stop, passes, changed, total = (
-                x[stay] for x in (cursor, stop, passes, changed, total))
-    return v
+            cursor, begin, stop, passes, changed, total = (
+                x[stay] for x in (cursor, begin, stop, passes, changed, total))
 
 
 def discrete_refine(

@@ -16,8 +16,9 @@ once, for every sweep value.  A sweep value's arrays are the shared
 line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r`` (R, N) and
 ``h_d`` (R, M).  Both power studies share one metric, ``_power_gains``:
 the closed form that the rank-one ``g`` allows, computed for each sweep
-value in turn and serving every power scheme, with power-versus-N's
-discrete phases refined for the whole block together.  The interference
+value in turn and serving every power scheme.  Power-versus-N keeps every
+swept N's lattice arrays and refines each bit width once for the whole
+block, the rows of all its swept N in one loop.  The interference
 study's swept surfaces are nested, each the first N elements of the
 largest, so it forms the largest value's arrays once and nulls the block's
 rows at every swept N in one loop.
@@ -42,9 +43,10 @@ from .beamforming import (
     _anti_aligned,
     _null_prefixes,
     _rank_one_beam,
+    _refine_rows,
+    _start_totals,
     _within_reach,
     nulling_residual,
-    refine_levels,
 )
 from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
 from .numerics import db_to_linear
@@ -54,14 +56,17 @@ POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
 # Realizations evaluated together: as many as keep rows x (the study's
 # block width) within _ELEMENT_BUDGET, and at least _MIN_ROWS.  The width
-# is the largest swept N for the power studies, whose metric holds one
+# is the largest swept N for power-vs-distance, whose metric holds one
 # value's (rows, N) arrays at a time, and the sum of the swept N for the
-# interference study, whose nulling holds every value's (rows, N) state at
-# once: 16 bytes per element of that sum, besides about 80 per element of
-# the largest N (fading, channel, cascade, anti-aligned start and angles).
-# A block at the row floor nulls its swept N in runs that fit the budget.
-# So memory does not grow with n_realizations or the sweep's length, and
-# wide blocks spread the kernels' per-call cost.
+# studies that hold every value's arrays at once: power-vs-n's refinement
+# keeps every value's cascade terms, coefficients and lattice state (48
+# bytes per element of that sum, besides one value's block at a time), and
+# the interference study's nulling every value's state (16 bytes per
+# element of that sum, besides about 80 per element of the largest N:
+# fading, channel, cascade, anti-aligned start and angles).  A block at the
+# row floor takes its swept N in runs that fit the budget.  So memory does
+# not grow with n_realizations or the sweep's length, and wide blocks
+# spread the kernels' per-call cost.
 _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
@@ -263,16 +268,86 @@ def _power_gains(
       s = sum_n conj(gamma_n v_n) h_r,n.
 
     Row reductions, not matrix products, so that each row gets the bits it
-    gets alone.
+    gets alone.  The one-value call of :func:`_sweep_power_gains`.
     """
+    return _sweep_power_gains(lambda k: (g, h_r, h_d), [len(g)], len(h_r), schemes)[0]
+
+
+class _Lattice(NamedTuple):
+    """What the lattice schemes of one sweep value need after its block is
+    dropped: t and a of ``direct_and_cascade`` at w* (both times ||q||),
+    with a a view of the sweep's packed (R, N) coefficients, f, so that
+    s = conj(sum_n f_n v_n), and the direct links and beam to re-match."""
+
+    t: np.ndarray
+    a: np.ndarray
+    f: np.ndarray
+    h_d: np.ndarray
+    b: np.ndarray
+
+    def gains(self, v: np.ndarray) -> np.ndarray:
+        """The gain of each row's state v under the re-matched beam."""
+        s = np.conj(np.sum(self.f * v, axis=1))
+        return np.linalg.norm(self.h_d + _mul(s[:, None], self.b), axis=1) ** 2
+
+
+def _sweep_power_gains(block: Callable[[int], tuple], sizes: list[int], rows: int,
+                       schemes) -> list[dict[str, np.ndarray]]:
+    """:func:`_power_gains` of ``rows`` realizations at every sweep value k,
+    whose block ``(g, h_r, h_d)`` is ``block(k)`` and has ``sizes[k]``
+    elements.
+
+    Each value's block is formed in turn and dropped once its closed forms
+    are taken; for the lattice schemes its t, a and f are kept, every
+    value's a packed end to end, row by row.  Then each bit width is
+    refined once, by :func:`_refine_rows` over the rows of every value, in
+    one state buffer that the widths reuse: the loop runs for the steps
+    of the slowest row of the sweep, not for their sum over the values,
+    and each row gets the bits it gets alone.
+    """
+    lattice = [scheme for scheme in schemes if scheme in ("b1", "b2")]
+
+    def unpacked(buffer: np.ndarray) -> list[np.ndarray]:  # each value's (rows, N) view
+        return [x.reshape(rows, n) for x, n in zip(np.split(buffer, rows * np.cumsum(sizes)[:-1]),
+                                                   sizes)]
+
+    packed = np.empty(rows * sum(sizes) if lattice else 0, dtype=np.complex128)
+    out, problems = [], []
+    for k, a in enumerate(unpacked(packed) if lattice else [None] * len(sizes)):
+        # the block is formed in the call, so it is dropped when the call returns
+        gains, problem = _closed_form_gains(*block(k), schemes, a)
+        out.append(gains)
+        problems.append(problem)
+    if lattice:
+        state = np.empty_like(packed)
+        lengths = np.repeat(sizes, rows)
+        for scheme in lattice:
+            bits = int(scheme[1:])
+            totals = []
+            for gains, problem, v in zip(out, problems, unpacked(state)):
+                # the phases aligned to w* (t is real and >= 0), on the lattice
+                v[:] = unit_phases(np.conj(problem.a), bits)
+                gains[f"{scheme}_quant"] = problem.gains(v)
+                totals.append(_start_totals(problem.t, problem.a, v))
+            _refine_rows(np.concatenate(totals), packed, state, lengths, bits)
+            for gains, problem, v in zip(out, problems, unpacked(state)):
+                gains[scheme] = problem.gains(v)
+    return out
+
+
+def _closed_form_gains(g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes,
+                       a: np.ndarray | None) -> tuple[dict[str, np.ndarray], _Lattice | None]:
+    """The closed-form gains of :func:`_power_gains` per key, with the
+    lattice schemes' keys in place, still None; and, if there are lattice
+    schemes, their :class:`_Lattice`, its a written into ``a``."""
     norm_d = np.linalg.norm(h_d, axis=1)
     r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
     b = _rank_one_beam(g) if len(g) else None
     p = np.sum(_mul(h_d, np.conj(b)), axis=1) if len(g) else np.zeros(len(h_d), np.complex128)
     c = np.abs(p)
     joint = norm_d**2 + r**2 + 2.0 * r * c
-    gains: dict[str, np.ndarray] = {}
-    a = None  # the lattice schemes' terms, made by the first of them
+    gains: dict[str, np.ndarray | None] = {}
+    problem = None  # the lattice schemes' terms, made by the first of them
     for scheme in schemes:
         if scheme in ("joint", "continuous"):
             gains[scheme] = joint
@@ -285,20 +360,13 @@ def _power_gains(
         elif scheme == "no_irs":
             gains[scheme] = norm_d**2
         elif scheme in ("b1", "b2"):
-            if a is None:
+            if problem is None:
                 f = _mul(np.conj(h_r), g @ b)  # so that s = conj(sum_n f_n v_n)
-                # (t, a) of direct_and_cascade at w*, both times ||q||:
                 # h_d^H q = ||h_d||^2 + r|p| and b^H q = p + r e^{j arg p}
-                t = norm_d**2 + r * c
-                a = _mul(f, (p + r * unit_phases(p))[:, None])
-            bits = int(scheme[1:])
-            # the phases aligned to w* (t is real and >= 0), on the lattice
-            quantized = unit_phases(np.conj(a), bits)
-            for key, v in ((f"{scheme}_quant", quantized),
-                           (scheme, refine_levels(t, a, quantized, bits))):
-                s = np.conj(np.sum(f * v, axis=1))
-                gains[key] = np.linalg.norm(h_d + _mul(s[:, None], b), axis=1) ** 2
-    return gains
+                a[:] = _mul(f, (p + r * unit_phases(p))[:, None])
+                problem = _Lattice(norm_d**2 + r * c, a, f, h_d, b)
+            gains[f"{scheme}_quant"] = gains[scheme] = None
+    return gains, problem
 
 
 def _runs(sizes, cap: int) -> list[list[int]]:
@@ -357,30 +425,34 @@ def _interference_gains(
     return out
 
 
-def _required_powers(
-    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, cfg: ExperimentConfig
-) -> dict[str, np.ndarray]:
-    """``min_power_for_snr`` of every row's :func:`_power_gains` per key.
+def _required_powers(gains: dict[str, np.ndarray],
+                     cfg: ExperimentConfig) -> dict[str, np.ndarray]:
+    """``min_power_for_snr`` of every row's gain per key.
 
     Each log10 is ``math.log10`` of one element, as ``min_power_for_snr``
     takes it: ``np.log10``'s SIMD loops can round differently.
     """
     level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
     powers = {}
-    for scheme, gains in _power_gains(g, h_r, h_d, cfg.schemes).items():
-        bad = gains[gains <= 0]
+    for scheme, values in gains.items():
+        bad = values[values <= 0]
         if len(bad):
             raise ValueError(f"channel gain must be > 0 to reach any SNR, got {bad[0]}")
-        logs = np.fromiter(map(math.log10, gains.tolist()), float, len(gains))
+        logs = np.fromiter(map(math.log10, values.tolist()), float, len(values))
         powers[scheme] = level - 10.0 * logs
     return powers
 
 
 def _power_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
                    cfg: ExperimentConfig) -> list[dict[str, np.ndarray]]:
-    # each sweep value's arrays are built and consumed in turn, so a block
-    # holds one value's (R, N) arrays at a time
-    return [_required_powers(*link.block(fading_r, fading_d), cfg) for link in links]
+    # every swept N of the block at once, or, for a block at the row floor,
+    # in runs of swept N whose arrays fit the budget
+    gains = []
+    for run in _runs([len(link.g_bs_irs) for link in links], _ELEMENT_BUDGET // len(fading_r)):
+        part, links = links[:len(run)], links[len(run):]
+        gains += _sweep_power_gains(lambda k: part[k].block(fading_r, fading_d), run,
+                                    len(fading_r), cfg.schemes)
+    return [_required_powers(values, cfg) for values in gains]
 
 
 def _interference_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
@@ -445,7 +517,7 @@ STUDIES = {
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
         min_elements=1, single_antenna=False,
-        metric=_power_samples, rows=_power_rows, block_width=max,
+        metric=_power_samples, rows=_power_rows, block_width=sum,
     ),
     "interference-vs-n": Study(
         defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),

@@ -130,12 +130,16 @@ def unit_phases(v: np.ndarray, bits: int | None = None) -> np.ndarray:
     the unit-modulus and discrete-phase cases of :func:`project`."""
     # np.angle(-0.0) is pi, so zeros are mapped to phase 0 explicitly
     phases = np.where(v == 0, 0.0, np.angle(v))
-    if bits is not None:
-        phases = _round_to_lattice(phases, bits)
-    return np.exp(1j * phases)
+    if bits is None:
+        return np.exp(1j * phases)
+    # looked up, not exponentiated: with 2^bits levels, delta * k is
+    # 2*pi*k / 2^bits bit for bit, so the table holds exp(1j * delta * k)
+    levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
+    return levels[_round_to_lattice(phases, bits)]
 
 
 def _round_to_lattice(phases: np.ndarray, bits: int) -> np.ndarray:
+    """The index k of the lattice level delta * k nearest to each phase."""
     nlev = 1 << bits
     delta = 2.0 * np.pi / nlev
     q = np.mod(phases, 2.0 * np.pi) / delta
@@ -145,7 +149,7 @@ def _round_to_lattice(phases: np.ndarray, bits: int) -> np.ndarray:
     # exact half-step ties resolve to the smaller phase value
     tie = frac == 0.5
     k = np.where(tie & (k0 + 1.0 == nlev), 0.0, np.where(tie, k0, k))
-    return delta * np.mod(k, nlev)
+    return np.mod(k, nlev).astype(np.intp)
 
 
 def effective_channel(ch: ChannelRealization, refl: ReflectionState) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -612,21 +613,27 @@ class TestRefineLevels:
         # the power-vs-n study refines
         scen = ScenarioConfig(m_antennas=5, n_elements=300, user_position=(50.0, 0.0))
         channels = [realize(scen, SeededRng(20240811, i)) for i in range(40)]
-        calls = []
+        calls = {}
 
-        def spy(*args):
-            calls.append(args)
-            return refine_levels(*args)
+        def totals_spy(t, a, start):
+            calls["problem"] = t, a.copy(), start.copy()
+            return beamforming._start_totals(t, a, start)
 
-        monkeypatch.setattr(experiments, "refine_levels", spy)
+        def refine_spy(total, a_flat, v_flat, lengths, bits):
+            beamforming._refine_rows(total, a_flat, v_flat, lengths, bits)
+            calls["refined"] = v_flat.copy()
+
+        monkeypatch.setattr(experiments, "_start_totals", totals_spy)
+        monkeypatch.setattr(experiments, "_refine_rows", refine_spy)
         experiments._power_gains(channels[0].g_bs_irs,
                                  np.array([ch.h_irs_user for ch in channels]),
                                  np.array([ch.h_bs_user for ch in channels]), (f"b{bits}",))
-        (t, a, start, _), = calls
-        got = refine_levels(t, a, start, bits)
-        assert got.tobytes() == lockstep_refine(t, a, start, bits, 20).tobytes()
+        t, a, start = calls["problem"]
+        want = lockstep_refine(t, a, start, bits, 20)
+        assert calls["refined"].tobytes() == want.tobytes()
+        assert refine_levels(t, a, start, bits).tobytes() == want.tobytes()
         # the rounded start is not a fixed point
-        assert not np.array_equal(got, start)
+        assert not np.array_equal(want, start)
 
     @pytest.mark.parametrize("t_shape, a_shape, start_shape", [
         ((3,), (3, 4), (1, 4)),
@@ -675,6 +682,92 @@ class TestRefineLevels:
         ch = synthetic_channel(t[0], np.zeros(0, complex))
         start = ReflectionState(np.zeros(0, complex), ConstraintSet.discrete_phase(1))
         assert discrete_refine(ch, np.ones(1), start, 1).n_elements == 0
+
+
+RAGGED = (1, K - 1, K, K + 1, 70)
+
+
+def ragged_rows(bits):
+    """The rows (t_r, a_r, start_r) of boundary_batch at each length of
+    RAGGED, 24 per length, in a shuffled order that ends with a row of 70
+    elements, whose last window reaches past the end of the packed rows."""
+    rows = []
+    for n in RAGGED:
+        rows += zip(*boundary_batch(bits, n, seed=n))
+    rows = [rows[i] for i in np.random.default_rng(bits).permutation(len(rows))]
+    rows.append(rows.pop(next(i for i, row in enumerate(rows) if len(row[1]) == 70)))
+    return rows
+
+
+def refine_packed(rows, bits):
+    """``_refine_rows`` of ``rows`` laid end to end; each row's result."""
+    lengths = [len(a) for _, a, _ in rows]
+    total = np.concatenate([beamforming._start_totals(np.array([t]), a[None], start[None])
+                            for t, a, start in rows])
+    v = np.concatenate([start for _, _, start in rows])
+    beamforming._refine_rows(total, np.concatenate([a for _, a, _ in rows]), v, lengths, bits)
+    return np.split(v, np.cumsum(lengths)[:-1])
+
+
+class TestRefineRows:
+    """Rows of several lengths refined in one loop, each as it is alone."""
+
+    @pytest.mark.parametrize("passes", [1, 2, 20])
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_ragged_rows_match_each_row_alone(self, monkeypatch, bits, passes):
+        rows = ragged_rows(bits)
+        monkeypatch.setattr(beamforming, "_REFINE_PASSES", passes)
+        capped = 0
+        for (t, a, start), got in zip(rows, refine_packed(rows, bits)):
+            want = loop_refine(t, a, start, bits, passes)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == refine_levels(np.array([t]), a[None], start[None], bits).tobytes()
+            capped += want.tobytes() != loop_refine(t, a, start, bits, 20).tobytes()
+        # below 20 passes some rows stop on the cap while still changing
+        assert capped if passes < 20 else not capped
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_steps_are_the_slowest_rows(self, monkeypatch, bits):
+        rows = ragged_rows(bits)
+        counter = StepCounter()
+        monkeypatch.setattr(beamforming, "np", counter)
+        alone = []
+        for t, a, start in rows:
+            before = counter.steps
+            refine_levels(np.array([t]), a[None], start[None], bits)
+            alone.append(counter.steps - before)
+        counter.steps = 0
+        refine_packed(rows, bits)
+        assert counter.steps == max(alone)
+        # each length refined in its own call would take the sum of their slowest
+        slowest = {}
+        for (_, a, _), steps in zip(rows, alone):
+            slowest[len(a)] = max(steps, slowest.get(len(a), 0))
+        assert sum(slowest.values()) > counter.steps
+
+    def test_study_steps_are_the_slowest_values_per_bit_width(self, monkeypatch):
+        # the benchmark's power_n study at its acceptance seed: 337 steps,
+        # against 456 when each swept N was refined in its own call
+        cfg = experiments.ExperimentConfig(
+            scenario=ScenarioConfig(m_antennas=5, user_position=(50.0, 0.0)),
+            sweep=("n", (150.0, 300.0)), schemes=("continuous", "b1", "b2"),
+            n_realizations=40, master_seed=20240811)
+        counter = StepCounter()
+        monkeypatch.setattr(beamforming, "np", counter)
+        steps = {}  # (swept N, bits) -> steps
+
+        def spy(total, a_flat, v_flat, lengths, bits):
+            before = counter.steps
+            beamforming._refine_rows(total, a_flat, v_flat, lengths, bits)
+            key = (sweep, bits)
+            steps[key] = steps.get(key, 0) + counter.steps - before
+
+        monkeypatch.setattr(experiments, "_refine_rows", spy)
+        for sweep in ((150.0, 300.0), (150.0,), (300.0,)):
+            experiments.run_power_vs_n(replace(cfg, sweep=("n", sweep)))
+        for bits in (1, 2):
+            assert steps[(150.0, 300.0), bits] == max(steps[(150.0,), bits], steps[(300.0,), bits])
+        assert steps[(150.0, 300.0), 1] + steps[(150.0, 300.0), 2] == 337
 
 
 class TestNullInterference:

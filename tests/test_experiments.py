@@ -304,25 +304,20 @@ class TestSignalSchemeGains:
 
 
 class TestRequiredPowers:
-    @staticmethod
-    def fix_gains(monkeypatch, gains):
-        monkeypatch.setattr(experiments, "_power_gains",
-                            lambda g, h_r, h_d, schemes: {s: gains for s in schemes})
-
-    def test_powers_are_min_power_for_snr_per_row(self, monkeypatch):
+    def test_powers_are_min_power_for_snr_per_row(self):
         gains = np.exp(np.random.default_rng(4).uniform(-60.0, 10.0, 2000))
-        self.fix_gains(monkeypatch, gains)
         cfg = ExperimentConfig(snr_target_db=17.3, schemes=("joint", "no_irs"))
-        powers = experiments._required_powers(None, None, None, cfg)
+        powers = experiments._required_powers({s: gains for s in cfg.schemes}, cfg)
         want = np.array([min_power_for_snr(x, 17.3, cfg.scenario.noise_power_dbm) for x in gains])
         assert powers.keys() == {"joint", "no_irs"}
         assert all(p.tobytes() == want.tobytes() for p in powers.values())
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3])
-    def test_non_positive_gain_raises(self, monkeypatch, bad):
-        self.fix_gains(monkeypatch, np.array([1.0, bad, 2.0]))
+    def test_non_positive_gain_raises(self, bad):
+        # checked for every key, not only the first
+        gains = {"joint": np.array([1.0, 2.0, 3.0]), "b1": np.array([1.0, bad, 2.0])}
         with pytest.raises(ValueError, match="gain must be > 0"):
-            experiments._required_powers(None, None, None, ExperimentConfig())
+            experiments._required_powers(gains, ExperimentConfig())
 
 
 def assert_same_channel(block, k, want):
@@ -365,7 +360,11 @@ class TestSharedDraw:
         ("power-vs-n", ("n", (0.0, 1.0, 40.0))),
     ])
     def test_sweep_builds_the_channels_realize_draws(self, monkeypatch, study, sweep, offset):
-        block = shrink_blocks(monkeypatch, 40)  # both sweeps reach N = 40
+        # N = 40 at every distance; power-vs-n holds every swept N at once
+        sizes = [scen.n_elements for scen in ExperimentConfig(sweep=sweep)._scenarios]
+        width = experiments.STUDIES[study].block_width(sizes)
+        assert width == {"power-vs-distance": 40, "power-vs-n": 41}[study]
+        block = shrink_blocks(monkeypatch, width)
         count = block + offset
         cfg = ExperimentConfig(sweep=sweep, n_realizations=count, master_seed=21)
         built = self.built_blocks(study, cfg)
@@ -379,7 +378,7 @@ class TestSharedDraw:
                 assert_same_channel(got, k, ch)
 
     def test_blocks_split_at_the_real_budget(self, monkeypatch):
-        block = experiments._block_rows(40)
+        block = experiments._block_rows(41)  # power-vs-n holds N = 1 and 40 at once
         cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), n_realizations=block + 1,
                                master_seed=21)
         built = self.built_blocks("power-vs-n", cfg)
@@ -530,6 +529,49 @@ class TestQuantizedGains:
         for key, gains in apart.items():
             assert both[key].tobytes() == gains.tobytes(), key
         assert both["continuous"].tobytes() == both["joint"].tobytes()
+
+
+class TestRaggedSweep:
+    """Power-vs-n refines every swept N of a block in one loop per bit
+    width: its rows end before, at and past the edge of a 32-element
+    window."""
+
+    SWEEP = (1.0, 31.0, 32.0, 33.0, 70.0)
+
+    @pytest.mark.parametrize("layout", ["one-block", "blocks", "runs", "forked"])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_each_n_matches_a_study_of_that_n_alone(self, monkeypatch, m, layout):
+        cfg = ExperimentConfig(
+            scenario=ScenarioConfig(m_antennas=m, user_position=(50.0, 0.0)),
+            sweep=("n", self.SWEEP), schemes=("continuous", "b1", "b2"),
+            n_realizations=37, master_seed=9)
+        alone = [run_power_vs_n(replace(cfg, sweep=("n", (n,)))) for n in self.SWEEP]
+        workers = 1
+        if layout == "blocks":  # blocks of 10, 10, 10 and 7 realizations
+            monkeypatch.setattr(experiments, "_MIN_ROWS", 1)
+            shrink_blocks(monkeypatch, int(sum(self.SWEEP)), rows=10)
+        elif layout == "runs":
+            # a block at the row floor, refined in runs of N = 1, 31 and 32,
+            # of N = 33 and of N = 70, each run's arrays within the budget
+            monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 37 * 70)
+            assert experiments._block_rows(int(sum(self.SWEEP))) == experiments._MIN_ROWS
+            calls = []
+
+            def spy(total, a_flat, v_flat, lengths, bits):
+                calls.append(len(a_flat) // 37)
+                beamforming._refine_rows(total, a_flat, v_flat, lengths, bits)
+
+            monkeypatch.setattr(experiments, "_refine_rows", spy)
+        elif layout == "forked":
+            usable_cpus(monkeypatch, 2)
+            workers = 2
+        swept = run_power_vs_n(cfg, workers=workers)
+        assert len(swept.samples) == sum(len(result.samples) for result in alone)
+        for result in alone:
+            for key, arr in result.samples.items():
+                assert swept.samples[key].tobytes() == arr.tobytes(), key
+        if layout == "runs":
+            assert calls == [64, 64, 33, 33, 70, 70]  # elements per row, per call
 
 
 class TestInterferenceVsN:
