@@ -8,20 +8,21 @@ order and of the worker count.  One driver runs every study in ``STUDIES``;
 with more than one worker it shards the realizations over processes.  On
 Linux it forks each shard itself and reads its samples back through a
 pipe; elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
-realizations are walked in blocks of as many rows as an element budget
-allows (``_block_rows``): each realization's fading is drawn once and
-reused for every sweep value (the block's streams are keyed together, with
-the bits each stream has alone), and the study's metric gets the block
-once, for every sweep value.  A sweep value's arrays are the shared
+:func:`_sweep_samples` alone decides how work is cut to fit memory: it
+walks the realizations in blocks, draws each realization's fading once
+for every sweep value (the block's streams are keyed together, with the
+bits each stream has alone), and gives the study's metric each block at
+runs of consecutive sweep values, the whole sweep unless a block at its
+row floor would hold too much.  A sweep value's arrays are the shared
 line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r`` (R, N) and
 ``h_d`` (R, M).  Both power studies share one metric, ``_power_gains``:
 the closed form that the rank-one ``g`` allows, computed for each sweep
 value in turn and serving every power scheme.  Power-versus-N keeps every
-swept N's lattice arrays and refines each bit width once for the whole
-block, the rows of all its swept N in one loop.  The interference
-study's swept surfaces are nested, each the first N elements of the
-largest, so it forms the largest value's arrays once and nulls the block's
-rows at every swept N in one loop.
+swept N's lattice arrays and refines each bit width once for the run, the
+rows of all its swept N in one loop.  The interference study's swept
+surfaces are nested, each the first N elements of the largest, so it
+forms the run's largest arrays once and nulls the block's rows at every
+swept N of the run in one loop.
 Every realization gets the same values as it would alone, and the tests
 check them against the general per-realization solvers of ``beamforming``.
 """
@@ -54,19 +55,8 @@ from .reflection import unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
-# Realizations evaluated together: as many as keep rows x (the study's
-# block width) within _ELEMENT_BUDGET, and at least _MIN_ROWS.  The width
-# is the largest swept N for power-vs-distance, whose metric holds one
-# value's (rows, N) arrays at a time, and the sum of the swept N for the
-# studies that hold every value's arrays at once: power-vs-n's refinement
-# keeps every value's cascade terms, coefficients and lattice state (48
-# bytes per element of that sum, besides one value's block at a time), and
-# the interference study's nulling every value's state (16 bytes per
-# element of that sum, besides about 80 per element of the largest N:
-# fading, channel, cascade, anti-aligned start and angles).  A block at the
-# row floor takes its swept N in runs that fit the budget.  So memory does
-# not grow with n_realizations or the sweep's length, and wide blocks
-# spread the kernels' per-call cost.
+# Elements, realizations times elements per realization, that one metric
+# call may hold; _sweep_samples sizes every block and run by it.
 _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
@@ -77,10 +67,10 @@ _MIN_ROWS = 64
 # everything.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
-# Maps one block of R realizations at every sweep value, (the ScenarioLinks
-# of each sweep value, fading_r (R, largest swept N), fading_d (R, M), cfg),
-# to one dict per sweep value, in sweep order, of the values kept as
-# samples, stacked over the block per key.
+# Maps one block of R realizations at a run of consecutive sweep values,
+# (the ScenarioLinks of each value of the run, fading_r (R, >= the run's
+# largest N), fading_d (R, M), cfg), to one dict per value, in sweep order,
+# of the values kept as samples, stacked over the block per key.
 _BlockMetric = Callable[..., list[dict[str, np.ndarray]]]
 
 
@@ -268,9 +258,10 @@ def _power_gains(
       s = sum_n conj(gamma_n v_n) h_r,n.
 
     Row reductions, not matrix products, so that each row gets the bits it
-    gets alone.  The one-value call of :func:`_sweep_power_gains`.
+    gets alone.  The one-value call of :func:`_sweep_power_gains`, whose
+    unit amplitudes keep ``h_r`` and ``h_d`` bit for bit.
     """
-    return _sweep_power_gains(lambda k: (g, h_r, h_d), [len(g)], len(h_r), schemes)[0]
+    return _sweep_power_gains([ScenarioLinks(g, 1.0, 1.0)], h_r, h_d, schemes)[0]
 
 
 class _Lattice(NamedTuple):
@@ -291,11 +282,11 @@ class _Lattice(NamedTuple):
         return np.linalg.norm(self.h_d + _mul(s[:, None], self.b), axis=1) ** 2
 
 
-def _sweep_power_gains(block: Callable[[int], tuple], sizes: list[int], rows: int,
+def _sweep_power_gains(links: list[ScenarioLinks], fading_r: np.ndarray, fading_d: np.ndarray,
                        schemes) -> list[dict[str, np.ndarray]]:
-    """:func:`_power_gains` of ``rows`` realizations at every sweep value k,
-    whose block ``(g, h_r, h_d)`` is ``block(k)`` and has ``sizes[k]``
-    elements.
+    """:func:`_power_gains` of one block of realizations at every sweep
+    value, whose ``links`` form its ``(g, h_r, h_d)`` from the block's
+    fading.
 
     Each value's block is formed in turn and dropped once its closed forms
     are taken; for the lattice schemes its t, a and f are kept, every
@@ -306,6 +297,7 @@ def _sweep_power_gains(block: Callable[[int], tuple], sizes: list[int], rows: in
     and each row gets the bits it gets alone.
     """
     lattice = [scheme for scheme in schemes if scheme in ("b1", "b2")]
+    rows, sizes = len(fading_r), [len(link.g_bs_irs) for link in links]
 
     def unpacked(buffer: np.ndarray) -> list[np.ndarray]:  # each value's (rows, N) view
         return [x.reshape(rows, n) for x, n in zip(np.split(buffer, rows * np.cumsum(sizes)[:-1]),
@@ -313,9 +305,9 @@ def _sweep_power_gains(block: Callable[[int], tuple], sizes: list[int], rows: in
 
     packed = np.empty(rows * sum(sizes) if lattice else 0, dtype=np.complex128)
     out, problems = [], []
-    for k, a in enumerate(unpacked(packed) if lattice else [None] * len(sizes)):
+    for link, a in zip(links, unpacked(packed) if lattice else [None] * len(links)):
         # the block is formed in the call, so it is dropped when the call returns
-        gains, problem = _closed_form_gains(*block(k), schemes, a)
+        gains, problem = _closed_form_gains(*link.block(fading_r, fading_d), schemes, a)
         out.append(gains)
         problems.append(problem)
     if lattice:
@@ -369,17 +361,6 @@ def _closed_form_gains(g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes,
     return gains, problem
 
 
-def _runs(sizes, cap: int) -> list[list[int]]:
-    """``sizes`` cut into consecutive runs, each summing to at most ``cap``
-    or holding a single size."""
-    runs: list[list[int]] = [[]]
-    for n in sizes:
-        if runs[-1] and sum(runs[-1]) + n > cap:
-            runs.append([])
-        runs[-1].append(n)
-    return runs
-
-
 def _interference_gains(
     g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes, sizes
 ) -> list[dict[str, np.ndarray]]:
@@ -392,12 +373,10 @@ def _interference_gains(
     every row is solved at once, as ``null_interference`` solves one
     realization: ``joint_amp_phase`` by the disk closed form
     (:func:`null_free_amplitude`), ``phase_only`` by :func:`null_phases`,
-    every size in one loop (in runs of sizes whose states fit
-    ``_ELEMENT_BUDGET``, when a block at its row floor would exceed it);
-    each solver starts from the anti-aligned state, computed once for all
-    sizes.  Key 'margin' holds the cancellation feasibility margin
-    sum|f_n| - |t| (non-negative means a perfect null is reachable with
-    amplitude control).
+    every size in one loop; each solver starts from the anti-aligned
+    state, computed once for all sizes.  Key 'margin' holds the
+    cancellation feasibility margin sum|f_n| - |t| (non-negative means a
+    perfect null is reachable with amplitude control).
     """
     t = np.conj(h_d[:, 0])  # vdot(h_d, [1]) of each row
     f = np.conj(h_r) * (g @ np.ones(1))
@@ -413,12 +392,8 @@ def _interference_gains(
                 gains[scheme] = nulling_residual(
                     t, f[:, :n], _within_reach(start[:, :n].copy(), abs_t, r))
         elif scheme == "phase_only":
-            rest = iter(out)
-            for run in _runs(sizes, _ELEMENT_BUDGET // max(len(t), 1)):
-                # popped, so that no view keeps the packed states alive after
-                phases = _null_prefixes(t, f, start, run)
-                for n, gains in zip(run, rest):
-                    gains[scheme] = nulling_residual(t, f[:, :n], phases.pop(0))
+            for n, gains, v in zip(sizes, out, _null_prefixes(t, f, start, sizes)):
+                gains[scheme] = nulling_residual(t, f[:, :n], v)
         elif scheme == "no_irs":
             for gains in out:
                 gains[scheme] = np.float_power(abs_t, 2)
@@ -445,14 +420,8 @@ def _required_powers(gains: dict[str, np.ndarray],
 
 def _power_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
                    cfg: ExperimentConfig) -> list[dict[str, np.ndarray]]:
-    # every swept N of the block at once, or, for a block at the row floor,
-    # in runs of swept N whose arrays fit the budget
-    gains = []
-    for run in _runs([len(link.g_bs_irs) for link in links], _ELEMENT_BUDGET // len(fading_r)):
-        part, links = links[:len(run)], links[len(run):]
-        gains += _sweep_power_gains(lambda k: part[k].block(fading_r, fading_d), run,
-                                    len(fading_r), cfg.schemes)
-    return [_required_powers(values, cfg) for values in gains]
+    return [_required_powers(gains, cfg)
+            for gains in _sweep_power_gains(links, fading_r, fading_d, cfg.schemes)]
 
 
 def _interference_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
@@ -488,16 +457,17 @@ def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float,
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
-    ``metric`` maps one block of realizations to its samples per key (a
-    scheme) at every sweep value, in sweep order; each row must be what the
-    realization gives alone.  ``rows`` turns those values, stacked over all
-    realizations of one sweep value, into (scheme, metric, unit) rows.
-    ``block_width`` gives, from the swept element counts, how many elements
-    per realization the metric holds at once (``max`` when it forms each
-    value's arrays in turn, ``sum`` when it solves every value together),
-    which sizes the blocks.  ``defaults`` is the configuration of a run
-    that sets nothing: only its sweep variable may be swept, and its
-    schemes are the ones allowed.
+    ``metric`` maps one block of realizations at a run of consecutive
+    sweep values to its samples per key (a scheme) at each of them, in
+    sweep order; each row must be what the realization gives alone.
+    ``rows`` turns those values, stacked over all realizations of one
+    sweep value, into (scheme, metric, unit) rows.  ``block_width`` gives,
+    from the element counts of a run, how many elements per realization
+    the metric holds for it: ``max`` when it forms each value's arrays in
+    turn, ``sum`` when it keeps every value's arrays at once (power-vs-n's
+    lattice arrays, the interference study's nulling states).
+    ``defaults`` is the configuration of a run that sets nothing: only its
+    sweep variable may be swept, and its schemes are the ones allowed.
     """
 
     defaults: ExperimentConfig
@@ -505,7 +475,7 @@ class Study(NamedTuple):
     single_antenna: bool
     metric: _BlockMetric  # (links, fading_r, fading_d, cfg) of one block
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
-    block_width: Callable[[list[int]], int]  # elements per row a block holds, from the swept N
+    block_width: Callable[[list[int]], int]  # elements per row a run holds, from its N
 
 
 STUDIES = {
@@ -531,33 +501,53 @@ STUDIES = {
 
 
 def _block_rows(width: int) -> int:
-    """Realizations per block when a block holds ``width`` elements per
-    realization (``Study.block_width`` of the swept element counts)."""
+    """Realizations per block when the whole sweep holds ``width`` elements
+    per realization."""
     return max(_MIN_ROWS, _ELEMENT_BUDGET // max(width, 1))
 
 
-def _sweep_samples(
-    metric: _BlockMetric, links: list[ScenarioLinks], rows: int, cfg: ExperimentConfig,
-    start: int, stop: int,
-) -> list[dict[str, np.ndarray]]:
-    """``metric`` of realizations ``start`` .. ``stop - 1``, stacked per key,
-    for each sweep value in turn.
+def _runs(sizes: list[int], cap: int, width: Callable[[list[int]], int]) -> list[slice]:
+    """``sizes`` cut into consecutive runs, as slices, each of ``width`` at
+    most ``cap`` or holding a single size.  ``width`` is ``sum`` or ``max``,
+    so a run's width grows by ``width([held, n])`` with each size n."""
+    runs, lo, held = [], 0, 0
+    for k, n in enumerate(sizes):
+        held = width([held, n])
+        if k > lo and held > cap:
+            runs.append(slice(lo, k))
+            lo, held = k, n
+    return runs + [slice(lo, len(sizes))]
 
-    The range is walked in blocks of ``rows`` realizations; rows are
-    independent, so the block size moves no bits.  Each realization's
-    fading is drawn once, at the largest swept element count, and the
-    metric gets each block once, with every sweep value's ``links``, which
-    form that value's arrays from the block's.  One shard of a study;
-    module-level so that worker processes can unpickle it.
+
+def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfig,
+                   start: int, stop: int) -> list[dict[str, np.ndarray]]:
+    """``spec.metric`` of realizations ``start`` .. ``stop - 1``, stacked per
+    key, for each sweep value in turn: one shard of a study, module-level so
+    that worker processes can unpickle it.
+
+    The one place that sizes work.  The range is walked in blocks of as
+    many realizations as keep rows x ``spec.block_width`` of the whole
+    sweep within ``_ELEMENT_BUDGET``, and at least ``_MIN_ROWS``, so memory
+    grows with neither n_realizations nor the sweep's length, and wide
+    blocks spread the kernels' per-call cost.  Each realization's fading is
+    drawn once, at the largest swept element count.  The metric gets the
+    block once per run of consecutive sweep values whose width fits the
+    budget, or of one value: the whole sweep, unless the block is at the
+    row floor.  Each value's ``links`` form its arrays from the block's
+    fading.  Rows are independent, and a run forms prefixes of the largest
+    value's arrays, so neither blocks nor runs move any bits.
     """
-    m, n_max = cfg.scenario.m_antennas, max(len(link.g_bs_irs) for link in links)
+    sizes = [len(link.g_bs_irs) for link in links]
+    rows, m, n_max = _block_rows(spec.block_width(sizes)), cfg.scenario.m_antennas, max(sizes)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in links]
     for lo in range(start, stop, rows):
         # realization i draws from SeededRng(master_seed, i), whatever its block
         fading_r, fading_d = draw_fading_rows(cfg.master_seed, range(lo, min(lo + rows, stop)),
                                               m, n_max)
-        for blocks, samples in zip(per_value, metric(links, fading_r, fading_d, cfg)):
-            blocks.append(samples)
+        for run in _runs(sizes, _ELEMENT_BUDGET // len(fading_r), spec.block_width):
+            for blocks, samples in zip(per_value[run],
+                                       spec.metric(links[run], fading_r, fading_d, cfg)):
+                blocks.append(samples)
     return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
             for blocks in per_value]
 
@@ -680,8 +670,7 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
 
     # built once for every shard: a forked one inherits them, a spawned one unpickles them
     links = [scenario_links(scen) for scen in cfg._scenarios]
-    block = _block_rows(spec.block_width([scen.n_elements for scen in cfg._scenarios]))
-    shard = partial(_sweep_samples, spec.metric, links, block, cfg)
+    shard = partial(_sweep_samples, spec, links, cfg)
     n = cfg.n_realizations
     n_shards = min(workers, n, _usable_cpus())
     bounds = [n * k // n_shards for k in range(n_shards + 1)]

@@ -141,15 +141,15 @@ def unit_phases(v: np.ndarray, bits: int | None = None) -> np.ndarray:
 def _round_to_lattice(phases: np.ndarray, bits: int) -> np.ndarray:
     """The index k of the lattice level delta * k nearest to each phase."""
     nlev = 1 << bits
-    delta = 2.0 * np.pi / nlev
-    q = np.mod(phases, 2.0 * np.pi) / delta
+    q = np.mod(phases, 2.0 * np.pi) / (2.0 * np.pi / nlev)
     k0 = np.floor(q)
     frac = q - k0
-    k = np.where(frac > 0.5, k0 + 1.0, k0)
-    # exact half-step ties resolve to the smaller phase value
-    tie = frac == 0.5
-    k = np.where(tie & (k0 + 1.0 == nlev), 0.0, np.where(tie, k0, k))
-    return np.mod(k, nlev).astype(np.intp)
+    k = k0.astype(np.intp)
+    # exact half-step ties resolve to the smaller phase value, except the
+    # one between the last level and 2*pi, which is level 0; q may also
+    # round up to nlev itself, so the count wraps modulo nlev
+    k += (frac > 0.5) | ((frac == 0.5) & (k == nlev - 1))
+    return k & (nlev - 1)
 
 
 def effective_channel(ch: ChannelRealization, refl: ReflectionState) -> np.ndarray:

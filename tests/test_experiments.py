@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink import beamforming, experiments
 from irslink.channel import ChannelRealization, ScenarioConfig, realize, scenario_links
@@ -349,9 +351,8 @@ class TestSharedDraw:
             return [{"count": np.zeros(len(fading_r))} for _ in links]
 
         links = [scenario_links(scen) for scen in cfg._scenarios]
-        width = experiments.STUDIES[study].block_width([len(link.g_bs_irs) for link in links])
-        experiments._sweep_samples(record, links, experiments._block_rows(width), cfg, 0,
-                                   cfg.n_realizations)
+        spec = experiments.STUDIES[study]._replace(metric=record)
+        experiments._sweep_samples(spec, links, cfg, 0, cfg.n_realizations)
         return built
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -395,6 +396,56 @@ class TestSharedDraw:
         assert experiments._block_rows(2048) == 64
         assert experiments._block_rows(10000) == 64  # the floor
         assert experiments._block_rows(0) == 1 << 17
+
+
+class TestBlockPlan:
+    """``_sweep_samples`` is the one place that cuts a study to fit memory:
+    blocks of rows, and within a block runs of sweep values."""
+
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=30), st.integers(0, 1000),
+           st.sampled_from([sum, max]))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_are_the_longest_that_fit_the_cap(self, sizes, cap, width):
+        runs = experiments._runs(sizes, cap, width)
+        # consecutive, non-empty slices that cover the sweep in order
+        assert [run.start for run in runs] == [0] + [run.stop for run in runs[:-1]]
+        assert runs[-1].stop == len(sizes)
+        assert all(run.step is None and run.start < run.stop for run in runs)
+        for k, run in enumerate(runs):
+            assert width(sizes[run]) <= cap or run.stop - run.start == 1
+            if k + 1 < len(runs):
+                assert width(sizes[run] + [sizes[run.stop]]) > cap
+
+    @pytest.mark.parametrize("study, cfg, budget, calls", [
+        # (rows, sizes) of each metric call: 64-row blocks at the floor
+        # take their sweep in runs, and the last block's 6 rows take it whole
+        pytest.param("power-vs-distance", replace(DIST_CFG, sweep=("d", (20.0, 30.0, 40.0))),
+                     64 * 39, [(64, [40]), (64, [40]), (64, [40]), (6, [40, 40, 40])],
+                     id="power-vs-distance"),
+        pytest.param("power-vs-n", replace(N_CFG, sweep=("n", (10.0, 20.0, 30.0, 40.0))),
+                     64 * 50, [(64, [10, 20]), (64, [30]), (64, [40]), (6, [10, 20, 30, 40])],
+                     id="power-vs-n"),
+        pytest.param("interference-vs-n", replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0, 30.0))),
+                     64 * 21, [(64, [0, 1, 20]), (64, [30]), (6, [0, 1, 20, 30])],
+                     id="interference-vs-n"),
+    ])
+    def test_blocks_at_the_row_floor_take_the_sweep_in_runs(self, monkeypatch, study, cfg,
+                                                             budget, calls):
+        cfg = replace(cfg, n_realizations=70)
+        whole = experiments._run_study(cfg, study, 1)
+        monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", budget)
+        spec = experiments.STUDIES[study]
+        seen = []
+
+        def spy(links, fading_r, fading_d, cfg):
+            seen.append((len(fading_r), [len(link.g_bs_irs) for link in links]))
+            return spec.metric(links, fading_r, fading_d, cfg)
+
+        monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=spy))
+        split = experiments._run_study(cfg, study, 1)
+        assert seen == calls
+        assert split.to_csv_text() == whole.to_csv_text()
+        assert_same_samples(whole, split)
 
 
 class TestPowerVsN:
@@ -943,7 +994,7 @@ def before_each_shard(monkeypatch, act):
     inherit the patch."""
     real = experiments._sweep_samples
 
-    def patched(*args):  # (metric, links, rows, cfg, start, stop)
+    def patched(*args):  # (spec, links, cfg, start, stop)
         act(args[-2])
         return real(*args)
 

@@ -11,6 +11,7 @@ from irslink.reflection import (
     ReflectionState,
     absorb_state,
     effective_channel,
+    _round_to_lattice,
     project,
     unit_phases,
 )
@@ -122,6 +123,45 @@ class TestProject:
         got = unit_phases(v, bits)
         want = np.array([project(row, c).coefficients for row in v])
         assert got.shape == v.shape and got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def float_rounding(phases, bits):
+        """The lattice index as an earlier version rounded it, all in floats."""
+        nlev = 1 << bits
+        delta = 2.0 * np.pi / nlev
+        q = np.mod(phases, 2.0 * np.pi) / delta
+        k0 = np.floor(q)
+        frac = q - k0
+        k = np.where(frac > 0.5, k0 + 1.0, k0)
+        tie = frac == 0.5
+        k = np.where(tie & (k0 + 1.0 == nlev), 0.0, np.where(tie, k0, k))
+        return np.mod(k, nlev).astype(np.intp)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8])
+    def test_integer_rounding_matches_the_float_rounding(self, bits):
+        # every level and midpoint, 2*pi, and 4 neighbours on each side of
+        # them, with +-0, +-pi, +-(2*pi - ulp), +-the least subnormal, and
+        # their negatives
+        nlev = 1 << bits
+        delta = 2.0 * np.pi / nlev
+        marks = np.concatenate([np.arange(nlev) * delta, (np.arange(nlev) + 0.5) * delta,
+                                [2.0 * np.pi, 0.0, np.pi, np.nextafter(2.0 * np.pi, 0.0), 5e-324]])
+        near, up, down = [marks], marks, marks
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            near += [up, down]
+        edges = np.concatenate(near)
+        edges = np.concatenate([edges, -edges])
+        q = np.mod(edges, 2.0 * np.pi) / delta
+        frac = q - np.floor(q)
+        # the set reaches exact ties, q rounded up to nlev, and the tie that
+        # wraps; at 3 and 8 bits no double in [0, 2*pi) divides to that tie
+        assert np.any((frac == 0.5) & (q < nlev - 1)) and np.any(q == nlev)
+        assert np.any((frac == 0.5) & (q > nlev - 1)) == (bits not in (3, 8))
+        phases = np.concatenate([edges, np.random.default_rng(bits).uniform(-7.0, 7.0, 20000)])
+        got = _round_to_lattice(phases, bits)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, self.float_rounding(phases, bits))
 
     def test_already_feasible_unchanged(self):
         c = ConstraintSet.discrete_phase(2)
