@@ -1,14 +1,14 @@
 """Transmit and reflect beamforming optimizers.
 
 Covers the closed-form pieces (maximum-ratio transmission, coherent phase
-alignment, the rank-one transmitter-surface beam, free-amplitude
-interference nulling), the alternating joint optimizer, elementwise
-refinement of discrete phases and the cyclic unit-modulus nulling
-heuristic (both vectorized over a batch of independent problems, each
-row getting the bits it gets alone; refinement also over rows of several
-lengths laid end to end, nulling over several element counts of one
-batch, each a prefix of its elements), codebook selection, and the
-SNR-to-transmit-power mapping.
+alignment, the rank-one transmitter-surface beam, the disk value of
+free-amplitude interference nulling), the alternating joint optimizer,
+elementwise refinement of discrete phases and the cyclic unit-modulus
+nulling heuristic, codebook selection, and the SNR-to-transmit-power
+mapping.  The one-realization solvers call the same private kernels as
+the studies: refinement over rows of several lengths laid end to end,
+nulling over several element counts of one batch, each a prefix of its
+elements, each row getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .reflection import (
     project,
 )
 
-# Elements each row of refine_levels scans per step.  Against 32, in medians
+# Elements each row of _refine_rows scans per step.  Against 32, in medians
 # of alternating runs: 16 was 26% slower on the benchmark study's blocks (40
 # rows) and even on the default study's (436 rows); 48 and 64 were even on
 # the former and 20-23% slower on the latter.
@@ -218,46 +218,6 @@ def bs_irs_mrt(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
     return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
 
 
-def refine_levels(t: np.ndarray, a: np.ndarray, start: np.ndarray, bits: int) -> np.ndarray:
-    """Cyclic coordinate ascent over the 2^bits phase levels, for R problems
-    at once.
-
-    Row r maximizes |t_r + sum_n a_rn v_rn|^2 from the start coefficients
-    ``start[r]``: holding all other elements fixed, each element in
-    ascending index order moves to the level that maximizes the objective
-    (first maximum, so ties pick the lowest level), kept only on strict
-    improvement.  The objective never decreases, and a pass that changes
-    nothing leaves a row exactly as it was, so a row leaves the batch after
-    such a pass (or after ``_REFINE_PASSES`` full passes) and gets the
-    trajectory it has alone.
-
-    Each row scans from its own cursor, a window of ``_WINDOW`` elements at
-    a time, whatever pass it is in.  A row's running total moves only when
-    one of its elements changes, so the decisions of a window's elements up
-    to the row's first change are the ones the element-by-element loop
-    takes; all of them are computed at once, with the loop's arithmetic.
-    Only that first change is applied and the cursor moves just past it; a
-    window without a change moves the cursor by its width.  Takes ``t`` of
-    shape (R,) and ``a``, ``start`` of shape (R, N), and raises ValueError
-    on other shapes; returns the refined (R, N) coefficients.  The
-    equal-length call of :func:`_refine_rows`.
-    """
-    if np.ndim(t) != 1 or np.ndim(a) != 2 or np.shape(a) != np.shape(start) \
-            or np.shape(a)[0] != np.shape(t)[0]:
-        raise ValueError("refine_levels needs t of shape (R,) and a, start of shape (R, N), "
-                         f"got {np.shape(t)}, {np.shape(a)}, {np.shape(start)}")
-    n = a.shape[1]
-    if n == 0:
-        ConstraintSet.discrete_phase(bits)  # the check of bits that _refine_rows makes
-        return np.array(start, dtype=np.complex128)
-    # before the copy below, so that at most one (R, N) array is held
-    # besides the inputs
-    total = _start_totals(t, a, start)
-    v = np.array(start, dtype=np.complex128)
-    _refine_rows(total, a.reshape(-1), v.reshape(-1), np.full(len(v), n), bits)
-    return v
-
-
 def _start_totals(t: np.ndarray, a: np.ndarray, start: np.ndarray) -> np.ndarray:
     """t_r + sum_n a_rn start_rn of each row, summed in element order, one
     term after another (in place in the products): the running totals that
@@ -268,16 +228,30 @@ def _start_totals(t: np.ndarray, a: np.ndarray, start: np.ndarray) -> np.ndarray
 
 def _refine_rows(total: np.ndarray, a_flat: np.ndarray, v_flat: np.ndarray, lengths,
                  bits: int) -> None:
-    """:func:`refine_levels`' scan of rows of any length, laid end to end,
-    refining the states ``v_flat`` in place.
+    """Cyclic coordinate ascent over the 2^bits phase levels, for rows of
+    any length laid end to end, refining the states ``v_flat`` in place.
 
     Row r is the ``lengths[r]`` elements of ``a_flat`` and ``v_flat`` that
-    follow the rows before it; it starts from the running total
-    ``total[r]`` = t_r + sum_n a_rn v_rn, summed in element order (the
-    loop writes into ``total``).  Each row keeps its own first and stop
-    index, cursor and pass count, so it gets the bits it gets alone, and
-    rows of several lengths are refined in one loop that runs for the
-    steps of the slowest row, not for their sum.
+    follow the rows before it.  It maximizes |t_r + sum_n a_rn v_rn|^2 from
+    the running total ``total[r]`` = t_r + sum_n a_rn v_rn, summed in
+    element order (:func:`_start_totals`; the loop writes into ``total``):
+    holding all other elements fixed, each element in ascending index order
+    moves to the level that maximizes the objective (first maximum, so ties
+    pick the lowest level), kept only on strict improvement.  The objective
+    never decreases, and a pass that changes nothing leaves a row exactly
+    as it was, so a row leaves the loop after such a pass (or after
+    ``_REFINE_PASSES`` full passes).
+
+    Each row keeps its own first and stop index, cursor and pass count, and
+    scans from its cursor a window of ``_WINDOW`` elements at a time,
+    whatever pass it is in.  A row's running total moves only when one of
+    its elements changes, so the decisions of a window's elements up to the
+    row's first change are the ones the element-by-element loop takes; all
+    of them are computed at once, with the loop's arithmetic.  Only that
+    first change is applied and the cursor moves just past it; a window
+    without a change moves the cursor by its width.  So each row gets the
+    bits it gets alone, and rows of several lengths are refined in one loop
+    that runs for the steps of the slowest row, not for their sum.
     """
     levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
     offsets = np.arange(_WINDOW)
@@ -338,7 +312,7 @@ def discrete_refine(
 ) -> ReflectionState:
     """Cyclic coordinate ascent over the 2^bits phase levels per element.
 
-    Refines one realization with :func:`refine_levels`, whose rows are
+    Refines one realization with :func:`_refine_rows`, whose rows are
     independent: a block of realizations refined together gets the same
     coefficients as each refined here alone.
     """
@@ -347,9 +321,11 @@ def discrete_refine(
         raise ValueError(f"start must satisfy {want}, got {start.constraint}")
     if start.n_elements != ch.n_elements:
         raise ValueError("start state dimension does not match the channel")
-    t, a = direct_and_cascade(ch, w)
-    v = refine_levels(np.array([t]), a[None, :], start.coefficients[None, :], bits)
-    return ReflectionState(v[0], want)
+    v = np.array(start.coefficients, dtype=np.complex128)
+    if len(v):
+        t, a = direct_and_cascade(ch, w)
+        _refine_rows(_start_totals(np.array([t]), a[None, :], v[None, :]), a, v, [len(v)], bits)
+    return ReflectionState(v, want)
 
 
 def quantize_then_refine(
@@ -370,44 +346,28 @@ def _anti_aligned(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.exp(1j * ((np.pi + ref)[:, None] - np.angle(f)))
 
 
-def _within_reach(v: np.ndarray, abs_t: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Scales row r of the anti-aligned state ``v`` in place by
-    min(1, |t_r| / reach_r), reach_r being sum_n |f_rn|."""
-    shrink = reach > abs_t
-    v[shrink] *= (abs_t[shrink] / reach[shrink])[:, None]
-    return v
-
-
-def null_free_amplitude(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Free-amplitude nulling optimum of R problems: the anti-aligned state,
-    scaled by min(1, |t_r| / sum_n |f_rn|)."""
-    return _within_reach(_anti_aligned(t, f), np.hypot(t.real, t.imag),
-                         np.sum(np.abs(f), axis=1))
-
-
-def null_phases(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Cyclic coordinate descent on |t_r + sum_n f_rn v_rn|^2 under
-    |v_rn| = 1, for R problems at once.
-
-    Every row starts from the anti-aligned state.  Each element in
-    ascending index order moves to its per-element optimum
-    exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
-    n; elements with f_n = 0 keep their start value.  Row r stops after the
-    first pass that lowers its residual power by at most ``_NULL_TOL`` times
-    the previous value, or after ``_NULL_PASSES`` passes.  Every step is
-    the float64 operation of the one-problem loop, in its order (unfused
-    complex products, ``hypot`` magnitudes, ``pow`` squares), so a row gets
-    the same bits in any batch.  Takes ``t`` of shape (R,) and ``f`` of
-    shape (R, N); returns the (R, N) coefficients.  The one-size call of
-    :func:`_null_prefixes`.
-    """
-    return _null_prefixes(t, f, _anti_aligned(t, f), [f.shape[1]])[0]
+def _disk_residual(abs_t: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """max(0, |t| - reach)^2: the least |t + sum_n f_n v_n|^2 over free
+    amplitudes |v_n| <= 1, whose reachable set is the disk of radius
+    reach = sum_n |f_n|."""
+    return np.float_power(np.maximum(abs_t - reach, 0.0), 2)
 
 
 def _null_prefixes(t: np.ndarray, f: np.ndarray, start: np.ndarray, sizes) -> list[np.ndarray]:
-    """:func:`null_phases` of ``(t, f[:, :n])`` for every n of ``sizes``, in
-    one loop; ``start`` is ``_anti_aligned(t, f)``, whose first n columns
-    are the start of size n.
+    """Cyclic coordinate descent on |t_r + sum_n f_rn v_rn|^2 under
+    |v_rn| = 1, for R rows (``t`` of shape (R,), ``f`` of shape (R, N)) at
+    every element count n of ``sizes``, in one loop: problem (r, n) takes
+    row r's first n elements, and starts from the first n columns of
+    ``start``, the anti-aligned state ``_anti_aligned(t, f)``.
+
+    Each element in ascending index order moves to its per-element optimum
+    exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
+    n; elements with f_n = 0 keep their start value.  A problem stops after
+    the first pass that lowers its residual power by at most ``_NULL_TOL``
+    times the previous value, or after ``_NULL_PASSES`` passes.  Every step
+    is the float64 operation of the one-problem loop, in its order (unfused
+    complex products, ``hypot`` magnitudes, ``pow`` squares), so a problem
+    gets the same bits in any batch.
 
     Each (row, size) problem keeps its own cursor, pass count and residual,
     and the states of all problems are packed in one array, so the loop
@@ -544,13 +504,14 @@ def null_interference(ch: ChannelRealization, c: ConstraintSet) -> tuple[Reflect
     Requires a single-antenna interferer (M = 1), whose scalar beamformer
     is absorbed into (t, f) = direct_and_cascade(ch, [1]).  With free
     amplitudes the reachable set {sum_n f_n v_n} is a disk of radius
-    sum|f_n|, so the anti-aligned state v_n = -exp(j*(arg t - arg f_n)),
-    scaled by min(1, |t| / sum|f_n|), is exact: max(0, |t| - sum|f_n|)^2.
-    With unit modulus, cyclic coordinate descent (a monotone heuristic:
-    :func:`null_phases` on one row) moves each element in turn to its
-    per-element optimum, starting from the anti-aligned state, with the
-    stopping rule that the interference study uses.  Returns (state,
-    residual power).
+    sum|f_n|, so the optimum is max(0, |t| - sum|f_n|)^2, the residual
+    returned; the state returned, the anti-aligned v_n = -exp(j*(arg t -
+    arg f_n)) scaled by min(1, |t| / sum|f_n|), reaches it up to
+    round-off.  With unit modulus, cyclic coordinate descent (a monotone
+    heuristic: :func:`_null_prefixes` on one row) moves each element in
+    turn to its per-element optimum, starting from the anti-aligned state,
+    with the stopping rule that the interference study uses.  Returns
+    (state, residual power).
     """
     if ch.m_antennas != 1:
         raise ValueError("interference nulling assumes a single-antenna interferer (M = 1)")
@@ -558,11 +519,14 @@ def null_interference(ch: ChannelRealization, c: ConstraintSet) -> tuple[Reflect
         raise ValueError(f"unsupported constraint for nulling: {c.kind.value}")
     t, f = direct_and_cascade(ch, np.ones(1))
     t, f = np.array([t]), f[None, :]
-    if c.kind is ConstraintKind.IDEAL_CONTINUOUS:
-        v = null_free_amplitude(t, f)
-    else:
-        v = null_phases(t, f)
-    return ReflectionState(v[0], c), float(nulling_residual(t, f, v)[0])
+    v = _anti_aligned(t, f)
+    if c.kind is ConstraintKind.UNIT_MODULUS:
+        v = _null_prefixes(t, f, v, [f.shape[1]])[0]
+        return ReflectionState(v[0], c), float(nulling_residual(t, f, v)[0])
+    abs_t, reach = np.hypot(t.real, t.imag), np.sum(np.abs(f), axis=1)
+    if reach[0] > abs_t[0]:
+        v *= abs_t[0] / reach[0]
+    return ReflectionState(v[0], c), float(_disk_residual(abs_t, reach)[0])
 
 
 def codebook_sweep(

@@ -21,8 +21,9 @@ value in turn and serving every power scheme.  Power-versus-N keeps every
 swept N's lattice arrays and refines each bit width once for the run, the
 rows of all its swept N in one loop.  The interference study's swept
 surfaces are nested, each the first N elements of the largest, so it
-forms the run's largest arrays once and nulls the block's rows at every
-swept N of the run in one loop.
+forms the run's largest arrays once; free-amplitude nulling is the disk's
+closed-form value, and unit-modulus nulling runs the block's rows at
+every swept N of the run in one loop.
 Every realization gets the same values as it would alone, and the tests
 check them against the general per-realization solvers of ``beamforming``.
 """
@@ -42,11 +43,11 @@ import numpy as np
 
 from .beamforming import (
     _anti_aligned,
+    _disk_residual,
     _null_prefixes,
     _rank_one_beam,
     _refine_rows,
     _start_totals,
-    _within_reach,
     nulling_residual,
 )
 from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
@@ -371,28 +372,25 @@ def _interference_gains(
 
     With (t, f) what ``direct_and_cascade`` gives each row for w = [1],
     every row is solved at once, as ``null_interference`` solves one
-    realization: ``joint_amp_phase`` by the disk closed form
-    (:func:`null_free_amplitude`), ``phase_only`` by :func:`null_phases`,
-    every size in one loop; each solver starts from the anti-aligned
-    state, computed once for all sizes.  Key 'margin' holds the
-    cancellation feasibility margin sum|f_n| - |t| (non-negative means a
-    perfect null is reachable with amplitude control).
+    realization: ``joint_amp_phase`` is the disk's closed-form value
+    max(0, |t| - sum|f_n|)^2 (:func:`_disk_residual`), so an exact zero
+    wherever a perfect null is reachable; ``phase_only`` runs
+    :func:`_null_prefixes` from the anti-aligned state, every size in one
+    loop.  Key 'margin' holds the cancellation feasibility margin
+    sum|f_n| - |t| (non-negative means a perfect null is reachable with
+    amplitude control).
     """
     t = np.conj(h_d[:, 0])  # vdot(h_d, [1]) of each row
     f = np.conj(h_r) * (g @ np.ones(1))
     abs_t = np.hypot(t.real, t.imag)
-    start = _anti_aligned(t, f)
     reach = [np.sum(np.abs(f[:, :n]), axis=1) for n in sizes]
     out = [{"margin": r - abs_t} for r in reach]
-    # scheme by scheme, so that each scheme's states are held only while
-    # its residuals are taken
     for scheme in schemes:
         if scheme == "joint_amp_phase":
-            for n, r, gains in zip(sizes, reach, out):
-                gains[scheme] = nulling_residual(
-                    t, f[:, :n], _within_reach(start[:, :n].copy(), abs_t, r))
+            for r, gains in zip(reach, out):
+                gains[scheme] = _disk_residual(abs_t, r)
         elif scheme == "phase_only":
-            for n, gains, v in zip(sizes, out, _null_prefixes(t, f, start, sizes)):
+            for n, gains, v in zip(sizes, out, _null_prefixes(t, f, _anti_aligned(t, f), sizes)):
                 gains[scheme] = nulling_residual(t, f[:, :n], v)
         elif scheme == "no_irs":
             for gains in out:

@@ -17,14 +17,11 @@ from irslink.beamforming import (
     discrete_refine,
     min_power_for_snr,
     mrt,
-    null_free_amplitude,
     null_interference,
-    null_phases,
     nulling_residual,
     quantization_loss_bound,
     quantize_then_refine,
     received_gain,
-    refine_levels,
 )
 from irslink.channel import ChannelRealization, ScenarioConfig, realize
 from irslink.numerics import SeededRng
@@ -352,8 +349,18 @@ def refinement_batch(bits, r=16, n=24, seed=0):
     return t, a, start
 
 
+def refine_batch(t, a, start, bits):
+    """``_refine_rows`` of rows of equal length from ``_start_totals``, as
+    ``discrete_refine`` calls it on one row: the refined copy of ``start``."""
+    v = np.array(start, dtype=np.complex128)
+    if a.shape[1]:
+        beamforming._refine_rows(beamforming._start_totals(t, a, v), a.reshape(-1), v.reshape(-1),
+                                 np.full(len(v), a.shape[1]), bits)
+    return v
+
+
 def lockstep_refine(t, a, start, bits, passes, log=None):
-    """Reference: a lockstep kernel that :func:`refine_levels`' windowed
+    """Reference: a lockstep kernel that :func:`_refine_rows`' windowed
     scan replaced, one numpy step per element for all rows until no row
     changes.  Appends (pass, element, changed rows) of every step that
     changes a row to ``log`` if given."""
@@ -449,7 +456,7 @@ def steps_per_pass(changes, n, passes):
 
 class StepCounter:
     """Stands in for numpy in ``beamforming`` and counts the steps of
-    :func:`refine_levels`' scan, which calls ``flatnonzero`` once a step."""
+    :func:`_refine_rows`' scan, which calls ``flatnonzero`` once a step."""
 
     def __init__(self):
         self.steps = 0
@@ -508,7 +515,7 @@ class TestRefineLevels:
     def test_batch_equals_row_by_row(self, monkeypatch, seed, bits, passes):
         t, a, start = refinement_batch(bits, seed=seed)
         monkeypatch.setattr(beamforming, "_REFINE_PASSES", passes)
-        got = refine_levels(t, a, start, bits)
+        got = refine_batch(t, a, start, bits)
         assert got.shape == a.shape
         assert got.tobytes() == np.ascontiguousarray(
             self.row_by_row(t, a, start, bits, passes)).tobytes()
@@ -519,7 +526,7 @@ class TestRefineLevels:
     def test_chunk_edges_match_the_lockstep_kernel(self, monkeypatch, n, bits, passes):
         t, a, start = boundary_batch(bits, n, seed=n)
         monkeypatch.setattr(beamforming, "_REFINE_PASSES", passes)
-        got = refine_levels(t, a, start, bits)
+        got = refine_batch(t, a, start, bits)
         assert got.tobytes() == lockstep_refine(t, a, start, bits, passes).tobytes()
         assert got.tobytes() == np.ascontiguousarray(
             self.row_by_row(t, a, start, bits, passes)).tobytes()
@@ -551,7 +558,7 @@ class TestRefineLevels:
     def test_rows_in_different_passes_match_the_lockstep_kernel(self, monkeypatch, bits, passes):
         t, a, start = cursor_batch(bits)
         monkeypatch.setattr(beamforming, "_REFINE_PASSES", passes)
-        got = refine_levels(t, a, start, bits)
+        got = refine_batch(t, a, start, bits)
         assert got.tobytes() == lockstep_refine(t, a, start, bits, passes).tobytes()
         assert got.tobytes() == np.ascontiguousarray(
             self.row_by_row(t, a, start, bits, passes)).tobytes()
@@ -574,7 +581,7 @@ class TestRefineLevels:
         assert len({len(x) for x in steps}) >= 3
         counter = StepCounter()
         monkeypatch.setattr(beamforming, "np", counter)
-        refine_levels(t, a, start, bits)
+        refine_batch(t, a, start, bits)
         assert counter.steps == max(sum(x) for x in steps)
 
     @pytest.mark.parametrize("bits", [1, 2])
@@ -584,7 +591,7 @@ class TestRefineLevels:
         name, _, seed = batch.partition("-")
         t, a, start = (refinement_batch(bits, seed=int(seed)) if name == "refinement"
                        else cursor_batch(bits))
-        got = refine_levels(t, a, start, bits)
+        got = refine_batch(t, a, start, bits)
         for r in range(len(t)):
             want = loop_refine(t[r], a[r], start[r], bits, beamforming._REFINE_PASSES)
             assert got[r].tobytes() == want.tobytes(), r
@@ -592,7 +599,7 @@ class TestRefineLevels:
     def test_level_indices_past_127(self):
         # 8 bits: 256 levels; a small batch, as the lockstep kernel is slow
         t, a, start = refinement_batch(8, r=6, n=5, seed=8)
-        got = refine_levels(t, a, start, 8)
+        got = refine_batch(t, a, start, 8)
         assert not np.array_equal(got, start)
         assert got.tobytes() == lockstep_refine(t, a, start, 8, 20).tobytes()
 
@@ -603,7 +610,7 @@ class TestRefineLevels:
         powers = np.abs(t[:, None] + a[:, :1] * levels)
         assert np.all(powers[:, 0] == powers[:, 1])
         assert np.all(powers[:, 0] > np.abs(t - a[:, 0]))
-        got = refine_levels(t, a, start, 2)
+        got = refine_batch(t, a, start, 2)
         assert np.all(got[:, 0] == levels[0])
         assert got.tobytes() == lockstep_refine(t, a, start, 2, 20).tobytes()
 
@@ -631,22 +638,9 @@ class TestRefineLevels:
         t, a, start = calls["problem"]
         want = lockstep_refine(t, a, start, bits, 20)
         assert calls["refined"].tobytes() == want.tobytes()
-        assert refine_levels(t, a, start, bits).tobytes() == want.tobytes()
+        assert refine_batch(t, a, start, bits).tobytes() == want.tobytes()
         # the rounded start is not a fixed point
         assert not np.array_equal(want, start)
-
-    @pytest.mark.parametrize("t_shape, a_shape, start_shape", [
-        ((3,), (3, 4), (1, 4)),
-        ((1,), (3, 4), (3, 4)),
-        ((3,), (4,), (4,)),
-        ((3,), (3, 4), (3, 5)),
-        ((3, 1), (3, 4), (3, 4)),
-        ((), (1, 4), (1, 4)),
-    ])
-    def test_rejects_mismatched_shapes(self, t_shape, a_shape, start_shape):
-        with pytest.raises(ValueError, match="shape"):
-            refine_levels(np.ones(t_shape), np.ones(a_shape, complex),
-                          np.ones(start_shape, complex), 1)
 
     def test_batch_covers_rows_converging_on_different_passes(self, monkeypatch):
         # the rows of the batch above stop changing after different pass
@@ -655,14 +649,14 @@ class TestRefineLevels:
         by_passes = []
         for k in range(1, 8):
             monkeypatch.setattr(beamforming, "_REFINE_PASSES", k)
-            by_passes.append(refine_levels(t, a, start, 1))
+            by_passes.append(refine_batch(t, a, start, 1))
         settled = [next(k for k in range(7) if np.array_equal(by_passes[k][r], by_passes[-1][r]))
                    for r in range(len(t))]
         assert len(set(settled)) >= 3 and max(settled) >= 2
 
     def test_ties_and_zero_coefficients_keep_the_start(self):
         t, a, start = refinement_batch(2)
-        got = refine_levels(t, a, start, 2)
+        got = refine_batch(t, a, start, 2)
         # a zero a_n leaves every level tied, so nothing is strictly better
         assert np.array_equal(got[:, 3], start[:, 3])
         assert np.array_equal(got[0], start[0])
@@ -671,13 +665,19 @@ class TestRefineLevels:
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_rejects_zero_bits(self, n):
-        # the levels are ConstraintSet.discrete_phase(bits)'s, as in discrete_refine
+        # the levels are ConstraintSet.discrete_phase(bits)'s, in the kernel
+        # as in discrete_refine, which checks bits also without elements
+        ch = synthetic_channel(1.0, np.ones(n, complex))
+        start = ReflectionState(np.ones(n, complex), ConstraintSet.discrete_phase(1))
         with pytest.raises(ValueError, match="bits >= 1"):
-            refine_levels(np.ones(2), np.ones((2, n), complex), np.ones((2, n), complex), 0)
+            discrete_refine(ch, np.ones(1), start, 0)
+        if n:
+            with pytest.raises(ValueError, match="bits >= 1"):
+                refine_batch(np.ones(2), np.ones((2, n), complex), np.ones((2, n), complex), 0)
 
     def test_no_elements(self):
         t = np.array([1.0 + 1j, 0.5j])
-        got = refine_levels(t, np.zeros((2, 0), complex), np.zeros((2, 0), complex), 1)
+        got = refine_batch(t, np.zeros((2, 0), complex), np.zeros((2, 0), complex), 1)
         assert got.shape == (2, 0)
         ch = synthetic_channel(t[0], np.zeros(0, complex))
         start = ReflectionState(np.zeros(0, complex), ConstraintSet.discrete_phase(1))
@@ -721,7 +721,7 @@ class TestRefineRows:
         for (t, a, start), got in zip(rows, refine_packed(rows, bits)):
             want = loop_refine(t, a, start, bits, passes)
             assert got.tobytes() == want.tobytes()
-            assert got.tobytes() == refine_levels(np.array([t]), a[None], start[None], bits).tobytes()
+            assert got.tobytes() == refine_batch(np.array([t]), a[None], start[None], bits).tobytes()
             capped += want.tobytes() != loop_refine(t, a, start, bits, 20).tobytes()
         # below 20 passes some rows stop on the cap while still changing
         assert capped if passes < 20 else not capped
@@ -734,7 +734,7 @@ class TestRefineRows:
         alone = []
         for t, a, start in rows:
             before = counter.steps
-            refine_levels(np.array([t]), a[None], start[None], bits)
+            refine_batch(np.array([t]), a[None], start[None], bits)
             alone.append(counter.steps - before)
         counter.steps = 0
         refine_packed(rows, bits)
@@ -927,6 +927,11 @@ def loop_free(t, f):
     return v, float(abs(t + np.sum(f * v)) ** 2)
 
 
+def disk_residual(t, f):
+    """``_disk_residual`` of rows (t, f), reaches summed as the study sums them."""
+    return beamforming._disk_residual(np.hypot(t.real, t.imag), np.sum(np.abs(f), axis=1))
+
+
 class TestNullingClosedForms:
     @pytest.mark.parametrize("t, f", nulling_cases())
     def test_free_amplitude_equals_disk_optimum(self, t, f):
@@ -941,15 +946,30 @@ class TestNullingClosedForms:
         for i in range(200):
             cases.append(direct_and_cascade(realize(cfg, SeededRng(717, i)), np.ones(1)))
         for t, f in cases:
+            ch = synthetic_channel(t, f)
+            t, f = direct_and_cascade(ch, np.ones(1))
             v, res = loop_free(t, f)
-            got = null_free_amplitude(np.array([t]), f[None, :])
-            assert got[0].tobytes() == v.tobytes()
-            assert nulling_residual(np.array([t]), f[None, :], got)[0] == res
-        # the realized rows as one block
+            got = null_interference(ch, IDEAL)[0].coefficients
+            assert got.tobytes() == v.tobytes()
+            assert nulling_residual(np.array([t]), f[None, :], got[None, :])[0] == res
+        # the realized rows as one block, as the study takes their residuals
         t = np.array([c[0] for c in cases[-200:]])
         f = np.array([c[1] for c in cases[-200:]])
-        want = np.array([loop_free(tr, fr)[0] for tr, fr in zip(t, f)])
-        assert null_free_amplitude(t, f).tobytes() == want.tobytes()
+        want = np.array([null_interference(synthetic_channel(tr, fr), IDEAL)[1]
+                         for tr, fr in zip(t, f)])
+        assert disk_residual(t, f).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t, f", nulling_cases())
+    def test_free_amplitude_residual_is_the_disk_value(self, t, f):
+        # the residual is the closed form's value, not the round-off of the
+        # state's residual; the state reaches it up to round-off
+        state, res = null_interference(synthetic_channel(t, f), IDEAL)
+        value = disk_residual(np.array([t]), f[None, :])[0]
+        assert np.float64(res).tobytes() == value.tobytes()
+        assert value == disk_optimum(t, f)
+        scale = (abs(t) + float(np.sum(np.abs(f)))) ** 2
+        reached = nulling_residual(np.array([t]), f[None, :], state.coefficients[None, :])[0]
+        assert abs(reached - value) <= 1e-15 * scale
 
     @pytest.mark.parametrize("t, f", nulling_cases())
     def test_phase_only_never_below_annulus_optimum(self, t, f):
@@ -972,7 +992,7 @@ class TestNullingClosedForms:
 
 def loop_null(t, f, tol=1e-14, max_passes=400):
     """Reference: unit-modulus nulling as one Python loop per element, the
-    per-realization implementation that :func:`null_phases` replaced, from
+    per-realization implementation that :func:`_null_prefixes` replaced, from
     the anti-aligned state.
 
     Returns (coefficients, residual power, [r before the first pass, r after
@@ -1016,11 +1036,17 @@ def nulling_batch(r=24, n=16, seed=0):
     return t, f
 
 
+def null_batch(t, f):
+    """``_null_prefixes`` of rows at their own element count, from the
+    anti-aligned state, as ``null_interference`` calls it on one row."""
+    return beamforming._null_prefixes(t, f, beamforming._anti_aligned(t, f), [f.shape[1]])[0]
+
+
 def assert_matches_loop(t, f, tol=beamforming._NULL_TOL, max_passes=beamforming._NULL_PASSES):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(beamforming, "_NULL_TOL", tol)
         mp.setattr(beamforming, "_NULL_PASSES", max_passes)
-        got = null_phases(t, f)
+        got = null_batch(t, f)
     res = nulling_residual(t, f, got)
     for k in range(len(t)):
         v, r, _ = loop_null(t[k], f[k], tol, max_passes)
@@ -1046,7 +1072,7 @@ class TestNullPhases:
     def test_zero_coefficients_and_zero_direct_term(self):
         t, f = nulling_batch()
         assert_matches_loop(t, f)
-        got = null_phases(t, f)
+        got = null_batch(t, f)
         start = anti_aligned_rows(t, f)
         # a zero f_n keeps its start value, an all-zero row keeps its start
         assert np.array_equal(got[2:6, 3], start[2:6, 3])
@@ -1060,7 +1086,7 @@ class TestNullPhases:
 
     def test_no_elements(self):
         t = np.array([0.7 + 0.2j, 0j])
-        got = null_phases(t, np.zeros((2, 0), complex))
+        got = null_batch(t, np.zeros((2, 0), complex))
         assert got.shape == (2, 0)
         assert_matches_loop(t, np.zeros((2, 0), complex))
 
@@ -1129,8 +1155,8 @@ class TestNullPhases:
         t, f = nulling_batch(seed=seed)
         monkeypatch.setattr(beamforming, "_NULL_TOL", 1e-10)
         monkeypatch.setattr(beamforming, "_NULL_PASSES", 30)
-        got = null_phases(t, f)
-        alone = np.concatenate([null_phases(t[k:k + 1], f[k:k + 1]) for k in range(len(t))])
+        got = null_batch(t, f)
+        alone = np.concatenate([null_batch(t[k:k + 1], f[k:k + 1]) for k in range(len(t))])
         assert got.tobytes() == alone.tobytes()
         assert nulling_residual(t, f, got).tobytes() == np.concatenate(
             [nulling_residual(t[k:k + 1], f[k:k + 1], alone[k:k + 1])
@@ -1182,7 +1208,7 @@ class CallCounter:
 
 class TestNullPrefixes:
     """Every element count of one block in one call of the nulling loop,
-    against :func:`null_phases` per count and the scalar loop, bit for bit."""
+    against each count alone and the scalar loop, bit for bit."""
 
     SIZES = (0, 1, 3, 30)
 
@@ -1203,7 +1229,7 @@ class TestNullPrefixes:
 
     def mixed_sizes(self, monkeypatch, alone, first, tol, max_passes):
         """SIZES in one call, with hand-over threshold ``alone``, against
-        null_phases per size and loop_null per problem, and the calls the
+        null_batch per size and loop_null per problem, and the calls the
         loop makes."""
         t, f = nulling_batch(r=40, n=30, seed=2)
         t, f = t[first:], f[first:]
@@ -1218,7 +1244,7 @@ class TestNullPrefixes:
         assert [v.shape for v in got] == [(len(t), n) for n in self.SIZES]
         problems = []  # (passes, size, row)
         for n, v in zip(self.SIZES, got):
-            assert v.tobytes() == null_phases(t, f[:, :n]).tobytes(), n
+            assert v.tobytes() == null_batch(t, f[:, :n]).tobytes(), n
             for k in range(len(t)):
                 want, _, trace = loop_null(t[k], f[k, :n], tol, max_passes)
                 assert v[k].tobytes() == want.tobytes(), (n, k)
@@ -1327,14 +1353,14 @@ class TestNullAlone:
         assert sum(three[key][0].tobytes() != four[key][0].tobytes() for key in three) >= 10
 
     def test_one_row_call_runs_alone(self):
-        # null_phases of one row never enters the vector loop (flatnonzero
+        # the kernel on one row never enters the vector loop (flatnonzero
         # is called once, to find the sizes with elements)
         t, f = nulling_batch(seed=3)
         for k in (0, 4, 6, 7, 8):
             counter = CallCounter("flatnonzero")
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(beamforming, "np", counter)
-                got = null_phases(t[k:k + 1], f[k:k + 1])
+                got = null_batch(t[k:k + 1], f[k:k + 1])
             assert counter.calls["flatnonzero"] == 1
             assert got[0].tobytes() == loop_null(t[k], f[k])[0].tobytes(), k
 

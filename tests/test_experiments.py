@@ -35,7 +35,6 @@ from irslink.beamforming import (
     min_power_for_snr,
     mrt,
     null_interference,
-    null_phases,
     quantization_loss_bound,
     quantize_then_refine,
     received_gain,
@@ -736,6 +735,33 @@ class TestInterferenceGains:
                     want = value if key == "margin" else p_tx_mw * value / noise_mw
                     assert result.samples[(float(n), key)][i] == want, (n, i, key)
 
+    @pytest.mark.parametrize("sweep", [INT_CFG.sweep[1], (0.0, 1.0, 20.0)],
+                             ids=["int_cfg", "nested"])
+    def test_free_amplitude_samples_are_the_disk_value(self, sweep):
+        # exactly 0.0 wherever a perfect null is reachable, the direct power
+        # at N = 0, and (|t| - sum|f_n|)^2 elsewhere: the closed form, not
+        # the round-off of a constructed state's residual
+        cfg = replace(INT_CFG, sweep=("n", sweep))
+        result = run_interference_vs_n(cfg)
+        p_tx_mw = db_to_linear(cfg.interferer_power_dbm)
+        noise_mw = db_to_linear(cfg.scenario.noise_power_dbm)
+        feasible = infeasible = 0
+        for n in sweep:
+            joint = result.samples[(n, "joint_amp_phase")]
+            reachable = result.samples[(n, "margin")] >= 0
+            assert np.all(joint[reachable] == 0.0)
+            if n == 0:
+                assert joint.tobytes() == result.samples[(n, "no_irs")].tobytes()
+            scen = replace(cfg.scenario, n_elements=int(n))
+            for i in np.flatnonzero(~reachable):
+                ch = realize(scen, SeededRng(cfg.master_seed, int(i)))
+                t, f = direct_and_cascade(ch, np.ones(1))
+                gap = abs(t) - float(np.sum(np.abs(f)))
+                assert joint[i] == p_tx_mw * gap ** 2 / noise_mw, (n, i)
+            feasible += np.count_nonzero(reachable)
+            infeasible += np.count_nonzero(~reachable)
+        assert feasible and infeasible
+
     def test_one_call_per_block_sized_by_the_summed_element_counts(self, monkeypatch):
         # the interference metric holds every swept N at once, so its blocks
         # are sized by their sum; the power studies' by the largest N
@@ -821,11 +847,9 @@ class TestInterferenceGains:
         block = interference_gains(*stacked(channels), ("phase_only",))
         alone = [null_interference(ch, ConstraintSet.unit_modulus())[1] for ch in channels]
         assert block["phase_only"].tobytes() == np.array(alone).tobytes()
-        pairs = [direct_and_cascade(ch, np.ones(1)) for ch in channels]
-        t, f = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
         monkeypatch.setattr(beamforming, "_NULL_TOL", 1e-12)
         monkeypatch.setattr(beamforming, "_NULL_PASSES", 200)
-        other = beamforming.nulling_residual(t, f, null_phases(t, f))
+        other = interference_gains(*stacked(channels), ("phase_only",))["phase_only"]
         assert 0 < np.count_nonzero(other != block["phase_only"]) < len(channels)
 
 
@@ -848,11 +872,11 @@ class TestLoneSlowProblem:
                        SeededRng(self.CFG.master_seed, self.SLOW))
 
     def test_one_problem_needs_over_100_passes(self, monkeypatch):
-        t, f = direct_and_cascade(self.slow_channel(), np.ones(1))
-        t, f = np.array([t]), f[None, :]
-        full = null_phases(t, f)
+        unit = ConstraintSet.unit_modulus()
+        full = null_interference(self.slow_channel(), unit)[0].coefficients
         monkeypatch.setattr(beamforming, "_NULL_PASSES", 100)
-        assert null_phases(t, f).tobytes() != full.tobytes()
+        assert null_interference(self.slow_channel(), unit)[0].coefficients.tobytes() \
+            != full.tobytes()
 
     def test_same_bits_handed_over_or_not_and_in_shards(self, monkeypatch, pools, result):
         # the alone loop must give the bits of the vector loop, wherever a
