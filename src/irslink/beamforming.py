@@ -218,29 +218,33 @@ def bs_irs_mrt(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
     return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
 
 
-def _start_totals(t: np.ndarray, a: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """t_r + sum_n a_rn start_rn of each row, summed in element order, one
-    term after another (in place in the products): the running totals that
-    :func:`_refine_rows` starts from."""
-    terms = a * start
-    return t + np.cumsum(terms, axis=1, out=terms)[:, -1]
+def _groups(buffer: np.ndarray, rows: int, sizes) -> tuple[list, np.ndarray, np.ndarray]:
+    """The batch kernels' layout: for each n of ``sizes`` in turn, a group
+    of ``rows`` (at least one) rows of n elements, laid end to end.  Returns
+    the (rows, n) view of each group in ``buffer``, and the flat index of
+    each row's first element and one past its last, in (group, row) order."""
+    lengths = np.repeat(sizes, rows)
+    stop = np.cumsum(lengths)
+    begin = stop - lengths
+    views = [buffer[lo:lo + rows * n].reshape(rows, n) for lo, n in zip(begin[::rows], sizes)]
+    return views, begin, stop
 
 
-def _refine_rows(total: np.ndarray, a_flat: np.ndarray, v_flat: np.ndarray, lengths,
-                 bits: int) -> None:
-    """Cyclic coordinate ascent over the 2^bits phase levels, for rows of
-    any length laid end to end, refining the states ``v_flat`` in place.
+def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -> None:
+    """Cyclic coordinate ascent over the 2^bits phase levels, for groups of
+    rows of several lengths, refining the states ``v`` in place.
 
-    Row r is the ``lengths[r]`` elements of ``a_flat`` and ``v_flat`` that
-    follow the rows before it.  It maximizes |t_r + sum_n a_rn v_rn|^2 from
-    the running total ``total[r]`` = t_r + sum_n a_rn v_rn, summed in
-    element order (:func:`_start_totals`; the loop writes into ``total``):
-    holding all other elements fixed, each element in ascending index order
-    moves to the level that maximizes the objective (first maximum, so ties
-    pick the lowest level), kept only on strict improvement.  The objective
-    never decreases, and a pass that changes nothing leaves a row exactly
-    as it was, so a row leaves the loop after such a pass (or after
-    ``_REFINE_PASSES`` full passes).
+    ``a`` and ``v`` are flat buffers that hold, for each n >= 1 of
+    ``sizes``, a group of ``rows`` rows of n elements (:func:`_groups`), and
+    ``t`` holds each group's (rows,) direct terms.  Row r maximizes
+    |t_r + sum_n a_rn v_rn|^2 from its start in ``v``, whose running total
+    t_r + sum_n a_rn v_rn is summed in element order, one term after
+    another: holding all other elements fixed, each element in ascending
+    index order moves to the level that maximizes the objective (first
+    maximum, so ties pick the lowest level), kept only on strict
+    improvement.  The objective never decreases, and a pass that changes
+    nothing leaves a row exactly as it was, so a row leaves the loop after
+    such a pass (or after ``_REFINE_PASSES`` full passes).
 
     Each row keeps its own first and stop index, cursor and pass count, and
     scans from its cursor a window of ``_WINDOW`` elements at a time,
@@ -255,11 +259,12 @@ def _refine_rows(total: np.ndarray, a_flat: np.ndarray, v_flat: np.ndarray, leng
     """
     levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
     offsets = np.arange(_WINDOW)
-    # per live row: the flat index of its first element, of the next
-    # element it scans and one past its last element, its pass and whether
-    # that pass has changed it
-    stop = np.cumsum(lengths)
-    begin = stop - lengths
+    # per live row: its running total, the flat index of its first element,
+    # of the next element it scans and one past its last element, its pass
+    # and whether that pass has changed it
+    a_groups, begin, stop = _groups(a, rows, sizes)
+    terms = (ak * vk for ak, vk in zip(a_groups, _groups(v, rows, sizes)[0]))  # summed in place
+    total = np.concatenate([tk + np.cumsum(x, axis=1, out=x)[:, -1] for tk, x in zip(t, terms)])
     cursor = begin.copy()
     passes = np.ones(cursor.size, dtype=np.intp)
     changed = np.zeros(cursor.size, dtype=bool)
@@ -268,7 +273,7 @@ def _refine_rows(total: np.ndarray, a_flat: np.ndarray, v_flat: np.ndarray, leng
         # a window reaching past a row's end reads the next row's elements
         # (the last row's are clipped); they are masked out of the decisions
         inside = at < stop[:, None]
-        an, vn = a_flat.take(at, mode="clip"), v_flat.take(at, mode="clip")
+        an, vn = a.take(at, mode="clip"), v.take(at, mode="clip")
         now = an * vn
         rest = total[:, None] - now
         current = np.abs(rest + now)
@@ -289,7 +294,7 @@ def _refine_rows(total: np.ndarray, a_flat: np.ndarray, v_flat: np.ndarray, leng
         moved = np.flatnonzero(hit)
         step = first[moved]
         best = k[moved, step]
-        v_flat[cursor[moved] + step] = levels[best]
+        v[cursor[moved] + step] = levels[best]
         total[moved] = candidates[best, moved, step]
         changed[moved] = True
         cursor += np.where(hit, first + 1, _WINDOW)
@@ -324,7 +329,7 @@ def discrete_refine(
     v = np.array(start.coefficients, dtype=np.complex128)
     if len(v):
         t, a = direct_and_cascade(ch, w)
-        _refine_rows(_start_totals(np.array([t]), a[None, :], v[None, :]), a, v, [len(v)], bits)
+        _refine_rows([np.array([t])], a, v, 1, [len(v)], bits)
     return ReflectionState(v, want)
 
 
@@ -353,12 +358,12 @@ def _disk_residual(abs_t: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return np.float_power(np.maximum(abs_t - reach, 0.0), 2)
 
 
-def _null_prefixes(t: np.ndarray, f: np.ndarray, start: np.ndarray, sizes) -> list[np.ndarray]:
+def _null_prefixes(t: np.ndarray, f: np.ndarray, sizes) -> list[np.ndarray]:
     """Cyclic coordinate descent on |t_r + sum_n f_rn v_rn|^2 under
     |v_rn| = 1, for R rows (``t`` of shape (R,), ``f`` of shape (R, N)) at
     every element count n of ``sizes``, in one loop: problem (r, n) takes
-    row r's first n elements, and starts from the first n columns of
-    ``start``, the anti-aligned state ``_anti_aligned(t, f)``.
+    row r's first n elements, and starts from the first n columns of the
+    anti-aligned state ``_anti_aligned(t, f)``.
 
     Each element in ascending index order moves to its per-element optimum
     exp(j*(pi + arg c_n - arg f_n)), c_n being the residual without element
@@ -381,6 +386,7 @@ def _null_prefixes(t: np.ndarray, f: np.ndarray, start: np.ndarray, sizes) -> li
     """
     rows, width = f.shape
     sizes = np.asarray(sizes, dtype=np.intp)
+    start = _anti_aligned(t, f)
     live = np.flatnonzero(sizes)  # a size without elements keeps its empty start
     if not (rows and live.size):
         return [start[:, :n].copy() for n in sizes]
@@ -397,19 +403,18 @@ def _null_prefixes(t: np.ndarray, f: np.ndarray, start: np.ndarray, sizes) -> li
     terms[:, 0] += 0.0
     ri = t.imag[:, None] + np.cumsum(terms, axis=1, out=terms)[:, sizes[live] - 1]
     del terms
-    # the states of size k are the (rows, sizes[k]) array at offsets[k]
-    offsets = rows * np.concatenate(([0], np.cumsum(sizes)))
-    state = np.empty(offsets[-1], dtype=np.complex128)
-    out = [state[lo:lo + rows * n].reshape(rows, n) for n, lo in zip(sizes, offsets)]
+    state = np.empty(rows * sizes.sum(), dtype=np.complex128)
+    out, at, stop = _groups(state, rows, sizes)
     for n, v in zip(sizes, out):
         v[:] = start[:, :n]
-    # per problem, in (size, row) order: its size, the flat index of the
-    # element it steps next in the packed states and in f, one past its
-    # last state, its pass and its residual power when that pass began
-    size = np.repeat(sizes[live], rows)
-    at = (offsets[live][:, None] + np.arange(rows) * sizes[live][:, None]).reshape(-1)
+    del start
+    # per problem with elements, in (size, row) order: the flat index of the
+    # element it steps next in the packed states and in f, one past its last
+    # state, its size, its pass and its residual power when that pass began
+    keep = at < stop
+    at, stop = at[keep], stop[keep]
+    size = stop - at
     at_f = np.tile(np.arange(rows) * width, live.size)
-    stop = at + size
     rr, ri = rr.T.reshape(-1), ri.T.reshape(-1)
     prev = np.float_power(np.hypot(rr, ri), 2)
     passes = np.ones(size.size, dtype=np.intp)
@@ -519,10 +524,10 @@ def null_interference(ch: ChannelRealization, c: ConstraintSet) -> tuple[Reflect
         raise ValueError(f"unsupported constraint for nulling: {c.kind.value}")
     t, f = direct_and_cascade(ch, np.ones(1))
     t, f = np.array([t]), f[None, :]
-    v = _anti_aligned(t, f)
     if c.kind is ConstraintKind.UNIT_MODULUS:
-        v = _null_prefixes(t, f, v, [f.shape[1]])[0]
+        v = _null_prefixes(t, f, [f.shape[1]])[0]
         return ReflectionState(v[0], c), float(nulling_residual(t, f, v)[0])
+    v = _anti_aligned(t, f)
     abs_t, reach = np.hypot(t.real, t.imag), np.sum(np.abs(f), axis=1)
     if reach[0] > abs_t[0]:
         v *= abs_t[0] / reach[0]

@@ -15,17 +15,18 @@ bits each stream has alone), and gives the study's metric each block at
 runs of consecutive sweep values, the whole sweep unless a block at its
 row floor would hold too much.  A sweep value's arrays are the shared
 line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r`` (R, N) and
-``h_d`` (R, M).  Both power studies share one metric, ``_power_gains``:
-the closed form that the rank-one ``g`` allows, computed for each sweep
-value in turn and serving every power scheme.  Power-versus-N keeps every
-swept N's lattice arrays and refines each bit width once for the run, the
-rows of all its swept N in one loop.  The interference study's swept
-surfaces are nested, each the first N elements of the largest, so it
-forms the run's largest arrays once; free-amplitude nulling is the disk's
-closed-form value, and unit-modulus nulling runs the block's rows at
-every swept N of the run in one loop.
-Every realization gets the same values as it would alone, and the tests
-check them against the general per-realization solvers of ``beamforming``.
+``h_d`` (R, M).  Both power studies share one metric, ``_power_samples``:
+the required powers of :func:`_sweep_power_gains`, the closed form that
+the rank-one ``g`` allows, computed for each sweep value in turn and
+serving every power scheme.  Power-versus-N keeps every swept N's lattice
+arrays and refines each bit width once for the run, the rows of all its
+swept N in one loop.  The interference study's swept surfaces are nested,
+each the first N elements of the largest, so it forms the run's largest
+arrays once; free-amplitude nulling is the disk's closed-form value, and
+unit-modulus nulling runs the block's rows at every swept N of the run in
+one loop.  Every realization gets the same values as it would alone, and
+the tests check them against the general per-realization solvers of
+``beamforming``.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .beamforming import (
-    _anti_aligned,
     _disk_residual,
+    _groups,
     _null_prefixes,
     _rank_one_beam,
     _refine_rows,
-    _start_totals,
     nulling_residual,
 )
 from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
@@ -67,12 +67,6 @@ _MIN_ROWS = 64
 # macOS, so there a process pool spawns the shards, which re-import
 # everything.
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
-
-# Maps one block of R realizations at a run of consecutive sweep values,
-# (the ScenarioLinks of each value of the run, fading_r (R, >= the run's
-# largest N), fading_d (R, M), cfg), to one dict per value, in sweep order,
-# of the values kept as samples, stacked over the block per key.
-_BlockMetric = Callable[..., list[dict[str, np.ndarray]]]
 
 
 class ConfigErrorCode(enum.Enum):
@@ -299,31 +293,24 @@ def _sweep_power_gains(links: list[ScenarioLinks], fading_r: np.ndarray, fading_
     """
     lattice = [scheme for scheme in schemes if scheme in ("b1", "b2")]
     rows, sizes = len(fading_r), [len(link.g_bs_irs) for link in links]
-
-    def unpacked(buffer: np.ndarray) -> list[np.ndarray]:  # each value's (rows, N) view
-        return [x.reshape(rows, n) for x, n in zip(np.split(buffer, rows * np.cumsum(sizes)[:-1]),
-                                                   sizes)]
-
     packed = np.empty(rows * sum(sizes) if lattice else 0, dtype=np.complex128)
     out, problems = [], []
-    for link, a in zip(links, unpacked(packed) if lattice else [None] * len(links)):
+    for link, a in zip(links, _groups(packed, rows, sizes)[0] if lattice else [None] * len(links)):
         # the block is formed in the call, so it is dropped when the call returns
         gains, problem = _closed_form_gains(*link.block(fading_r, fading_d), schemes, a)
         out.append(gains)
         problems.append(problem)
     if lattice:
         state = np.empty_like(packed)
-        lengths = np.repeat(sizes, rows)
+        states = _groups(state, rows, sizes)[0]
         for scheme in lattice:
             bits = int(scheme[1:])
-            totals = []
-            for gains, problem, v in zip(out, problems, unpacked(state)):
+            for gains, problem, v in zip(out, problems, states):
                 # the phases aligned to w* (t is real and >= 0), on the lattice
                 v[:] = unit_phases(np.conj(problem.a), bits)
                 gains[f"{scheme}_quant"] = problem.gains(v)
-                totals.append(_start_totals(problem.t, problem.a, v))
-            _refine_rows(np.concatenate(totals), packed, state, lengths, bits)
-            for gains, problem, v in zip(out, problems, unpacked(state)):
+            _refine_rows([problem.t for problem in problems], packed, state, rows, sizes, bits)
+            for gains, problem, v in zip(out, problems, states):
                 gains[scheme] = problem.gains(v)
     return out
 
@@ -390,7 +377,7 @@ def _interference_gains(
             for r, gains in zip(reach, out):
                 gains[scheme] = _disk_residual(abs_t, r)
         elif scheme == "phase_only":
-            for n, gains, v in zip(sizes, out, _null_prefixes(t, f, _anti_aligned(t, f), sizes)):
+            for n, gains, v in zip(sizes, out, _null_prefixes(t, f, sizes)):
                 gains[scheme] = nulling_residual(t, f[:, :n], v)
         elif scheme == "no_irs":
             for gains in out:
@@ -471,7 +458,7 @@ class Study(NamedTuple):
     defaults: ExperimentConfig
     min_elements: int | None  # smallest swept element count; None for a distance sweep
     single_antenna: bool
-    metric: _BlockMetric  # (links, fading_r, fading_d, cfg) of one block
+    metric: Callable[..., list[dict[str, np.ndarray]]]  # (links, fading_r, fading_d, cfg)
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
     block_width: Callable[[list[int]], int]  # elements per row a run holds, from its N
 
@@ -518,10 +505,10 @@ def _runs(sizes: list[int], cap: int, width: Callable[[list[int]], int]) -> list
 
 
 def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfig,
-                   start: int, stop: int) -> list[dict[str, np.ndarray]]:
-    """``spec.metric`` of realizations ``start`` .. ``stop - 1``, stacked per
-    key, for each sweep value in turn: one shard of a study, module-level so
-    that worker processes can unpickle it.
+                   start: int, stop: int) -> list[list[dict[str, np.ndarray]]]:
+    """``spec.metric`` of realizations ``start`` .. ``stop - 1``, its dict of
+    each block for each sweep value in turn: one shard of a study,
+    module-level so that worker processes can unpickle it.
 
     The one place that sizes work.  The range is walked in blocks of as
     many realizations as keep rows x ``spec.block_width`` of the whole
@@ -546,8 +533,7 @@ def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfi
             for blocks, samples in zip(per_value[run],
                                        spec.metric(links[run], fading_r, fading_d, cfg)):
                 blocks.append(samples)
-    return [{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-            for blocks in per_value]
+    return per_value
 
 
 def _usable_cpus() -> int:
@@ -627,9 +613,9 @@ def _fork_shards(study: str, shard: Callable[[int, int], list], bounds: list[int
 
 
 def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentResult:
-    """Validate ``cfg`` for ``STUDIES[study]`` (the one check of its schemes
-    and element counts, which the block metrics trust), then evaluate and
-    aggregate it.
+    """Validate ``cfg`` for ``STUDIES[study]`` (the one check of its schemes,
+    antennas and element counts, which the block metrics trust), then
+    evaluate and aggregate it.
 
     With ``workers > 1``, contiguous realization ranges run in separate
     processes, at most one per usable CPU, and are concatenated in
@@ -665,6 +651,19 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
                 ConfigErrorCode.INVALID_VALUE,
                 f"element counts must be >= {spec.min_elements}, got {bad}",
             )
+    if spec.metric is _power_samples and cfg.scenario.m_antennas == 1:
+        # a power row is the mean of 1/gain: a gain of |h_d|^2 is then
+        # exponential, and the mean of its inverse is infinite; with elements,
+        # (|h_d| + r)^2 keeps it finite
+        bare = min(scen.n_elements for scen in cfg._scenarios) == 0
+        direct = [s for s in cfg.schemes
+                  if s == "no_irs" or (bare and s in ("joint", "bs_user_mrt"))]
+        if direct:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE,
+                f"scheme(s) {direct} at m_antennas = 1{' and n_elements = 0' if bare else ''} "
+                "have the gain |h_d|^2, whose required power 1/|h_d|^2 has no finite mean",
+            )
 
     # built once for every shard: a forked one inherits them, a spawned one unpickles them
     links = [scenario_links(scen) for scen in cfg._scenarios]
@@ -687,10 +686,10 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     rows: list[ResultRow] = []
     samples: dict[tuple[float, str], np.ndarray] = {}
     for k, value in enumerate(values):
-        # each shard's arrays are dropped as they are stacked, so that no
-        # sample is held twice
-        stacked = {key: np.concatenate([s[k].pop(key) for s in shards])
-                   for key in list(shards[0][k])}
+        # every shard's blocks in one step, each array dropped as it is
+        # stacked, so that no sample is held twice
+        blocks = [block for s in shards for block in s[k]]
+        stacked = {key: np.concatenate([b.pop(key) for b in blocks]) for key in list(blocks[0])}
         rows += [ResultRow(float(value), scheme, metric, unit, n, cfg.master_seed)
                  for scheme, metric, unit in spec.rows(stacked)]
         samples.update({(float(value), key): arr for key, arr in stacked.items()})

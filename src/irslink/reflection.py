@@ -19,6 +19,10 @@ from .channel import ChannelRealization
 from .numerics import as_complex_vector
 
 _FEAS_TOL = 1e-9
+# The finest phase lattice.  One refinement step holds 2^bits candidates for
+# each of the 32 elements a row scans, about 50 MB at 16 bits, and rounding
+# takes level indices as machine integers, which overflow from 63 bits on.
+_MAX_BITS = 16
 
 
 class ConstraintKind(enum.Enum):
@@ -39,6 +43,9 @@ class ConstraintSet:
         if self.kind is ConstraintKind.DISCRETE_PHASE:
             if self.bits is None or self.bits < 1:
                 raise ValueError(f"discrete phase control needs bits >= 1, got {self.bits}")
+            if self.bits > _MAX_BITS:
+                raise ValueError(f"discrete phase control takes at most {_MAX_BITS} bits, "
+                                 f"got {self.bits}")
         elif self.bits is not None:
             raise ValueError(f"{self.kind.value} takes no bit count")
 

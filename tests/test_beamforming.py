@@ -285,6 +285,18 @@ class TestDiscreteRefine:
         for bits in (1, 2, 3):
             assert gains[bits + 1] >= gains[bits] * (1 - 1e-12)
 
+    def test_finest_lattice(self):
+        # 16 bits, the most a lattice may have; a start at its fixed point
+        # keeps refinement to one step of 2^16 candidates per element
+        ch = synthetic_channel(2.0, np.array([1.0, 0.5, 0.25], complex))
+        c = ConstraintSet.discrete_phase(16)
+        start = project(np.ones(3), c)
+        out = discrete_refine(ch, np.ones(1), start, 16)
+        assert out.constraint == c
+        assert np.array_equal(out.coefficients, start.coefficients)
+        with pytest.raises(ValueError, match="at most 16 bits"):
+            discrete_refine(ch, np.ones(1), start, 17)
+
     def test_requires_matching_start(self):
         ch = make_channel(n=4)
         w = mrt(ch.h_bs_user)
@@ -350,12 +362,11 @@ def refinement_batch(bits, r=16, n=24, seed=0):
 
 
 def refine_batch(t, a, start, bits):
-    """``_refine_rows`` of rows of equal length from ``_start_totals``, as
+    """``_refine_rows`` of one group of rows of equal length, as
     ``discrete_refine`` calls it on one row: the refined copy of ``start``."""
     v = np.array(start, dtype=np.complex128)
     if a.shape[1]:
-        beamforming._refine_rows(beamforming._start_totals(t, a, v), a.reshape(-1), v.reshape(-1),
-                                 np.full(len(v), a.shape[1]), bits)
+        beamforming._refine_rows([t], a.reshape(-1), v.reshape(-1), len(v), [a.shape[1]], bits)
     return v
 
 
@@ -596,6 +607,17 @@ class TestRefineLevels:
             want = loop_refine(t[r], a[r], start[r], bits, beamforming._REFINE_PASSES)
             assert got[r].tobytes() == want.tobytes(), r
 
+    def test_start_total_is_summed_in_element_order(self):
+        # real terms 1, 2^53, 1, -2^53 sum to 0 one after another (2^53 + 1
+        # rounds back to 2^53) but to 1 pairwise; from 0, element 0 has a
+        # strictly better level, from 1 a tie that keeps its start
+        a = np.array([1.0, 2.0**53, 1.0, -(2.0**53)], complex)
+        start = np.ones(4, complex)
+        want = loop_refine(0j, a, start, 1, 20)
+        assert want[0] != start[0]
+        got = refine_batch(np.zeros(1, complex), a[None], start[None], 1)
+        assert got[0].tobytes() == want.tobytes()
+
     def test_level_indices_past_127(self):
         # 8 bits: 256 levels; a small batch, as the lockstep kernel is slow
         t, a, start = refinement_batch(8, r=6, n=5, seed=8)
@@ -622,16 +644,14 @@ class TestRefineLevels:
         channels = [realize(scen, SeededRng(20240811, i)) for i in range(40)]
         calls = {}
 
-        def totals_spy(t, a, start):
-            calls["problem"] = t, a.copy(), start.copy()
-            return beamforming._start_totals(t, a, start)
+        def spy(t, a, v, rows, sizes, bits):
+            # the one sweep value's group, as the kernel gets it
+            assert len(t) == 1 and list(sizes) == [300]
+            calls["problem"] = t[0], a.reshape(rows, -1).copy(), v.reshape(rows, -1).copy()
+            beamforming._refine_rows(t, a, v, rows, sizes, bits)
+            calls["refined"] = v.reshape(rows, -1).copy()
 
-        def refine_spy(total, a_flat, v_flat, lengths, bits):
-            beamforming._refine_rows(total, a_flat, v_flat, lengths, bits)
-            calls["refined"] = v_flat.copy()
-
-        monkeypatch.setattr(experiments, "_start_totals", totals_spy)
-        monkeypatch.setattr(experiments, "_refine_rows", refine_spy)
+        monkeypatch.setattr(experiments, "_refine_rows", spy)
         experiments._power_gains(channels[0].g_bs_irs,
                                  np.array([ch.h_irs_user for ch in channels]),
                                  np.array([ch.h_bs_user for ch in channels]), (f"b{bits}",))
@@ -700,12 +720,12 @@ def ragged_rows(bits):
 
 
 def refine_packed(rows, bits):
-    """``_refine_rows`` of ``rows`` laid end to end; each row's result."""
+    """``_refine_rows`` of ``rows`` laid end to end, each a group of one
+    row; each row's result."""
     lengths = [len(a) for _, a, _ in rows]
-    total = np.concatenate([beamforming._start_totals(np.array([t]), a[None], start[None])
-                            for t, a, start in rows])
     v = np.concatenate([start for _, _, start in rows])
-    beamforming._refine_rows(total, np.concatenate([a for _, a, _ in rows]), v, lengths, bits)
+    beamforming._refine_rows([np.array([t]) for t, _, _ in rows],
+                             np.concatenate([a for _, a, _ in rows]), v, 1, lengths, bits)
     return np.split(v, np.cumsum(lengths)[:-1])
 
 
@@ -756,9 +776,9 @@ class TestRefineRows:
         monkeypatch.setattr(beamforming, "np", counter)
         steps = {}  # (swept N, bits) -> steps
 
-        def spy(total, a_flat, v_flat, lengths, bits):
+        def spy(t, a, v, rows, sizes, bits):
             before = counter.steps
-            beamforming._refine_rows(total, a_flat, v_flat, lengths, bits)
+            beamforming._refine_rows(t, a, v, rows, sizes, bits)
             key = (sweep, bits)
             steps[key] = steps.get(key, 0) + counter.steps - before
 
@@ -1037,9 +1057,9 @@ def nulling_batch(r=24, n=16, seed=0):
 
 
 def null_batch(t, f):
-    """``_null_prefixes`` of rows at their own element count, from the
-    anti-aligned state, as ``null_interference`` calls it on one row."""
-    return beamforming._null_prefixes(t, f, beamforming._anti_aligned(t, f), [f.shape[1]])[0]
+    """``_null_prefixes`` of rows at their own element count, as
+    ``null_interference`` calls it on one row."""
+    return beamforming._null_prefixes(t, f, [f.shape[1]])[0]
 
 
 def assert_matches_loop(t, f, tol=beamforming._NULL_TOL, max_passes=beamforming._NULL_PASSES):
@@ -1236,11 +1256,10 @@ class TestNullPrefixes:
         monkeypatch.setattr(beamforming, "_NULL_TOL", tol)
         monkeypatch.setattr(beamforming, "_NULL_PASSES", max_passes)
         monkeypatch.setattr(beamforming, "_NULL_ALONE", alone)
-        start = beamforming._anti_aligned(t, f)
         counter = CallCounter("exp", "flatnonzero")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(beamforming, "np", counter)
-            got = beamforming._null_prefixes(t, f, start, self.SIZES)
+            got = beamforming._null_prefixes(t, f, self.SIZES)
         assert [v.shape for v in got] == [(len(t), n) for n in self.SIZES]
         problems = []  # (passes, size, row)
         for n, v in zip(self.SIZES, got):
@@ -1256,21 +1275,21 @@ class TestNullPrefixes:
         # with elements) only at steps where some problem ends a pass.  It
         # stops at the first of those steps with at most _NULL_ALONE problems
         # left (at once if there are that few), and each of them takes its
-        # remaining steps alone, one scalar exp per element with f_n != 0
+        # remaining steps alone, one scalar exp per element with f_n != 0;
+        # one more array exp builds the anti-aligned start
         assert len({p for p, _, _ in problems}) >= (3 if max_passes > 2 else 2)
         ends = sorted({p * n for passes, n, _ in problems for p in range(1, passes + 1)})
         handover = next(e for e in [0, *ends] if sum(p * n > e for p, n, _ in problems) <= alone)
-        assert counter.array_calls["exp"] == handover
+        assert counter.array_calls["exp"] == 1 + handover
         assert counter.calls["flatnonzero"] == 1 + sum(e <= handover for e in ends)
         lone_steps = sum(f[k, s % n] != 0 for p, n, k in problems for s in range(handover, p * n))
         assert counter.calls["exp"] - counter.array_calls["exp"] == lone_steps
 
     def test_no_rows_or_no_elements(self):
         t, f = nulling_batch(r=10, n=8)
-        start = beamforming._anti_aligned(t, f)
-        alone = beamforming._null_prefixes(t, f, start, [0, 0])
+        alone = beamforming._null_prefixes(t, f, [0, 0])
         assert [v.shape for v in alone] == [(10, 0), (10, 0)]
-        empty = beamforming._null_prefixes(t[:0], f[:0], start[:0], [0, 2, 8])
+        empty = beamforming._null_prefixes(t[:0], f[:0], [0, 2, 8])
         assert [v.shape for v in empty] == [(0, 0), (0, 2), (0, 8)]
 
 
@@ -1316,7 +1335,7 @@ class TestNullAlone:
             return real(fn, arg_f, v, first, rr, ri, prev, passes)
 
         monkeypatch.setattr(beamforming, "_null_alone", spy)
-        got = beamforming._null_prefixes(t, f, beamforming._anti_aligned(t, f), self.SIZES)
+        got = beamforming._null_prefixes(t, f, self.SIZES)
         want = self.loop(tol, max_passes)
         for (k, n), (v, _) in want.items():
             assert got[self.SIZES.index(n)][k].tobytes() == v.tobytes(), (k, n)

@@ -487,6 +487,11 @@ CONFIG_MISTAKES = [
     ("power-vs-distance", "schemes = joint,joint"),
     ("power-vs-distance", "user_position = nan,0"),
     ("power-vs-distance", "antenna_spacing_wavelengths = inf"),
+    # one antenna: the direct-link gain |h_d|^2 has an inverse without a mean
+    ("power-vs-distance", "m_antennas = 1"),
+    ("power-vs-distance", "m_antennas = 1\nschemes = no_irs"),
+    ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = joint"),
+    ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = bs_user_mrt"),
 ]
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures.process
 import contextlib
 import hashlib
+import math
 import os
 import pickle
 import subprocess
@@ -261,6 +262,33 @@ class TestPowerVsDistance:
             run_power_vs_distance(cfg)
         rest = run_power_vs_distance(replace(cfg, schemes=("joint", "bs_user_mrt", "no_irs")))
         assert rest.value(30.0, "joint") == pytest.approx(rest.value(30.0, "no_irs"), abs=1e-9)
+
+    @pytest.mark.parametrize("n, schemes, refused", [
+        (40, POWER_DISTANCE_SCHEMES, ["no_irs"]),
+        (40, ("no_irs",), ["no_irs"]),
+        (0, ("joint",), ["joint"]),
+        (0, ("bs_user_mrt",), ["bs_user_mrt"]),
+        (0, ("joint", "bs_user_mrt", "no_irs"), ["joint", "bs_user_mrt", "no_irs"]),
+    ], ids=["defaults", "no_irs", "no_elements-joint", "no_elements-bs_user_mrt", "no_elements"])
+    def test_direct_gain_at_one_antenna_rejected(self, monkeypatch, n, schemes, refused):
+        # the rows average 1/gain, and 1/|h_d|^2 has no finite mean at M = 1;
+        # refused before any block is evaluated
+        monkeypatch.setattr(experiments, "_sweep_samples", None)
+        cfg = ExperimentConfig(scenario=ScenarioConfig(m_antennas=1, n_elements=n),
+                               schemes=schemes, n_realizations=2)
+        with pytest.raises(ConfigError, match=rf"scheme\(s\) \{refused}.* no finite mean") as err:
+            run_power_vs_distance(cfg)
+        assert err.value.code is ConfigErrorCode.INVALID_VALUE
+
+    def test_surface_schemes_at_one_antenna_run(self):
+        # (|h_d| + r)^2 with r > 0: the inverse has a finite mean, so M = 1
+        # stays allowed for every scheme that uses the surface
+        scen = ScenarioConfig(m_antennas=1)
+        dist = run_power_vs_distance(ExperimentConfig(
+            scenario=scen, schemes=("joint", "bs_user_mrt", "bs_irs_mrt"), n_realizations=8))
+        swept = run_power_vs_n(replace(N_CFG, scenario=scen, n_realizations=8))
+        for result in (dist, swept):
+            assert result.rows and all(math.isfinite(row.metric_value) for row in result.rows)
 
     def test_wrong_sweep_variable_rejected(self):
         bad = ExperimentConfig(sweep=("n", (10.0,)), schemes=("joint",), n_realizations=2)
@@ -607,9 +635,9 @@ class TestRaggedSweep:
             assert experiments._block_rows(int(sum(self.SWEEP))) == experiments._MIN_ROWS
             calls = []
 
-            def spy(total, a_flat, v_flat, lengths, bits):
-                calls.append(len(a_flat) // 37)
-                beamforming._refine_rows(total, a_flat, v_flat, lengths, bits)
+            def spy(t, a, v, rows, sizes, bits):
+                calls.append(len(a) // 37)
+                beamforming._refine_rows(t, a, v, rows, sizes, bits)
 
             monkeypatch.setattr(experiments, "_refine_rows", spy)
         elif layout == "forked":
@@ -789,9 +817,9 @@ class TestInterferenceGains:
         runs = []
         real = beamforming._null_prefixes
 
-        def spy(t, f, start, sizes):
+        def spy(t, f, sizes):
             runs.append((len(t), list(sizes)))
-            return real(t, f, start, sizes)
+            return real(t, f, sizes)
 
         monkeypatch.setattr(experiments, "_null_prefixes", spy)
         split = run_interference_vs_n(cfg)

@@ -39,6 +39,19 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet.discrete_phase(0)
 
+    def test_lattice_size_is_bounded(self):
+        # 2^16 levels still round to the nearest level exactly; one more bit
+        # is refused, by the class method and by the constructor
+        c = ConstraintSet.discrete_phase(16)
+        k = np.array([0, 1, 12345, 65535])
+        v = 1.5 * np.exp(2j * np.pi * (k + np.array([0.0, 0.3, -0.4, 0.2])) / 65536)
+        assert np.array_equal(project(v, c).coefficients, np.exp(1j * c.phase_levels())[k])
+        for make in (ConstraintSet.discrete_phase,
+                     lambda bits: ConstraintSet(ConstraintKind.DISCRETE_PHASE, bits)):
+            for bits in (17, 31, 63, 64):
+                with pytest.raises(ValueError, match="at most 16 bits"):
+                    make(bits)
+
     def test_bits_only_for_discrete(self):
         with pytest.raises(ValueError):
             ConstraintSet(ConstraintKind.UNIT_MODULUS, bits=1)
