@@ -8,25 +8,26 @@ order and of the worker count.  One driver runs every study in ``STUDIES``;
 with more than one worker it shards the realizations over processes.  On
 Linux it forks each shard itself and reads its samples back through a
 pipe; elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
-:func:`_sweep_samples` alone decides how work is cut to fit memory: it
-walks the realizations in blocks, draws each realization's fading once
-for every sweep value (the block's streams are keyed together, with the
-bits each stream has alone), and gives the study's metric each block at
-runs of consecutive sweep values, the whole sweep unless a block at its
-row floor would hold too much.  A sweep value's arrays are the shared
-line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r`` (R, N) and
-``h_d`` (R, M).  Both power studies share one metric, ``_power_samples``:
-the required powers of :func:`_sweep_power_gains`, the closed form that
-the rank-one ``g`` allows, computed for each sweep value in turn and
-serving every power scheme.  Power-versus-N keeps every swept N's lattice
-arrays and refines each bit width once for the run, the rows of all its
-swept N in one loop.  The interference study's swept surfaces are nested,
-each the first N elements of the largest, so it forms the run's largest
-arrays once; free-amplitude nulling is the disk's closed-form value, and
-unit-modulus nulling runs the block's rows at every swept N of the run in
-one loop.  Every realization gets the same values as it would alone, and
-the tests check them against the general per-realization solvers of
-``beamforming``.
+:func:`_sweep_samples` alone decides how work is cut to fit memory, by one
+rule for every study: it walks the realizations in blocks sized by the
+largest swept N, draws each realization's fading once for every sweep
+value (the block's streams are keyed together, with the bits each stream
+has alone), and gives the study's metric each block at runs of
+consecutive sweep values whose summed N fits the budget, so a metric may
+hold every value of its run at once.  A sweep value's arrays are the
+shared line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r``
+(R, N) and ``h_d`` (R, M).  Both power studies share one metric,
+``_power_samples``: the required powers of :func:`_sweep_power_gains`,
+the closed form that the rank-one ``g`` allows, computed for each sweep
+value in turn and serving every power scheme.  Power-versus-N keeps every
+swept N's lattice arrays and refines each bit width once for the run, the
+rows of all its swept N in one loop.  The interference study's swept
+surfaces are nested, each the first N elements of the largest, so it
+forms the run's largest arrays once; free-amplitude nulling is the disk's
+closed-form value, and unit-modulus nulling runs the block's rows at
+every swept N of the run in one loop.  Every realization gets the same
+values as it would alone, and the tests check them against the general
+per-realization solvers of ``beamforming``.
 """
 
 from __future__ import annotations
@@ -434,9 +435,11 @@ def _power_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
 
 
 def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
-    # perfect cancellation would give -inf dB; floor keeps metrics finite
-    return [(scheme, float(10.0 * np.log10(max(float(np.mean(normalized)), 1e-30))), "dB")
-            for scheme, normalized in samples.items() if scheme != "margin"]
+    # a perfect null, a mean of exactly zero, would be -inf dB: it prints as -300
+    means = ((scheme, float(np.mean(values))) for scheme, values in samples.items()
+             if scheme != "margin")
+    return [(scheme, float(10.0 * np.log10(mean)) if mean else -300.0, "dB")
+            for scheme, mean in means]
 
 
 class Study(NamedTuple):
@@ -446,11 +449,9 @@ class Study(NamedTuple):
     sweep values to its samples per key (a scheme) at each of them, in
     sweep order; each row must be what the realization gives alone.
     ``rows`` turns those values, stacked over all realizations of one
-    sweep value, into (scheme, metric, unit) rows.  ``block_width`` gives,
-    from the element counts of a run, how many elements per realization
-    the metric holds for it: ``max`` when it forms each value's arrays in
-    turn, ``sum`` when it keeps every value's arrays at once (power-vs-n's
-    lattice arrays, the interference study's nulling states).
+    sweep value, into (scheme, metric, unit) rows.  A metric may hold
+    every value of its run at once: :func:`_sweep_samples` sizes runs by
+    their summed N.
     ``defaults`` is the configuration of a run that sets nothing: only its
     sweep variable may be swept, and its schemes are the ones allowed.
     """
@@ -460,19 +461,18 @@ class Study(NamedTuple):
     single_antenna: bool
     metric: Callable[..., list[dict[str, np.ndarray]]]  # (links, fading_r, fading_d, cfg)
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
-    block_width: Callable[[list[int]], int]  # elements per row a run holds, from its N
 
 
 STUDIES = {
     "power-vs-distance": Study(
         defaults=ExperimentConfig(), min_elements=None, single_antenna=False,
-        metric=_power_samples, rows=_power_rows, block_width=max,
+        metric=_power_samples, rows=_power_rows,
     ),
     "power-vs-n": Study(
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
         min_elements=1, single_antenna=False,
-        metric=_power_samples, rows=_power_rows, block_width=sum,
+        metric=_power_samples, rows=_power_rows,
     ),
     "interference-vs-n": Study(
         defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
@@ -480,24 +480,22 @@ STUDIES = {
                                   schemes=("joint_amp_phase", "phase_only", "no_irs"),
                                   n_realizations=200),
         min_elements=0, single_antenna=True, metric=_interference_samples,
-        rows=_interference_rows, block_width=sum,
+        rows=_interference_rows,
     ),
 }
 
 
-def _block_rows(width: int) -> int:
-    """Realizations per block when the whole sweep holds ``width`` elements
-    per realization."""
-    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(width, 1))
+def _block_rows(n_max: int) -> int:
+    """Realizations per block when the largest swept N is ``n_max``."""
+    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(n_max, 1))
 
 
-def _runs(sizes: list[int], cap: int, width: Callable[[list[int]], int]) -> list[slice]:
-    """``sizes`` cut into consecutive runs, as slices, each of ``width`` at
-    most ``cap`` or holding a single size.  ``width`` is ``sum`` or ``max``,
-    so a run's width grows by ``width([held, n])`` with each size n."""
+def _runs(sizes: list[int], cap: int) -> list[slice]:
+    """``sizes`` cut into consecutive runs, as slices, each summing to at
+    most ``cap`` or holding a single size."""
     runs, lo, held = [], 0, 0
     for k, n in enumerate(sizes):
-        held = width([held, n])
+        held += n
         if k > lo and held > cap:
             runs.append(slice(lo, k))
             lo, held = k, n
@@ -510,26 +508,26 @@ def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfi
     each block for each sweep value in turn: one shard of a study,
     module-level so that worker processes can unpickle it.
 
-    The one place that sizes work.  The range is walked in blocks of as
-    many realizations as keep rows x ``spec.block_width`` of the whole
-    sweep within ``_ELEMENT_BUDGET``, and at least ``_MIN_ROWS``, so memory
-    grows with neither n_realizations nor the sweep's length, and wide
-    blocks spread the kernels' per-call cost.  Each realization's fading is
-    drawn once, at the largest swept element count.  The metric gets the
-    block once per run of consecutive sweep values whose width fits the
-    budget, or of one value: the whole sweep, unless the block is at the
-    row floor.  Each value's ``links`` form its arrays from the block's
-    fading.  Rows are independent, and a run forms prefixes of the largest
-    value's arrays, so neither blocks nor runs move any bits.
+    The one place that sizes work, by one rule for every study.  The range
+    is walked in blocks of as many realizations as keep rows x the largest
+    swept N within ``_ELEMENT_BUDGET``, and at least ``_MIN_ROWS``, so
+    memory grows with neither n_realizations nor the sweep's length, and
+    wide blocks spread the kernels' per-call cost.  Each realization's
+    fading is drawn once, at the largest swept N.  The metric gets the
+    block once per run of consecutive sweep values whose summed N fits the
+    budget, or of one value.  Each value's ``links`` form its arrays from
+    the block's fading.  Rows are independent, and a run forms prefixes of
+    the largest value's arrays, so neither blocks nor runs move any bits.
     """
     sizes = [len(link.g_bs_irs) for link in links]
-    rows, m, n_max = _block_rows(spec.block_width(sizes)), cfg.scenario.m_antennas, max(sizes)
+    m, n_max = cfg.scenario.m_antennas, max(sizes)
+    rows = _block_rows(n_max)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in links]
     for lo in range(start, stop, rows):
         # realization i draws from SeededRng(master_seed, i), whatever its block
         fading_r, fading_d = draw_fading_rows(cfg.master_seed, range(lo, min(lo + rows, stop)),
                                               m, n_max)
-        for run in _runs(sizes, _ELEMENT_BUDGET // len(fading_r), spec.block_width):
+        for run in _runs(sizes, _ELEMENT_BUDGET // len(fading_r)):
             for blocks, samples in zip(per_value[run],
                                        spec.metric(links[run], fading_r, fading_d, cfg)):
                 blocks.append(samples)

@@ -343,14 +343,15 @@ def direct_path_gain(scen: ScenarioConfig) -> float:
                            scen.c0_db)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
 @pytest.mark.parametrize("seed", [MASTER_SEED, 1])
-def test_no_irs_power_matches_its_exact_mean(seed):
+def test_no_irs_power_matches_its_exact_mean(seed, m):
     # ||h_d||^2 is Gamma(M, PL_d), so E[1/||h_d||^2] = 1/((M-1) PL_d) and the
-    # mean of 1/||h_d||^2 has relative standard error sqrt(1/(M-2)/R)
-    cfg = ExperimentConfig(schemes=("no_irs",), n_realizations=EXACT_REALIZATIONS,
-                           master_seed=seed)
+    # mean of 1/||h_d||^2 has relative standard error sqrt(1/(M-2)/R), which
+    # needs M >= 3: at M = 2 the variance is infinite
+    cfg = ExperimentConfig(scenario=ScenarioConfig(m_antennas=m), schemes=("no_irs",),
+                           n_realizations=EXACT_REALIZATIONS, master_seed=seed)
     result = run_power_vs_distance(cfg)
-    m = cfg.scenario.m_antennas
     sigma = DB_PER_RELATIVE_ERROR * np.sqrt(1.0 / (m - 2) / EXACT_REALIZATIONS)
     level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
     z = {}
@@ -360,7 +361,7 @@ def test_no_irs_power_matches_its_exact_mean(seed):
         z[d] = (result.value(d, "no_irs") - exact) / sigma
     worst = max(z.values(), key=abs)
     check(
-        f"exact-mean no_irs power, seed {seed}",
+        f"exact-mean no_irs power, M = {m}, seed {seed}",
         all(abs(x) <= 5.0 for x in z.values()),
         f"all {len(z)} distances within 5 sigma of 10^((snr+noise)/10) / ((M-1) PL_d), "
         f"sigma = {sigma:.4f} dB at M = {m}, R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",

@@ -357,13 +357,27 @@ def assert_same_channel(block, k, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def shrink_blocks(monkeypatch, width, rows=67):
+def metric_calls(monkeypatch, study):
+    """The (rows, swept N) of each call that the driver makes to
+    ``study``'s metric, as the runs go."""
+    spec = experiments.STUDIES[study]
+    calls = []
+
+    def spy(links, fading_r, fading_d, cfg):
+        calls.append((len(fading_r), [len(link.g_bs_irs) for link in links]))
+        return spec.metric(links, fading_r, fading_d, cfg)
+
+    monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=spy))
+    return calls
+
+
+def shrink_blocks(monkeypatch, study, n_max, rows=67):
     """Lower the element budget so that blocks hold ``rows`` realizations
-    (above the floor) at block width ``width``: the largest swept element
-    count of a power study, the sum of them of the interference study."""
-    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * width)
-    assert experiments._block_rows(width) == rows
-    return rows
+    (above the floor) when the largest swept element count is ``n_max``.
+    Returns ``rows`` and the metric calls of ``study``, from which a test
+    reads the blocks that the driver really cuts."""
+    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * n_max)
+    return rows, metric_calls(monkeypatch, study)
 
 
 class TestSharedDraw:
@@ -388,11 +402,12 @@ class TestSharedDraw:
         ("power-vs-n", ("n", (0.0, 1.0, 40.0))),
     ])
     def test_sweep_builds_the_channels_realize_draws(self, monkeypatch, study, sweep, offset):
-        # N = 40 at every distance; power-vs-n holds every swept N at once
+        # blocks are sized by the largest swept N, 40 in both sweeps; the
+        # built blocks' lengths below are the driver's real blocks
         sizes = [scen.n_elements for scen in ExperimentConfig(sweep=sweep)._scenarios]
-        width = experiments.STUDIES[study].block_width(sizes)
-        assert width == {"power-vs-distance": 40, "power-vs-n": 41}[study]
-        block = shrink_blocks(monkeypatch, width)
+        assert max(sizes) == 40
+        block = 67
+        monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", block * 40)
         count = block + offset
         cfg = ExperimentConfig(sweep=sweep, n_realizations=count, master_seed=21)
         built = self.built_blocks(study, cfg)
@@ -406,7 +421,7 @@ class TestSharedDraw:
                 assert_same_channel(got, k, ch)
 
     def test_blocks_split_at_the_real_budget(self, monkeypatch):
-        block = experiments._block_rows(41)  # power-vs-n holds N = 1 and 40 at once
+        block = experiments._block_rows(40)  # sized by the largest swept N
         cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), n_realizations=block + 1,
                                master_seed=21)
         built = self.built_blocks("power-vs-n", cfg)
@@ -429,19 +444,18 @@ class TestBlockPlan:
     """``_sweep_samples`` is the one place that cuts a study to fit memory:
     blocks of rows, and within a block runs of sweep values."""
 
-    @given(st.lists(st.integers(0, 300), min_size=1, max_size=30), st.integers(0, 1000),
-           st.sampled_from([sum, max]))
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=30), st.integers(0, 1000))
     @settings(max_examples=300, deadline=None)
-    def test_runs_are_the_longest_that_fit_the_cap(self, sizes, cap, width):
-        runs = experiments._runs(sizes, cap, width)
+    def test_runs_are_the_longest_that_fit_the_cap(self, sizes, cap):
+        runs = experiments._runs(sizes, cap)
         # consecutive, non-empty slices that cover the sweep in order
         assert [run.start for run in runs] == [0] + [run.stop for run in runs[:-1]]
         assert runs[-1].stop == len(sizes)
         assert all(run.step is None and run.start < run.stop for run in runs)
         for k, run in enumerate(runs):
-            assert width(sizes[run]) <= cap or run.stop - run.start == 1
+            assert sum(sizes[run]) <= cap or run.stop - run.start == 1
             if k + 1 < len(runs):
-                assert width(sizes[run] + [sizes[run.stop]]) > cap
+                assert sum(sizes[run]) + sizes[run.stop] > cap
 
     @pytest.mark.parametrize("study, cfg, budget, calls", [
         # (rows, sizes) of each metric call: 64-row blocks at the floor
@@ -450,7 +464,7 @@ class TestBlockPlan:
                      64 * 39, [(64, [40]), (64, [40]), (64, [40]), (6, [40, 40, 40])],
                      id="power-vs-distance"),
         pytest.param("power-vs-n", replace(N_CFG, sweep=("n", (10.0, 20.0, 30.0, 40.0))),
-                     64 * 50, [(64, [10, 20]), (64, [30]), (64, [40]), (6, [10, 20, 30, 40])],
+                     64 * 39, [(64, [10, 20]), (64, [30]), (64, [40]), (6, [10, 20, 30, 40])],
                      id="power-vs-n"),
         pytest.param("interference-vs-n", replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0, 30.0))),
                      64 * 21, [(64, [0, 1, 20]), (64, [30]), (6, [0, 1, 20, 30])],
@@ -461,14 +475,7 @@ class TestBlockPlan:
         cfg = replace(cfg, n_realizations=70)
         whole = experiments._run_study(cfg, study, 1)
         monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", budget)
-        spec = experiments.STUDIES[study]
-        seen = []
-
-        def spy(links, fading_r, fading_d, cfg):
-            seen.append((len(fading_r), [len(link.g_bs_irs) for link in links]))
-            return spec.metric(links, fading_r, fading_d, cfg)
-
-        monkeypatch.setitem(experiments.STUDIES, study, spec._replace(metric=spy))
+        seen = metric_calls(monkeypatch, study)
         split = experiments._run_study(cfg, study, 1)
         assert seen == calls
         assert split.to_csv_text() == whole.to_csv_text()
@@ -546,10 +553,14 @@ class TestPowerVsN:
         assert digest == "3d3bf52a43b6387f0679867023b7845fadcfcee8d247c0ad60b577acb7b283a4"
 
     def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
-        block = shrink_blocks(monkeypatch, 8)
+        block, calls = shrink_blocks(monkeypatch, "power-vs-n", 8)
         cfg = replace(N_CFG, sweep=("n", (4.0, 8.0)))
         short = run_power_vs_n(replace(cfg, n_realizations=block - 1))
         long = run_power_vs_n(replace(cfg, n_realizations=2 * block + 3))
+        # one block for the short study, three for the long; a full block
+        # takes N = 4 and 8 in two runs, the last block's 3 rows in one
+        assert calls == [(66, [4]), (66, [8]), (67, [4]), (67, [8]), (67, [4]), (67, [8]),
+                         (3, [4, 8])]
         assert short.samples.keys() == long.samples.keys()
         for key, arr in short.samples.items():
             assert long.samples[key].shape == (2 * block + 3,)
@@ -627,12 +638,12 @@ class TestRaggedSweep:
         workers = 1
         if layout == "blocks":  # blocks of 10, 10, 10 and 7 realizations
             monkeypatch.setattr(experiments, "_MIN_ROWS", 1)
-            shrink_blocks(monkeypatch, int(sum(self.SWEEP)), rows=10)
+            _, seen = shrink_blocks(monkeypatch, "power-vs-n", 70, rows=10)
         elif layout == "runs":
             # a block at the row floor, refined in runs of N = 1, 31 and 32,
             # of N = 33 and of N = 70, each run's arrays within the budget
             monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 37 * 70)
-            assert experiments._block_rows(int(sum(self.SWEEP))) == experiments._MIN_ROWS
+            assert experiments._block_rows(70) == experiments._MIN_ROWS
             calls = []
 
             def spy(t, a, v, rows, sizes, bits):
@@ -648,6 +659,9 @@ class TestRaggedSweep:
         for result in alone:
             for key, arr in result.samples.items():
                 assert swept.samples[key].tobytes() == arr.tobytes(), key
+        if layout == "blocks":  # a full block holds 70 elements per row at once
+            assert seen == [(10, [1, 31, 32]), (10, [33]), (10, [70])] * 3 + [
+                (7, [1, 31, 32, 33]), (7, [70])]
         if layout == "runs":
             assert calls == [64, 64, 33, 33, 70, 70]  # elements per row, per call
 
@@ -719,10 +733,33 @@ class TestInterferenceVsN:
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == "c7529432c80cc01195fcd34a2d785fc4cc099e0e0d91011871973b7e3b2faa60"
 
+    def test_only_an_exact_zero_mean_prints_as_the_floor(self):
+        # means of about 1e-69 to 1e-74 print their own levels, far below
+        # -300 dB; only N = 100's joint_amp_phase, a perfect null in every
+        # realization, has a mean of exactly zero and prints as -300 dB
+        cfg = ExperimentConfig(scenario=ScenarioConfig(m_antennas=1, noise_power_dbm=300.0),
+                               interferer_power_dbm=-300.0, sweep=("n", (20.0, 100.0)),
+                               schemes=("joint_amp_phase", "phase_only", "no_irs"),
+                               n_realizations=50, master_seed=1)
+        result = run_interference_vs_n(cfg)
+        assert len(result.rows) == 6
+        for row in result.rows:
+            mean = float(np.mean(result.samples[(row.sweep_value, row.scheme)]))
+            if (row.sweep_value, row.scheme) == (100.0, "joint_amp_phase"):
+                assert mean == 0.0 and row.metric_value == -300.0
+            else:
+                assert 0.0 < mean < 1e-30
+                assert row.metric_value == float(10.0 * np.log10(mean)) < -600.0, row
+        assert "100,joint_amp_phase,-300.000000,dB" in result.to_csv_text()
+
     def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
-        block = shrink_blocks(monkeypatch, 10 + 30)
+        block, calls = shrink_blocks(monkeypatch, "interference-vs-n", 30)
         short = run_interference_vs_n(replace(INT_CFG, n_realizations=block - 1))
         long = run_interference_vs_n(replace(INT_CFG, n_realizations=2 * block + 3))
+        # one block for the short study, three for the long; a full block
+        # takes N = 10 and 30 in two runs, the last block's 3 rows in one
+        assert calls == [(66, [10]), (66, [30]), (67, [10]), (67, [30]), (67, [10]), (67, [30]),
+                         (3, [10, 30])]
         assert short.samples.keys() == long.samples.keys()
         for key, arr in short.samples.items():
             assert long.samples[key].shape == (2 * block + 3,)
@@ -790,10 +827,10 @@ class TestInterferenceGains:
             infeasible += np.count_nonzero(~reachable)
         assert feasible and infeasible
 
-    def test_one_call_per_block_sized_by_the_summed_element_counts(self, monkeypatch):
-        # the interference metric holds every swept N at once, so its blocks
-        # are sized by their sum; the power studies' by the largest N
-        block = shrink_blocks(monkeypatch, 1 + 20)
+    def test_blocks_by_the_largest_n_runs_by_the_summed_n(self, monkeypatch):
+        # blocks are sized by the largest swept N, as in every study, and
+        # runs by the summed N: a full block nulls N = 0 and 1 apart from 20
+        block, _ = shrink_blocks(monkeypatch, "interference-vs-n", 20)
         cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0)), n_realizations=block + 5)
         calls = []
         real = experiments._interference_gains
@@ -804,16 +841,17 @@ class TestInterferenceGains:
 
         monkeypatch.setattr(experiments, "_interference_gains", spy)
         run_interference_vs_n(cfg)
-        assert calls == [((20, 1), (block, 20), [0, 1, 20]), ((20, 1), (5, 20), [0, 1, 20])]
+        assert calls == [((1, 1), (block, 1), [0, 1]), ((20, 1), (block, 20), [20]),
+                         ((20, 1), (5, 20), [0, 1, 20])]
 
     def test_blocks_at_the_row_floor_null_in_runs_that_fit_the_budget(self, monkeypatch):
-        # 64-row blocks whose states at N = 0, 1, 20 and 30 would hold 51
-        # elements per row, against a budget of 21 per row: the sizes are
-        # nulled in the runs [0, 1, 20] and [30], with the same samples
+        # 64-row blocks at the floor, whose states at N = 0, 1, 20 and 30
+        # would hold 51 elements per row, against a budget of 21 per row: the
+        # sizes are nulled in the runs [0, 1, 20] and [30], with the same samples
         cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0, 30.0)), n_realizations=70)
         whole = run_interference_vs_n(cfg)
         monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 64 * 21)
-        assert experiments._block_rows(51) == 64
+        assert experiments._block_rows(30) == 64
         runs = []
         real = beamforming._null_prefixes
 
