@@ -2,9 +2,10 @@
 
 Subcommands: power-vs-distance, power-vs-n, interference-vs-n (Monte
 Carlo studies writing CSV) and solve-once (single realization, printed
-for inspection).  The config file is read as UTF-8, up to 256 KiB.  Exit
-codes: 0 success, 1 configuration error (a command-line mistake, or a
-config file that cannot be read or breaks a rule), 2 runtime error.
+for inspection).  The config file is read as UTF-8, up to 256 KiB, and a
+leading byte-order mark is skipped.  Exit codes: 0 success, 1
+configuration error (a command-line mistake, or a config file that
+cannot be read or breaks a rule), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -117,11 +118,12 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
 def parse_config(path: str | None, experiment: str | None = None) -> ExperimentConfig:
     """Parse a flat key=value config file into an ExperimentConfig.
 
-    The file is read as UTF-8, and at most 256 KiB of it.  Lines are 'key = value'; '#' starts a
-    comment; a key may be set only once.  The keys are the fields of ``ScenarioConfig`` and those of
-    ``ExperimentConfig`` but ``scenario``; each value parses as the type of
-    its field's default (a tuple as an 'x,y' point), except ``sweep`` and
-    ``schemes``.  Unset keys keep the experiment's defaults in ``STUDIES``.
+    The file is read as UTF-8, and at most 256 KiB of it; a leading byte-order mark is
+    skipped.  Lines are 'key = value'; '#' starts a comment; a key may be set only once.
+    The keys are the fields of ``ScenarioConfig`` and those of ``ExperimentConfig`` but
+    ``scenario``; each value parses as the type of its field's default (a tuple as an 'x,y'
+    point), except ``sweep`` and ``schemes``.  Unset keys keep the experiment's defaults in
+    ``STUDIES``.
     """
     defaults = STUDIES.get(experiment, STUDIES["power-vs-distance"]).defaults
     scen_defaults = {f.name: f.default for f in fields(ScenarioConfig)}
@@ -137,7 +139,8 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
                 raise ConfigError(
                     ConfigErrorCode.BAD_SYNTAX, f"config file {path} is larger than 256 KiB"
                 )
-            text = data.decode("utf-8")
+            # not "utf-8-sig": it would count a bad byte's offset from after the mark
+            text = data.decode("utf-8").removeprefix("\ufeff")
         except OSError as exc:
             raise ConfigError(
                 ConfigErrorCode.MISSING_FILE, f"cannot read config file {path}: {exc.strerror}"

@@ -457,7 +457,6 @@ class Study(NamedTuple):
     """
 
     defaults: ExperimentConfig
-    min_elements: int | None  # smallest swept element count; None for a distance sweep
     single_antenna: bool
     metric: Callable[..., list[dict[str, np.ndarray]]]  # (links, fading_r, fading_d, cfg)
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
@@ -465,22 +464,20 @@ class Study(NamedTuple):
 
 STUDIES = {
     "power-vs-distance": Study(
-        defaults=ExperimentConfig(), min_elements=None, single_antenna=False,
-        metric=_power_samples, rows=_power_rows,
+        defaults=ExperimentConfig(), single_antenna=False, metric=_power_samples,
+        rows=_power_rows,
     ),
     "power-vs-n": Study(
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
-        min_elements=1, single_antenna=False,
-        metric=_power_samples, rows=_power_rows,
+        single_antenna=False, metric=_power_samples, rows=_power_rows,
     ),
     "interference-vs-n": Study(
         defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
                                   sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
                                   schemes=("joint_amp_phase", "phase_only", "no_irs"),
                                   n_realizations=200),
-        min_elements=0, single_antenna=True, metric=_interference_samples,
-        rows=_interference_rows,
+        single_antenna=True, metric=_interference_samples, rows=_interference_rows,
     ),
 }
 
@@ -640,20 +637,17 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     name, values = cfg.sweep
     if name != defaults.sweep[0]:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{study} sweeps {defaults.sweep[0]!r}")
-    if "bs_irs_mrt" in cfg.schemes and cfg.scenario.n_elements == 0:
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, "scheme 'bs_irs_mrt' needs n_elements >= 1")
-    if spec.min_elements is not None:
-        bad = [v for v in values if v < spec.min_elements]
-        if bad:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE,
-                f"element counts must be >= {spec.min_elements}, got {bad}",
-            )
+    # the beam at the surface link and the surface's phase resolutions are
+    # defined by its elements: without any, these schemes have no row
+    bare = min(scen.n_elements for scen in cfg._scenarios) == 0
+    surface = [s for s in cfg.schemes if s in ("bs_irs_mrt", "continuous", "b1", "b2")]
+    if bare and surface:
+        raise ConfigError(ConfigErrorCode.INVALID_VALUE,
+                          f"scheme(s) {surface} need a surface: n_elements must be >= 1, got 0")
     if spec.metric is _power_samples and cfg.scenario.m_antennas == 1:
         # a power row is the mean of 1/gain: a gain of |h_d|^2 is then
         # exponential, and the mean of its inverse is infinite; with elements,
         # (|h_d| + r)^2 keeps it finite
-        bare = min(scen.n_elements for scen in cfg._scenarios) == 0
         direct = [s for s in cfg.schemes
                   if s == "no_irs" or (bare and s in ("joint", "bs_user_mrt"))]
         if direct:

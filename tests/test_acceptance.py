@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from irslink.beamforming import (
     align_phases,
@@ -365,6 +365,36 @@ def test_no_irs_power_matches_its_exact_mean(seed, m):
         all(abs(x) <= 5.0 for x in z.values()),
         f"all {len(z)} distances within 5 sigma of 10^((snr+noise)/10) / ((M-1) PL_d), "
         f"sigma = {sigma:.4f} dB at M = {m}, R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
+    )
+
+
+@pytest.mark.parametrize("seed", [MASTER_SEED, 1])
+def test_no_irs_power_at_two_antennas_matches_its_capped_exact_mean(seed):
+    # at M = 2, u = ||h_d||^2 / PL_d is Gamma(2, 1): the mean of 1/u is 1, but
+    # its variance is infinite, so it is checked through min(1/u, 1/a),
+    # whose moments are finite: with F = P(u <= a) = 1 - e^-a (1 + a), the
+    # mean is e^-a + F / a and the second moment E1(a) + F / a^2.  Each row's
+    # 1/u is read back from its required power P: PL_d 10^((P - level)/10)
+    cfg = ExperimentConfig(scenario=ScenarioConfig(m_antennas=2), schemes=("no_irs",),
+                           n_realizations=EXACT_REALIZATIONS, master_seed=seed)
+    result = run_power_vs_distance(cfg)
+    level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
+    z = {}
+    for d in cfg.sweep[1]:
+        scen = ScenarioConfig(user_position=(d, cfg.scenario.user_position[1]))
+        inv_u = direct_path_gain(scen) * 10.0 ** ((result.samples[(d, "no_irs")] - level) / 10.0)
+        for a in (0.01, 0.05, 0.2):
+            cdf = 1.0 - np.exp(-a) * (1.0 + a)  # F
+            mean = np.exp(-a) + cdf / a
+            sigma = np.sqrt((special.exp1(a) + cdf / a**2 - mean**2) / len(inv_u))
+            z[(d, a)] = (np.mean(np.minimum(inv_u, 1.0 / a)) - mean) / sigma
+    worst = max(z.values(), key=abs)
+    check(
+        f"capped exact-mean no_irs power, M = 2, seed {seed}",
+        all(abs(x) <= 5.0 for x in z.values()),
+        f"min(1/u, 1/a), u = ||h_d||^2 / PL_d, at all {len(cfg.sweep[1])} distances and "
+        f"a = 0.01, 0.05, 0.2 within 5 sigma of e^-a + F/a, F = 1 - e^-a (1 + a), "
+        f"R = {EXACT_REALIZATIONS}; worst {worst:+.2f} sigma",
     )
 
 

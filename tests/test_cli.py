@@ -142,6 +142,26 @@ class TestParseConfig:
         assert exc.value.code is ConfigErrorCode.BAD_SYNTAX
         assert "UTF-8" in exc.value.message
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        text = "m_antennas = 4\nsweep = d:30,40\n"
+        plain = parse_config(write(tmp_path, text, "plain.cfg"))
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert parse_config(str(path)) == plain
+        # only a leading mark: one later in the file is part of a key
+        path.write_bytes("m_antennas = 4\n\ufeffsweep = d:30,40\n".encode("utf-8"))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert exc.value.code is ConfigErrorCode.UNKNOWN_KEY and exc.value.line == 2
+
+    def test_bad_byte_after_a_byte_order_mark_counts_from_the_file_start(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfn_elements = 40\n\xff\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert exc.value.code is ConfigErrorCode.BAD_SYNTAX
+        assert exc.value.message.endswith("is not UTF-8: byte 19")
+
     def test_unknown_key_error_carries_line(self, tmp_path):
         path = write(tmp_path, "m_antennas = 4\nbogus_key = 3\n")
         with pytest.raises(ConfigError) as exc:
