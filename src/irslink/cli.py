@@ -71,47 +71,44 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
         )
     name, _, rest = text.partition(":")
     name = name.strip().lower()
-    tokens = [tok.strip() for tok in rest.split(",") if tok.strip()]
+    tokens = (tok.strip() for tok in rest.split(",") if tok.strip())
     values: list[float] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "...":
-            # arithmetic continuation: needs two prior values and one after
-            if len(values) < 2 or i + 1 >= len(tokens):
-                raise ConfigError(
-                    ConfigErrorCode.TYPE_MISMATCH,
-                    "'...' needs two values before it and an end value after it",
-                    line,
-                )
-            step = values[-1] - values[-2]
-            end = _number(tokens[i + 1], "sweep", line)
-            if step <= 0 or end <= values[-1]:
-                raise ConfigError(
-                    ConfigErrorCode.INVALID_VALUE, "'...' continuation must ascend", line
-                )
-            n_steps = (end - values[-1]) / step
-            if not n_steps <= _MAX_SWEEP_STEPS:
-                raise ConfigError(
-                    ConfigErrorCode.INVALID_VALUE,
-                    f"'...' would add {n_steps:g} values; at most {_MAX_SWEEP_STEPS} allowed",
-                    line,
-                )
-            if abs(n_steps - round(n_steps)) > 1e-9:
-                raise ConfigError(
-                    ConfigErrorCode.INVALID_VALUE,
-                    f"end value {end:g} is not reachable with step {step:g}",
-                    line,
-                )
-            # the k-th new value is last + k * step, so that rounding does
-            # not build up, and the final one is the end as written
-            last = values[-1]
-            values.extend(last + k * step for k in range(1, int(round(n_steps))))
-            values.append(end)
-            i += 2
+    for tok in tokens:
+        if tok != "...":
+            values.append(_number(tok, "sweep", line))
             continue
-        values.append(_number(tok, "sweep", line))
-        i += 1
+        # arithmetic continuation: needs two prior values and one after
+        end_text = next(tokens, None)
+        if len(values) < 2 or end_text is None:
+            raise ConfigError(
+                ConfigErrorCode.TYPE_MISMATCH,
+                "'...' needs two values before it and an end value after it",
+                line,
+            )
+        step = values[-1] - values[-2]
+        end = _number(end_text, "sweep", line)
+        if step <= 0 or end <= values[-1]:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE, "'...' continuation must ascend", line
+            )
+        n_steps = (end - values[-1]) / step
+        if not n_steps <= _MAX_SWEEP_STEPS:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE,
+                f"'...' would add {n_steps:g} values; at most {_MAX_SWEEP_STEPS} allowed",
+                line,
+            )
+        if abs(n_steps - round(n_steps)) > 1e-9:
+            raise ConfigError(
+                ConfigErrorCode.INVALID_VALUE,
+                f"end value {end:g} is not reachable with step {step:g}",
+                line,
+            )
+        # the k-th new value is last + k * step, so that rounding does
+        # not build up, and the final one is the end as written
+        last = values[-1]
+        values.extend(last + k * step for k in range(1, int(round(n_steps))))
+        values.append(end)
     return name, tuple(values)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -98,6 +99,11 @@ class TestParseConfig:
     def test_sweep_ellipsis_expansion(self, tmp_path):
         cfg = parse_config(write(tmp_path, "sweep = d:20,25,...,55\n"))
         assert cfg.sweep == ("d", tuple(float(v) for v in range(20, 60, 5)))
+
+    def test_sweep_two_continuations(self, tmp_path):
+        # the second '...' steps from the value written after the first's end
+        cfg = parse_config(write(tmp_path, "sweep = d:1,2,...,4,6,...,10\n"))
+        assert cfg.sweep == ("d", (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0))
 
     @pytest.mark.parametrize("text, count, end", [
         ("d:20.1,20.2,...,21", 10, 21.0),
@@ -225,6 +231,23 @@ class TestParseConfig:
         assert {line.partition(" = ")[0] for line in text.splitlines()} == set(values)
         reparsed = parse_config(write(tmp_path, text, "round.txt"))
         assert reparsed == cfg
+
+    def test_parsing_leaves_numpy_random_unloaded(self):
+        # numpy's random module is imported when a study first draws: at
+        # import it would add its time and memory to every process, also to
+        # a parent whose shards do all the drawing
+        code = (
+            "import sys\n"
+            "import irslink, irslink.cli\n"
+            "for study in irslink.experiments.STUDIES:\n"
+            "    irslink.cli.parse_config(None, experiment=study)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out.split() == ["False"]
 
 
 class TestRun:

@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import beamforming, experiments
-from irslink.channel import ChannelRealization, ScenarioConfig, realize, scenario_links
+from irslink.channel import (
+    ChannelRealization,
+    ScenarioConfig,
+    draw_fading_rows,
+    realize,
+    scenario_links,
+)
 from irslink.experiments import (
     POWER_DISTANCE_SCHEMES,
     ConfigError,
@@ -604,6 +610,21 @@ class TestQuantizedGains:
             # one realization alone gets the bits it gets in the block
             row = alone(experiments._power_gains, ch, schemes)
             assert all(row[key] == block[key][k] for key in block), k
+
+    @pytest.mark.parametrize("seed", [1, 7, 20240811])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_lattice_gains_bound_the_direct_gain_per_row(self, m, seed):
+        # rounding turns each aligned term by at most a quarter turn, so
+        # |p + s| >= |p| and b{b}_quant >= ||h_d||^2; refinement only
+        # raises the gain.  So E[1/gain] <= E[1/||h_d||^2] wherever M >= 2.
+        for n in (1, 2, 3, 8, 40, 300):
+            scen = ScenarioConfig(m_antennas=m, n_elements=n)
+            g, h_r, h_d = scenario_links(scen).block(*draw_fading_rows(seed, range(200), m, n))
+            gains = experiments._power_gains(g, h_r, h_d, ("no_irs", "b1", "b2"))
+            for b in (1, 2):
+                quant, refined = gains[f"b{b}_quant"], gains[f"b{b}"]
+                assert np.all(quant >= gains["no_irs"] * (1 - 1e-12)), (n, b)
+                assert np.all(refined >= quant * (1 - 1e-12)), (n, b)
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_both_studies_schemes_in_one_call_match_each_set(self, m):
