@@ -58,7 +58,8 @@ from .reflection import unit_phases
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
 _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
 # Elements, realizations times elements per realization, that one metric
-# call may hold; _sweep_samples sizes every block and run by it.
+# call may hold; _sweep_samples sizes every block (by N + M per row) and
+# run (by the summed N) by it.
 _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
@@ -482,9 +483,10 @@ STUDIES = {
 }
 
 
-def _block_rows(n_max: int) -> int:
-    """Realizations per block when the largest swept N is ``n_max``."""
-    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(n_max, 1))
+def _block_rows(per_row: int) -> int:
+    """Realizations per block when each holds ``per_row`` elements: its
+    largest swept N plus its M antennas."""
+    return max(_MIN_ROWS, _ELEMENT_BUDGET // max(per_row, 1))
 
 
 def _runs(sizes: list[int], cap: int) -> list[slice]:
@@ -506,9 +508,9 @@ def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfi
     module-level so that worker processes can unpickle it.
 
     The one place that sizes work, by one rule for every study.  The range
-    is walked in blocks of as many realizations as keep rows x the largest
-    swept N within ``_ELEMENT_BUDGET``, and at least ``_MIN_ROWS``, so
-    memory grows with neither n_realizations nor the sweep's length, and
+    is walked in blocks of as many realizations as keep rows x (the largest
+    swept N plus M) within ``_ELEMENT_BUDGET``, and at least ``_MIN_ROWS``,
+    so memory grows with neither n_realizations nor the sweep's length, and
     wide blocks spread the kernels' per-call cost.  Each realization's
     fading is drawn once, at the largest swept N.  The metric gets the
     block once per run of consecutive sweep values whose summed N fits the
@@ -518,7 +520,7 @@ def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfi
     """
     sizes = [len(link.g_bs_irs) for link in links]
     m, n_max = cfg.scenario.m_antennas, max(sizes)
-    rows = _block_rows(n_max)
+    rows = _block_rows(n_max + m)
     per_value: list[list[dict[str, np.ndarray]]] = [[] for _ in links]
     for lo in range(start, stop, rows):
         # realization i draws from SeededRng(master_seed, i), whatever its block

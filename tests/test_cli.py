@@ -232,22 +232,41 @@ class TestParseConfig:
         reparsed = parse_config(write(tmp_path, text, "round.txt"))
         assert reparsed == cfg
 
-    def test_parsing_leaves_numpy_random_unloaded(self):
-        # numpy's random module is imported when a study first draws: at
-        # import it would add its time and memory to every process, also to
-        # a parent whose shards do all the drawing
+    def test_parsing_leaves_numpy_random_unloaded(self, tmp_path):
+        # numpy's random module is never imported on a study's path: parsing,
+        # every study with one worker and with two forked shards, realize and
+        # solve-once.  Importing it (and secrets, which it imports) would add
+        # its time and memory to every process, also to each forked shard.
+        # np.unique and np.isin import numpy.ma, as costly, so that is
+        # refused too.  -X importtime reports each import to stderr, which
+        # forked shards share, so a shard's import fails this as well
         code = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "import irslink, irslink.cli\n"
+            "from irslink.channel import ScenarioConfig, realize\n"
             "for study in irslink.experiments.STUDIES:\n"
             "    irslink.cli.parse_config(None, experiment=study)\n"
             "print('numpy.random' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for study in irslink.experiments.STUDIES:\n"
+            "        for workers in ('1', '2'):\n"
+            "            assert irslink.cli.main([study, '--realizations', '8', '--workers', workers,\n"
+            "                                     '--quiet', '--out', sys.argv[1]]) == 0\n"
+            "    assert irslink.cli.main(['solve-once']) == 0\n"
+            "    realize(ScenarioConfig(), irslink.SeededRng(7, 3))\n"
+            "print(sorted(m for m in ('numpy.random', 'secrets', 'numpy.ma') if m in sys.modules))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=120, check=True).stdout
-        assert out.split() == ["False"]
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c", code, str(tmp_path / "out.csv")],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split("\n") == ["False", "[]", ""]
+        imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "irslink.experiments" in imported
+        refused = [["secrets"], ["numpy", "random"], ["numpy", "ma"]]
+        assert sorted(m for m in imported if m.split(".")[:2] in refused) == []
 
 
 class TestRun:

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -377,12 +378,15 @@ def metric_calls(monkeypatch, study):
     return calls
 
 
-def shrink_blocks(monkeypatch, study, n_max, rows=67):
+def shrink_blocks(monkeypatch, study, n_max, m, rows=67):
     """Lower the element budget so that blocks hold ``rows`` realizations
-    (above the floor) when the largest swept element count is ``n_max``.
-    Returns ``rows`` and the metric calls of ``study``, from which a test
-    reads the blocks that the driver really cuts."""
-    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * n_max)
+    (above the floor) when the largest swept element count is ``n_max``
+    and the antenna count ``m``: ``_sweep_samples`` sizes a block by both,
+    ``_block_rows(n_max + m)``.  Returns ``rows`` and the metric calls of
+    ``study``, from which a test reads the blocks that ``_sweep_samples``
+    really cuts."""
+    monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", rows * (n_max + m))
+    assert experiments._block_rows(n_max + m) == rows
     return rows, metric_calls(monkeypatch, study)
 
 
@@ -408,12 +412,14 @@ class TestSharedDraw:
         ("power-vs-n", ("n", (0.0, 1.0, 40.0))),
     ])
     def test_sweep_builds_the_channels_realize_draws(self, monkeypatch, study, sweep, offset):
-        # blocks are sized by the largest swept N, 40 in both sweeps; the
-        # built blocks' lengths below are the driver's real blocks
-        sizes = [scen.n_elements for scen in ExperimentConfig(sweep=sweep)._scenarios]
-        assert max(sizes) == 40
-        block = 67
-        monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", block * 40)
+        # blocks are sized by the largest swept N, 40 in both sweeps, plus
+        # M; the built blocks' lengths below are the blocks really cut
+        cfg = ExperimentConfig(sweep=sweep)
+        assert max(scen.n_elements for scen in cfg._scenarios) == 40
+        m = cfg.scenario.m_antennas
+        monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 67 * (40 + m))
+        block = experiments._block_rows(40 + m)
+        assert block == 67
         count = block + offset
         cfg = ExperimentConfig(sweep=sweep, n_realizations=count, master_seed=21)
         built = self.built_blocks(study, cfg)
@@ -427,9 +433,10 @@ class TestSharedDraw:
                 assert_same_channel(got, k, ch)
 
     def test_blocks_split_at_the_real_budget(self, monkeypatch):
-        block = experiments._block_rows(40)  # sized by the largest swept N
-        cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), n_realizations=block + 1,
-                               master_seed=21)
+        cfg = ExperimentConfig(sweep=("n", (1.0, 40.0)), master_seed=21)
+        # sized by the largest swept N plus M
+        block = experiments._block_rows(40 + cfg.scenario.m_antennas)
+        cfg = replace(cfg, n_realizations=block + 1)
         built = self.built_blocks("power-vs-n", cfg)
         assert [len(h_r) for _, h_r, _ in built] == [block, block, 1, 1]
         for k, scen in enumerate(cfg._scenarios):
@@ -486,6 +493,22 @@ class TestBlockPlan:
         assert seen == calls
         assert split.to_csv_text() == whole.to_csv_text()
         assert_same_samples(whole, split)
+
+    @pytest.mark.parametrize("count", [200, 400])
+    def test_memory_does_not_grow_with_realizations_at_many_antennas(self, count):
+        # a block holds rows x (N + M) elements within the budget, so at
+        # M = 1000 and N = 1 it takes 130 realizations, not 2^17, and the
+        # study's peak, about 8 MB, stays the same as its realizations grow
+        cfg = ExperimentConfig(scenario=ScenarioConfig(m_antennas=1000, n_elements=1),
+                               sweep=("d", (40.0,)), schemes=("joint",),
+                               n_realizations=count, master_seed=3)
+        tracemalloc.start()
+        try:
+            run_power_vs_distance(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
 
 
 class TestPowerVsN:
@@ -559,14 +582,14 @@ class TestPowerVsN:
         assert digest == "3d3bf52a43b6387f0679867023b7845fadcfcee8d247c0ad60b577acb7b283a4"
 
     def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
-        block, calls = shrink_blocks(monkeypatch, "power-vs-n", 8)
+        block, calls = shrink_blocks(monkeypatch, "power-vs-n", 8, N_CFG.scenario.m_antennas)
         cfg = replace(N_CFG, sweep=("n", (4.0, 8.0)))
         short = run_power_vs_n(replace(cfg, n_realizations=block - 1))
         long = run_power_vs_n(replace(cfg, n_realizations=2 * block + 3))
-        # one block for the short study, three for the long; a full block
-        # takes N = 4 and 8 in two runs, the last block's 3 rows in one
-        assert calls == [(66, [4]), (66, [8]), (67, [4]), (67, [8]), (67, [4]), (67, [8]),
-                         (3, [4, 8])]
+        # one block for the short study, three for the long; a full block's
+        # budget holds N + M = 13 elements per row, so each block takes
+        # N = 4 and 8 in one run
+        assert calls == [(66, [4, 8]), (67, [4, 8]), (67, [4, 8]), (3, [4, 8])]
         assert short.samples.keys() == long.samples.keys()
         for key, arr in short.samples.items():
             assert long.samples[key].shape == (2 * block + 3,)
@@ -659,12 +682,12 @@ class TestRaggedSweep:
         workers = 1
         if layout == "blocks":  # blocks of 10, 10, 10 and 7 realizations
             monkeypatch.setattr(experiments, "_MIN_ROWS", 1)
-            _, seen = shrink_blocks(monkeypatch, "power-vs-n", 70, rows=10)
+            _, seen = shrink_blocks(monkeypatch, "power-vs-n", 70, m, rows=10)
         elif layout == "runs":
             # a block at the row floor, refined in runs of N = 1, 31 and 32,
             # of N = 33 and of N = 70, each run's arrays within the budget
             monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 37 * 70)
-            assert experiments._block_rows(70) == experiments._MIN_ROWS
+            assert experiments._block_rows(70 + m) == experiments._MIN_ROWS
             calls = []
 
             def spy(t, a, v, rows, sizes, bits):
@@ -774,7 +797,7 @@ class TestInterferenceVsN:
         assert "100,joint_amp_phase,-300.000000,dB" in result.to_csv_text()
 
     def test_samples_across_block_boundary_extend_a_shorter_run(self, monkeypatch):
-        block, calls = shrink_blocks(monkeypatch, "interference-vs-n", 30)
+        block, calls = shrink_blocks(monkeypatch, "interference-vs-n", 30, 1)
         short = run_interference_vs_n(replace(INT_CFG, n_realizations=block - 1))
         long = run_interference_vs_n(replace(INT_CFG, n_realizations=2 * block + 3))
         # one block for the short study, three for the long; a full block
@@ -849,10 +872,11 @@ class TestInterferenceGains:
         assert feasible and infeasible
 
     def test_blocks_by_the_largest_n_runs_by_the_summed_n(self, monkeypatch):
-        # blocks are sized by the largest swept N, as in every study, and
-        # runs by the summed N: a full block nulls N = 0 and 1 apart from 20
-        block, _ = shrink_blocks(monkeypatch, "interference-vs-n", 20)
-        cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0)), n_realizations=block + 5)
+        # blocks are sized by the largest swept N plus M, as in every study,
+        # and runs by the summed N: a full block's budget holds 20 + 1
+        # elements per row, so it nulls N = 0 and 2 apart from 20
+        block, _ = shrink_blocks(monkeypatch, "interference-vs-n", 20, 1)
+        cfg = replace(INT_CFG, sweep=("n", (0.0, 2.0, 20.0)), n_realizations=block + 5)
         calls = []
         real = experiments._interference_gains
 
@@ -862,8 +886,8 @@ class TestInterferenceGains:
 
         monkeypatch.setattr(experiments, "_interference_gains", spy)
         run_interference_vs_n(cfg)
-        assert calls == [((1, 1), (block, 1), [0, 1]), ((20, 1), (block, 20), [20]),
-                         ((20, 1), (5, 20), [0, 1, 20])]
+        assert calls == [((2, 1), (block, 2), [0, 2]), ((20, 1), (block, 20), [20]),
+                         ((20, 1), (5, 20), [0, 2, 20])]
 
     def test_blocks_at_the_row_floor_null_in_runs_that_fit_the_budget(self, monkeypatch):
         # 64-row blocks at the floor, whose states at N = 0, 1, 20 and 30
@@ -872,7 +896,7 @@ class TestInterferenceGains:
         cfg = replace(INT_CFG, sweep=("n", (0.0, 1.0, 20.0, 30.0)), n_realizations=70)
         whole = run_interference_vs_n(cfg)
         monkeypatch.setattr(experiments, "_ELEMENT_BUDGET", 64 * 21)
-        assert experiments._block_rows(30) == 64
+        assert experiments._block_rows(30 + 1) == 64
         runs = []
         real = beamforming._null_prefixes
 

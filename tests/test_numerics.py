@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irslink import numerics
 from irslink.numerics import (
     SeededRng,
     _mix64,
@@ -138,6 +141,107 @@ class TestSampleCscgRows:
     def test_rejects_bad_arguments(self, master, n):
         with pytest.raises(ValueError):
             sample_cscg_rows(master, [0, 1], n)
+
+
+def raw_words(master_seed, stream_id, k):
+    """The first ``k`` 64-bit words of a stream, from numpy's own Philox."""
+    return SeededRng(master_seed, stream_id).generator().bit_generator.random_raw(k).tolist()
+
+
+def is_slow(word):
+    """Whether numpy's ziggurat leaves its first try on ``word``."""
+    return not word >> 9 & (1 << 52) - 1 < numerics._KI[word & 0xFF]
+
+
+def ziggurat_attempts(words, count):
+    """The attempts of numpy's ziggurat (``random_standard_normal``) on a
+    stream's words until ``count`` draws are out, as (path, first word)
+    pairs, and the number of words they take.  A path is "fast", "wedge
+    accepts", "wedge rejects", "tail +" or "tail -".  A scalar reading of
+    numpy's C, used only to find streams that take a path."""
+    attempts, pos = [], 0
+    while sum(path != "wedge rejects" for path, _ in attempts) < count:
+        start, w = pos, words[pos]
+        layer, rabs = w & 0xFF, w >> 9 & (1 << 52) - 1
+        pos += 1
+        if rabs < numerics._KI[layer]:
+            path = "fast"
+        elif layer:
+            x = rabs * numerics._WI[layer]
+            u = (words[pos] >> 11) * 2.0**-53
+            pos += 1
+            fi = numerics._FI
+            wedge = (fi[layer - 1] - fi[layer]) * u + fi[layer] < math.exp(-0.5 * x * x)
+            path = "wedge accepts" if wedge else "wedge rejects"
+        else:
+            path = "tail -" if rabs >> 8 & 1 else "tail +"
+            while True:
+                xx = -numerics._ZIG_INV_R * math.log1p(-(words[pos] >> 11) * 2.0**-53)
+                yy = -math.log1p(-(words[pos + 1] >> 11) * 2.0**-53)
+                pos += 2
+                if yy + yy > xx * xx:
+                    break
+        attempts.append((path, start))
+    return attempts, pos
+
+
+RARE_MASTER, RARE_N = 11, 40
+
+
+def find_stream(wanted):
+    """The first stream id of ``RARE_MASTER`` whose first ``RARE_N`` samples
+    take the path ``wanted``, or "back to back": a slow first word followed
+    by another slow word."""
+    for stream_id in range(20000):
+        words = raw_words(RARE_MASTER, stream_id, 4 * RARE_N)
+        attempts, _ = ziggurat_attempts(words, 2 * RARE_N)
+        if any(path == wanted or wanted == "back to back" and path != "fast"
+               and is_slow(words[start + 1]) for path, start in attempts):
+            return stream_id
+    raise AssertionError(f"no stream takes {wanted}")
+
+
+class TestRarePaths:
+    """Rows whose words leave the ziggurat's first try, on streams found by
+    search: each row must still be its stream drawn alone by numpy."""
+
+    @pytest.mark.parametrize("path", ["wedge accepts", "wedge rejects", "tail +", "tail -",
+                                      "back to back"])
+    def test_row_on_a_rare_path_is_its_stream_alone(self, path):
+        ids = [find_stream(path)] + EDGE_WORDS
+        for i, row in zip(ids, sample_cscg_rows(RARE_MASTER, ids, RARE_N)):
+            assert row.tobytes() == stream_alone(RARE_MASTER, i, RARE_N).tobytes(), i
+
+    def test_row_past_its_word_budget_is_drawn_again(self, monkeypatch):
+        # with no spare words a row gets 2n words, and one whose draws take
+        # more is drawn again from twice as many
+        monkeypatch.setattr(numerics, "_SPARE_SHARE", 1 << 62)
+        monkeypatch.setattr(numerics, "_SPARE_WORDS", 0)
+        used = [ziggurat_attempts(raw_words(RARE_MASTER, i, 4 * RARE_N), 2 * RARE_N)[1]
+                for i in STREAM_IDS]
+        assert min(used) == 2 * RARE_N < max(used)
+        rows = sample_cscg_rows(RARE_MASTER, STREAM_IDS, RARE_N)
+        for i, row in zip(STREAM_IDS, rows):
+            assert row.tobytes() == stream_alone(RARE_MASTER, i, RARE_N).tobytes(), i
+
+    def test_row_whose_words_run_out_inside_a_tail_is_drawn_again(self, monkeypatch):
+        # a row whose last two words are a tail's slow word and a fast word:
+        # the tail needs that word and one more, so its row is drawn again;
+        # kept, the fast word would stand in for the tail as the last draw
+        for stream_id in range(20000):
+            words = raw_words(RARE_MASTER, stream_id, 400)
+            attempts, _ = ziggurat_attempts(words, 200)
+            drawn = [sum(p != "wedge rejects" for p, _ in attempts[:k]) for k in range(len(attempts))]
+            found = [(drawn[k], start) for k, (path, start) in enumerate(attempts)
+                     if path.startswith("tail") and start % 4 == 2 and not is_slow(words[start + 1])]
+            if found:
+                break
+        count, start = found[0][0] + 1, found[0][1]
+        monkeypatch.setattr(numerics, "_SPARE_SHARE", 1 << 62)
+        monkeypatch.setattr(numerics, "_SPARE_WORDS", start + 2 - count)  # width start + 2
+        keys = _philox_keys(RARE_MASTER, np.array([stream_id], np.uint64))
+        want = SeededRng(RARE_MASTER, stream_id).generator().standard_normal(count)
+        assert numerics._normal_rows(keys, count)[0].tobytes() == want.tobytes()
 
 
 class TestMix64:
