@@ -5,9 +5,10 @@ Every study draws its channels from streams keyed by the realization
 index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
-with more than one worker it shards the realizations over processes.  On
-Linux it forks each shard itself and reads its samples back through a
-pipe; elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
+with more than one worker it shards the realizations over processes, as
+many as its work pays for, so a small study runs in process.  On Linux it
+forks each shard itself and reads its samples back through a pipe;
+elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
 :func:`_sweep_samples` alone decides how work is cut to fit memory, by one
 rule for every study: it walks the realizations in blocks sized by the
 largest swept N, draws each realization's fading once for every sweep
@@ -455,23 +456,29 @@ class Study(NamedTuple):
     their summed N.
     ``defaults`` is the configuration of a run that sets nothing: only its
     sweep variable may be swept, and its schemes are the ones allowed.
+    ``shard_work`` is the least work, in realizations times their N + M
+    summed over the sweep, that a shard process is started for: with
+    less, starting it costs more time than it saves.  It is measured per
+    study (README), as an element costs each metric its own time: a
+    closed form, a refinement or a nulling loop.
     """
 
     defaults: ExperimentConfig
     single_antenna: bool
     metric: Callable[..., list[dict[str, np.ndarray]]]  # (links, fading_r, fading_d, cfg)
     rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
+    shard_work: int
 
 
 STUDIES = {
     "power-vs-distance": Study(
         defaults=ExperimentConfig(), single_antenna=False, metric=_power_samples,
-        rows=_power_rows,
+        rows=_power_rows, shard_work=1 << 19,
     ),
     "power-vs-n": Study(
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
-        single_antenna=False, metric=_power_samples, rows=_power_rows,
+        single_antenna=False, metric=_power_samples, rows=_power_rows, shard_work=1 << 14,
     ),
     "interference-vs-n": Study(
         defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
@@ -479,6 +486,7 @@ STUDIES = {
                                   schemes=("joint_amp_phase", "phase_only", "no_irs"),
                                   n_realizations=200),
         single_antenna=True, metric=_interference_samples, rows=_interference_rows,
+        shard_work=1 << 14,
     ),
 }
 
@@ -487,6 +495,12 @@ def _block_rows(per_row: int) -> int:
     """Realizations per block when each holds ``per_row`` elements: its
     largest swept N plus its M antennas."""
     return max(_MIN_ROWS, _ELEMENT_BUDGET // max(per_row, 1))
+
+
+def _study_work(cfg: ExperimentConfig) -> int:
+    """The work of ``cfg``'s study as ``Study.shard_work`` counts it: its
+    realizations times their N + M summed over the sweep."""
+    return cfg.n_realizations * sum(scen.n_elements + scen.m_antennas for scen in cfg._scenarios)
 
 
 def _runs(sizes: list[int], cap: int) -> list[slice]:
@@ -615,11 +629,13 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     evaluate and aggregate it.
 
     With ``workers > 1``, contiguous realization ranges run in separate
-    processes, at most one per usable CPU, and are concatenated in
-    realization order: bit-identical to ``workers = 1``, since each
-    realization draws from its own stream.  On Linux each shard is forked
-    and sends its samples through a pipe (:func:`_fork_shards`); elsewhere
-    a ``ProcessPoolExecutor`` spawns them.
+    processes, at most one per usable CPU and one per ``shard_work`` of the
+    study's work (:func:`_study_work`), and are concatenated in realization
+    order: bit-identical to ``workers = 1``, since each realization draws
+    from its own stream.  A study of less than twice ``shard_work`` starts
+    no process.  On Linux each shard is forked and sends its samples
+    through a pipe (:func:`_fork_shards`); elsewhere a
+    ``ProcessPoolExecutor`` spawns them.
     """
     spec = STUDIES[study]
     if workers < 1:
@@ -663,7 +679,8 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     links = [scenario_links(scen) for scen in cfg._scenarios]
     shard = partial(_sweep_samples, spec, links, cfg)
     n = cfg.n_realizations
-    n_shards = min(workers, n, _usable_cpus())
+    # a shard per shard_work at most: below twice that, the study runs in process
+    n_shards = max(1, min(workers, n, _usable_cpus(), _study_work(cfg) // spec.shard_work))
     bounds = [n * k // n_shards for k in range(n_shards + 1)]
     if n_shards == 1:
         shards = [shard(0, n)]

@@ -312,6 +312,12 @@ def _philox(keys: np.ndarray, blocks: int, out: np.ndarray, work: np.ndarray) ->
     words[:, :, 1] = t.T
 
 
+def _row_words(count: int) -> int:
+    """Philox words a row of ``count`` normals is first drawn from: its
+    spare ones added, rounded up to whole counters of 4 words."""
+    return -(-(count + count // _SPARE_SHARE + _SPARE_WORDS) // 4) * 4
+
+
 def _normal_rows(keys: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` draws of ``standard_normal`` from a fresh
     generator on numpy's Philox keyed by each row of ``keys``, as (R, count).
@@ -321,26 +327,27 @@ def _normal_rows(keys: np.ndarray, count: int) -> np.ndarray:
     of about ``4 * _CHUNK`` words.
     """
     out = np.empty((len(keys), count))
-    width = -(-(count + count // _SPARE_SHARE + _SPARE_WORDS) // 4) * 4
+    width = _row_words(count)
     todo = np.arange(len(keys) if count else 0)
     while len(todo):
         step = max(1, 4 * _CHUNK // width)
         size = min(step, len(todo)) * width
-        # every chunk reuses these arrays: new ones would be new memory,
-        # which a fresh process maps page by page
-        bufs, work = np.empty((5, size), np.uint64), np.empty((7, 2, size // 4), np.uint64)
+        # every chunk reuses these arrays, 8 + 28 = 36 bytes per word: new
+        # ones would be new memory, which a fresh process maps page by page
+        words, work = np.empty(size, np.uint64), np.empty((7, 2, size // 4), np.uint64)
         parts = [todo[lo:lo + step] for lo in range(0, len(todo), step)]
-        todo = np.concatenate([part[_fill_normals(keys[part], width, out, part, bufs, work)]
+        todo = np.concatenate([part[_fill_normals(keys[part], width, out, part, words, work)]
                                for part in parts])
         width *= 2
     return out
 
 
 def _fill_normals(keys: np.ndarray, width: int, out: np.ndarray, rows: np.ndarray,
-                  bufs: np.ndarray, work: np.ndarray) -> np.ndarray:
+                  words: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write the normals of the streams ``keys`` into ``out[rows]`` from
     ``width`` Philox words each; return the mask of rows they did not fill.
-    ``bufs`` is (5, >= R * width) uint64 and ``work`` Philox's.
+    ``words`` is uint64 of >= R * width and ``work`` Philox's, which the
+    ziggurat's arrays take over once the words are made.
 
     numpy's ziggurat takes word ``w``: layer ``i = w & 0xff``, the sign from
     bit 8, and ``rabs = (w >> 9) & (2^52 - 1)`` give ``x = +-rabs * wi[i]``,
@@ -351,18 +358,38 @@ def _fill_normals(keys: np.ndarray, width: int, out: np.ndarray, rows: np.ndarra
     word's draw starts again at the next unused word.  Arrays take every
     word and test every wedge; only the slow words, about 1.5%, are walked.
     """
-    count = out.shape[1]
-    w, low, rabs, table, x = (v[:len(keys) * width].reshape(-1, width) for v in bufs)
+    count, n = out.shape[1], len(keys) * width
+    w = words[:n].reshape(-1, width)
     _philox(keys, width // 4, w, work)
+    # Philox's working space is dead now: it holds 3.5 words per word
+    low, rabs, table = work.reshape(-1)[:3 * n].reshape(3, -1, width)
     low9 = np.bitwise_and(w, _U64(0x1FF), low).view(np.int64)
     np.right_shift(w, _U64(9), rabs)
     rabs &= _MASK52
     keep = rabs < np.take(_KI_9, low9, out=table, mode="clip")
-    x = x.view(np.float64)
+    wi = np.take(_WI_9, low9, out=table.view(np.float64), mode="clip")
+    x = low.view(np.float64)  # low9's last read was the take above
     x[...] = rabs
-    x *= np.take(_WI_9, low9, out=table.view(np.float64), mode="clip")
+    x *= wi
+    _walk_slow_words(w.reshape(-1), keep.reshape(-1), x.reshape(-1), width)
+    kept = keep.sum(axis=1)
+    short = kept < count
+    keep[short] = False
+    # keep the first count kept words of each row: the spare ones are past column count
+    spare = keep[:, count:]
+    spare &= np.cumsum(spare, axis=1) <= (count - kept + spare.sum(axis=1))[:, None]
+    out[rows[~short]] = x[keep].reshape(-1, count)
+    return short
+
+
+def _walk_slow_words(flat: np.ndarray, keep_flat: np.ndarray, x_flat: np.ndarray,
+                     width: int) -> None:
+    """Resolve the slow words of ``flat``, rows of ``width`` words, in
+    order, as :func:`_fill_normals` describes: mark in ``keep_flat`` each
+    one whose draw returns a normal, with its value in ``x_flat`` where the
+    tail gives it, and clear the words that the draws consume.  A function
+    of its own, so that its temporaries are freed before the gather."""
     # every slow word, as if it started a draw: its layer, uniform and wedge test
-    flat, keep_flat, x_flat = w.reshape(-1), keep.reshape(-1), x.reshape(-1)
     slow = np.flatnonzero(~keep_flat)
     after = np.minimum(slow + 1, len(flat) - 1)
     i = (flat[slow] & _U64(0xFF)).astype(np.intp)
@@ -400,14 +427,6 @@ def _fill_normals(keys: np.ndarray, width: int, out: np.ndarray, rows: np.ndarra
             pos = end
     keep_flat[taken] = True
     keep_flat[dropped] = False
-    kept = keep.sum(axis=1)
-    short = kept < count
-    keep[short] = False
-    # keep the first count kept words of each row: the spare ones are past column count
-    spare = keep[:, count:]
-    spare &= np.cumsum(spare, axis=1) <= (count - kept + spare.sum(axis=1))[:, None]
-    out[rows[~short]] = x[keep].reshape(-1, count)
-    return short
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ def test_criterion_6c_coherent_sum_identity():
     )
 
 
-def test_criterion_7_determinism(tmp_path):
+def test_criterion_7_determinism(tmp_path, shard_any_work):
     cfg_file = tmp_path / "cfg.txt"
     cfg_file.write_text("sweep = n:20,40\nn_realizations = 40\nmaster_seed = 7\n")
 

@@ -23,7 +23,13 @@ from irslink.beamforming import (
     quantize_then_refine,
     received_gain,
 )
-from irslink.channel import ChannelRealization, ScenarioConfig, realize
+from irslink.channel import (
+    ChannelRealization,
+    ScenarioConfig,
+    draw_fading_rows,
+    realize,
+    scenario_links,
+)
 from irslink.numerics import SeededRng
 from irslink.reflection import ConstraintSet, ReflectionState, effective_channel, project
 
@@ -1496,18 +1502,19 @@ class TestBeamformingSolution:
 class TestPowerScalingLaw:
     def test_median_gain_quadruples_when_elements_double(self):
         # pure surface-aided link: direct path removed, unit-amplitude
-        # coherent alignment; received power must scale as N^2
-        import dataclasses
-
+        # coherent alignment; received power must scale as N^2.  Each N's
+        # realizations come from one block draw, whose rows have realize's bits
         n_real = 500
+        blocked = np.zeros(2, dtype=np.complex128)
         for n_base in (50, 100, 150):
-            ratios = []
-            gains = {n_base: np.zeros(n_real), 2 * n_base: np.zeros(n_real)}
+            medians = {}
             for n in (n_base, 2 * n_base):
                 cfg = ScenarioConfig(m_antennas=2, n_elements=n, user_position=(50.0, 0.0))
-                for i in range(n_real):
-                    ch = realize(cfg, SeededRng(31337, i))
-                    blocked = dataclasses.replace(ch, h_bs_user=np.zeros_like(ch.h_bs_user))
-                    gains[n][i] = bs_irs_mrt(blocked, UNIT).gain_linear
-            ratio = np.median(gains[2 * n_base]) / np.median(gains[n_base])
+                fading = draw_fading_rows(31337, range(n_real), cfg.m_antennas, n)
+                g, h_r, _ = scenario_links(cfg).block(*fading)
+                medians[n] = np.median([
+                    bs_irs_mrt(ChannelRealization(g_bs_irs=g, h_irs_user=row, h_bs_user=blocked),
+                               UNIT).gain_linear
+                    for row in h_r])
+            ratio = medians[2 * n_base] / medians[n_base]
             assert ratio == pytest.approx(4.0, rel=0.05)

@@ -239,10 +239,13 @@ class TestParseConfig:
         # its time and memory to every process, also to each forked shard.
         # np.unique and np.isin import numpy.ma, as costly, so that is
         # refused too.  -X importtime reports each import to stderr, which
-        # forked shards share, so a shard's import fails this as well
+        # forked shards share, so a shard's import fails this as well.  Each
+        # study starts a shard for any work, so that the 2-worker runs fork
         code = (
             "import contextlib, io, sys\n"
             "import irslink, irslink.cli\n"
+            "from irslink.experiments import STUDIES\n"
+            "STUDIES.update({k: s._replace(shard_work=1) for k, s in STUDIES.items()})\n"
             "from irslink.channel import ScenarioConfig, realize\n"
             "for study in irslink.experiments.STUDIES:\n"
             "    irslink.cli.parse_config(None, experiment=study)\n"
@@ -290,7 +293,7 @@ class TestRun:
         assert a == b
         assert a.startswith(b"sweep_value,scheme,metric_value,metric_unit,")
 
-    def test_csv_identical_under_parallel_execution(self, tmp_path):
+    def test_csv_identical_under_parallel_execution(self, tmp_path, shard_any_work):
         inv1 = self._invocation(tmp_path, name="serial.csv", quiet=True, workers=1)
         inv4 = self._invocation(tmp_path, name="parallel.csv", quiet=True, workers=4)
         assert run(inv1) == 0
@@ -473,8 +476,8 @@ class TestMain:
         pytest.param(["--seed", "7", "--realizations", "24"], 2, id="overrides"),
         pytest.param([], 1, id="neither"),
     ])
-    def test_each_config_expands_its_sweep_once(self, tmp_path, monkeypatch, workers, sub,
-                                                 flags, validations):
+    def test_each_config_expands_its_sweep_once(self, tmp_path, monkeypatch, shard_any_work,
+                                                 workers, sub, flags, validations):
         # each validated config builds its sweep's scenarios once and keeps
         # them; the run builds each sweep value's links once, before its
         # shards start, and no shard builds either again.  The spies append
@@ -520,7 +523,7 @@ class TestMain:
         assert main(argv) == 0
         assert calls == [2]
 
-    def test_workers_flag_gives_identical_csv(self, tmp_path):
+    def test_workers_flag_gives_identical_csv(self, tmp_path, shard_any_work):
         cfg = write(tmp_path, "sweep = n:4,8\nn_realizations = 6\n")
         a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
         assert main(["power-vs-n", "--config", cfg, "--out", str(a), "--quiet"]) == 0

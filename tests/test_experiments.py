@@ -222,7 +222,7 @@ def int_result():
 
 
 class TestPowerVsDistance:
-    def test_reproducible_and_worker_invariant(self, dist_result):
+    def test_reproducible_and_worker_invariant(self, dist_result, shard_any_work):
         again = run_power_vs_distance(DIST_CFG)
         parallel = run_power_vs_distance(DIST_CFG, workers=3)
         assert dist_result.to_csv_text() == again.to_csv_text() == parallel.to_csv_text()
@@ -512,7 +512,7 @@ class TestBlockPlan:
 
 
 class TestPowerVsN:
-    def test_reproducible_and_worker_invariant(self, n_result):
+    def test_reproducible_and_worker_invariant(self, n_result, shard_any_work):
         parallel = run_power_vs_n(N_CFG, workers=4)
         assert (
             n_result.to_csv_text()
@@ -673,7 +673,7 @@ class TestRaggedSweep:
 
     @pytest.mark.parametrize("layout", ["one-block", "blocks", "runs", "forked"])
     @pytest.mark.parametrize("m", [1, 5])
-    def test_each_n_matches_a_study_of_that_n_alone(self, monkeypatch, m, layout):
+    def test_each_n_matches_a_study_of_that_n_alone(self, monkeypatch, request, m, layout):
         cfg = ExperimentConfig(
             scenario=ScenarioConfig(m_antennas=m, user_position=(50.0, 0.0)),
             sweep=("n", self.SWEEP), schemes=("continuous", "b1", "b2"),
@@ -697,6 +697,7 @@ class TestRaggedSweep:
             monkeypatch.setattr(experiments, "_refine_rows", spy)
         elif layout == "forked":
             usable_cpus(monkeypatch, 2)
+            request.getfixturevalue("shard_any_work")
             workers = 2
         swept = run_power_vs_n(cfg, workers=workers)
         assert len(swept.samples) == sum(len(result.samples) for result in alone)
@@ -711,7 +712,7 @@ class TestRaggedSweep:
 
 
 class TestInterferenceVsN:
-    def test_reproducible_and_worker_invariant(self, int_result):
+    def test_reproducible_and_worker_invariant(self, int_result, shard_any_work):
         parallel = run_interference_vs_n(INT_CFG, workers=3)
         assert (
             int_result.to_csv_text()
@@ -989,7 +990,8 @@ class TestLoneSlowProblem:
         assert null_interference(self.slow_channel(), unit)[0].coefficients.tobytes() \
             != full.tobytes()
 
-    def test_same_bits_handed_over_or_not_and_in_shards(self, monkeypatch, pools, result):
+    def test_same_bits_handed_over_or_not_and_in_shards(self, monkeypatch, pools, result,
+                                                        shard_any_work):
         # the alone loop must give the bits of the vector loop, wherever a
         # row is handed over: in the 141-row block or in a shard's 70 or 71
         with monkeypatch.context() as mp:
@@ -1084,6 +1086,7 @@ def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+@pytest.mark.usefixtures("shard_any_work")
 class TestShardProcesses:
     def test_one_usable_cpu_runs_in_process(self, monkeypatch, pools, dist_result):
         usable_cpus(monkeypatch, 1)
@@ -1124,6 +1127,46 @@ class TestShardProcesses:
         assert_same_samples(one, result)
 
 
+class TestShardPlan:
+    def test_work_is_realizations_times_the_sweeps_elements_and_antennas(self):
+        # three distances at N = 40 and M = 5; N = 10 and 30 at M = 1
+        assert experiments._study_work(DIST_CFG) == 30 * 3 * (40 + 5)
+        assert experiments._study_work(INT_CFG) == 25 * (10 + 1 + 30 + 1)
+
+    @pytest.mark.parametrize("runner, study, cfg, serial", [
+        (run_power_vs_distance, "power-vs-distance", DIST_CFG, "dist_result"),
+        (run_power_vs_n, "power-vs-n", N_CFG, "n_result"),
+        (run_interference_vs_n, "interference-vs-n", INT_CFG, "int_result"),
+    ], ids=["distance", "n", "interference"])
+    def test_study_below_its_shard_work_runs_in_process(self, monkeypatch, pools, request,
+                                                        runner, study, cfg, serial):
+        # a shard process costs more than it saves on less than shard_work
+        usable_cpus(monkeypatch, 2)
+        assert experiments._study_work(cfg) < 2 * experiments.STUDIES[study].shard_work
+        result = runner(cfg, workers=2)
+        assert pools == []
+        one = request.getfixturevalue(serial)
+        assert result.to_csv_text() == one.to_csv_text()
+        assert_same_samples(one, result)
+
+    @pytest.mark.parametrize("workers, cpus, shares, shards", [
+        (4, 4, 3, 3), (2, 4, 3, 2), (4, 2, 3, 2), (3, 4, 5, 3), (4, 4, 1, 1), (2, 2, 0, 1),
+    ])
+    def test_shards_are_the_fewest_of_workers_cpus_and_work_shares(
+            self, monkeypatch, pools, dist_result, workers, cpus, shares, shards):
+        usable_cpus(monkeypatch, cpus)
+        work = experiments._study_work(DIST_CFG)
+        shard_work = work // shares if shares else work + 1
+        assert work // shard_work == shares
+        spec = experiments.STUDIES["power-vs-distance"]
+        monkeypatch.setitem(experiments.STUDIES, "power-vs-distance",
+                            spec._replace(shard_work=shard_work))
+        result = run_power_vs_distance(DIST_CFG, workers=workers)
+        assert pools == (["fork"] * shards if shards > 1 else [])
+        assert result.to_csv_text() == dist_result.to_csv_text()
+        assert_same_samples(dist_result, result)
+
+
 def before_each_shard(monkeypatch, act):
     """Run ``act(start)`` in every shard before its sweep.  Forked children
     inherit the patch."""
@@ -1139,7 +1182,7 @@ def before_each_shard(monkeypatch, act):
 @pytest.mark.skipif(sys.platform != "linux", reason="shards are forked on Linux")
 class TestForkedShards:
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
+    def two_cpus(self, monkeypatch, shard_any_work):
         usable_cpus(monkeypatch, 2)
 
     @pytest.mark.parametrize("error", [
@@ -1216,13 +1259,14 @@ class TestForkedShards:
         assert_reaped(forked)
         assert open_fds() == fds
 
-    def test_buffered_output_is_written_once(self, monkeypatch, capfd):
+    def test_buffered_output_is_written_once(self, monkeypatch, capfd, pools):
         # every shard flushes the stdout it inherited: only what the parent
         # had not flushed before forking could be written twice
         before_each_shard(monkeypatch, lambda start: sys.stdout.flush())
         with open(os.dup(1), "w") as stdout, contextlib.redirect_stdout(stdout):
             print("written before the study", end="|")
             run_power_vs_distance(DIST_CFG, workers=2)
+        assert pools == ["fork", "fork"]
         assert capfd.readouterr().out == "written before the study|"
 
     def test_imports_no_process_pool(self):
@@ -1232,7 +1276,8 @@ class TestForkedShards:
             "forks = []\n"
             "real_fork = os.fork\n"
             "os.fork = lambda: forks.append(1) or real_fork()\n"
-            "from irslink.experiments import ExperimentConfig, run_power_vs_distance\n"
+            "from irslink.experiments import STUDIES, ExperimentConfig, run_power_vs_distance\n"
+            "STUDIES.update({k: s._replace(shard_work=1) for k, s in STUDIES.items()})\n"
             "run_power_vs_distance(ExperimentConfig(n_realizations=20), workers=2)\n"
             "print(len(forks), *sorted(m for m in sys.modules\n"
             "      if m.startswith(('multiprocessing', 'concurrent'))))\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,23 @@ class TestSampleCscgRows:
 
     def test_no_streams(self):
         assert sample_cscg_rows(1, [], 40).shape == (0, 40)
+
+    def test_draw_holds_under_40_bytes_per_word(self):
+        # 200 streams x 40 samples, the block of the bench power-vs-distance
+        # study: 100 Philox words per row.  Besides its output, the normals
+        # and the samples made of them, a draw holds the words and Philox's
+        # working space, which the ziggurat's arrays take over once the
+        # words are made: 36 bytes per word, against 68 were they apart
+        rows, n = 200, 40
+        width = numerics._row_words(2 * n)
+        sample_cscg_rows(3, range(rows), n)  # whatever a first call sets up
+        tracemalloc.start()
+        try:
+            out = sample_cscg_rows(3, range(rows), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * rows * width + 2 * out.nbytes
 
     @pytest.mark.parametrize("master, n", [(-1, 4), (2**64, 4), (1, -1)])
     def test_rejects_bad_arguments(self, master, n):
