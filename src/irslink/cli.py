@@ -291,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--quiet", action="store_true", help="suppress the summary printout")
         sp.add_argument("--workers", type=int, default=1,
-                        help="shards realizations over processes; output byte-identical")
+                        help="shards realizations over forked processes on Linux (elsewhere "
+                             "the study runs in process); output byte-identical")
     return parser
 
 

@@ -6,14 +6,14 @@ index, so the same fading is reused across sweep values and across
 schemes (paired comparisons), and the output is independent of evaluation
 order and of the worker count.  One driver runs every study in ``STUDIES``;
 with more than one worker it shards the realizations over processes, as
-many as its work pays for, so a small study runs in process.  On Linux it
-forks each shard itself and reads its samples back through a pipe;
-elsewhere a ``ProcessPoolExecutor`` spawns them.  Within a shard,
-:func:`_sweep_samples` alone decides how work is cut to fit memory, by one
-rule for every study: it walks the realizations in blocks sized by the
-largest swept N, draws each realization's fading once for every sweep
-value (the block's streams are keyed together, with the bits each stream
-has alone), and gives the study's metric each block at runs of
+many as its work pays for, so a small study runs in process.  It forks
+each shard itself and reads its samples back through a pipe; off Linux,
+where fork is missing or unsafe, every study runs in process.  Within a
+shard, :func:`_sweep_samples` alone decides how work is cut to fit
+memory, by one rule for every study: it walks the realizations in blocks
+sized by the largest swept N, draws each realization's fading once for
+every sweep value (the block's streams are keyed together, with the bits
+each stream has alone), and gives the study's metric each block at runs of
 consecutive sweep values whose summed N fits the budget, so a metric may
 hold every value of its run at once.  A sweep value's arrays are the
 shared line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r``
@@ -64,13 +64,6 @@ _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
 _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
 
-# How shard processes start.  A forked shard inherits the imported modules
-# and the run's config and links, so it starts in milliseconds, and needs no
-# process pool (_fork_shards).  Windows has no fork and it is unsafe on
-# macOS, so there a process pool spawns the shards, which re-import
-# everything.
-_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
-
 
 class ConfigErrorCode(enum.Enum):
     MISSING_FILE = "missing_file"
@@ -93,6 +86,12 @@ class ConfigError(ValueError):
     def __reduce__(self):
         # rebuilt from its own arguments, so it can cross from a shard process
         return type(self), (self.code, self.message, self.line)
+
+
+def _require_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(ConfigErrorCode.INVALID_VALUE,
+                          f"{name} must be an integer, got {value!r}")
 
 
 class ResultRow(NamedTuple):
@@ -118,9 +117,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for count in ("n_realizations", "master_seed"):
-            if not isinstance(getattr(self, count), (int, np.integer)):
-                raise ConfigError(ConfigErrorCode.INVALID_VALUE,
-                                  f"{count} must be an integer, got {getattr(self, count)!r}")
+            _require_integer(count, getattr(self, count))
         if self.n_realizations < 1:
             raise ConfigError(
                 ConfigErrorCode.INVALID_VALUE,
@@ -518,8 +515,7 @@ def _runs(sizes: list[int], cap: int) -> list[slice]:
 def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfig,
                    start: int, stop: int) -> list[list[dict[str, np.ndarray]]]:
     """``spec.metric`` of realizations ``start`` .. ``stop - 1``, its dict of
-    each block for each sweep value in turn: one shard of a study,
-    module-level so that worker processes can unpickle it.
+    each block for each sweep value in turn: one shard of a study.
 
     The one place that sizes work, by one rule for every study.  The range
     is walked in blocks of as many realizations as keep rows x (the largest
@@ -548,11 +544,10 @@ def _sweep_samples(spec: Study, links: list[ScenarioLinks], cfg: ExperimentConfi
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (``taskset`` narrows it), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs that shards may run on: on Linux this process's affinity mask
+    (``taskset`` narrows it); elsewhere 1, as shards are only forked, and
+    fork is missing on Windows and unsafe on macOS."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 def _fork_shards(study: str, shard: Callable[[int, int], list], bounds: list[int]) -> list:
@@ -628,16 +623,16 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     antennas and element counts, which the block metrics trust), then
     evaluate and aggregate it.
 
-    With ``workers > 1``, contiguous realization ranges run in separate
-    processes, at most one per usable CPU and one per ``shard_work`` of the
+    With ``workers > 1``, contiguous realization ranges run in forked
+    processes (:func:`_fork_shards`), at most one per usable CPU
+    (:func:`_usable_cpus`, 1 off Linux) and one per ``shard_work`` of the
     study's work (:func:`_study_work`), and are concatenated in realization
     order: bit-identical to ``workers = 1``, since each realization draws
     from its own stream.  A study of less than twice ``shard_work`` starts
-    no process.  On Linux each shard is forked and sends its samples
-    through a pipe (:func:`_fork_shards`); elsewhere a
-    ``ProcessPoolExecutor`` spawns them.
+    no process.
     """
     spec = STUDIES[study]
+    _require_integer("workers", workers)
     if workers < 1:
         raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"workers must be >= 1, got {workers}")
     if spec.single_antenna and cfg.scenario.m_antennas != 1:
@@ -675,24 +670,14 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
                 "have the gain |h_d|^2, whose required power 1/|h_d|^2 has no finite mean",
             )
 
-    # built once for every shard: a forked one inherits them, a spawned one unpickles them
+    # built once, before any shard is forked, so that every shard inherits them
     links = [scenario_links(scen) for scen in cfg._scenarios]
     shard = partial(_sweep_samples, spec, links, cfg)
     n = cfg.n_realizations
     # a shard per shard_work at most: below twice that, the study runs in process
     n_shards = max(1, min(workers, n, _usable_cpus(), _study_work(cfg) // spec.shard_work))
     bounds = [n * k // n_shards for k in range(n_shards + 1)]
-    if n_shards == 1:
-        shards = [shard(0, n)]
-    elif _START_METHOD == "fork":
-        shards = _fork_shards(study, shard, bounds)
-    else:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        context = multiprocessing.get_context(_START_METHOD)
-        with ProcessPoolExecutor(n_shards, mp_context=context) as pool:
-            shards = list(pool.map(shard, bounds[:-1], bounds[1:]))
+    shards = _fork_shards(study, shard, bounds) if n_shards > 1 else [shard(0, n)]
 
     rows: list[ResultRow] = []
     samples: dict[tuple[float, str], np.ndarray] = {}

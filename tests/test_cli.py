@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -440,9 +440,18 @@ class TestMain:
     @pytest.mark.parametrize(
         "runner", [run_power_vs_distance, run_power_vs_n, run_interference_vs_n]
     )
-    def test_runners_reject_workers_below_one(self, runner):
-        with pytest.raises(ConfigError, match="workers"):
-            runner(ExperimentConfig(n_realizations=1), workers=0)
+    def test_runners_reject_workers_below_one(self, monkeypatch, shard_any_work, runner):
+        # a study that two CPUs would shard, so that each value is refused
+        # before the shard count, where 2.0 and 1.5 would meet range() and
+        # "2" would meet <
+        study = {run_power_vs_distance: "power-vs-distance", run_power_vs_n: "power-vs-n",
+                 run_interference_vs_n: "interference-vs-n"}[runner]
+        cfg = replace(STUDIES[study].defaults, n_realizations=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for workers in (0, 2.0, 1.5, "2"):
+            with pytest.raises(ConfigError, match="workers") as caught:
+                runner(cfg, workers=workers)
+            assert caught.value.code is ConfigErrorCode.INVALID_VALUE
 
     @pytest.mark.parametrize("sub", ["power-vs-distance", "power-vs-n", "interference-vs-n"])
     @pytest.mark.parametrize("flags, validations", [

@@ -1,4 +1,3 @@
-import concurrent.futures.process
 import contextlib
 import hashlib
 import math
@@ -990,7 +989,7 @@ class TestLoneSlowProblem:
         assert null_interference(self.slow_channel(), unit)[0].coefficients.tobytes() \
             != full.tobytes()
 
-    def test_same_bits_handed_over_or_not_and_in_shards(self, monkeypatch, pools, result,
+    def test_same_bits_handed_over_or_not_and_in_shards(self, monkeypatch, forked, result,
                                                         shard_any_work):
         # the alone loop must give the bits of the vector loop, wherever a
         # row is handed over: in the 141-row block or in a shard's 70 or 71
@@ -999,7 +998,7 @@ class TestLoneSlowProblem:
             vector = run_interference_vs_n(self.CFG)
         usable_cpus(monkeypatch, 2)
         sharded = run_interference_vs_n(self.CFG, workers=2)
-        assert pools == (["fork", "fork"] if sys.platform == "linux" else ["spawn"])
+        assert len(forked) == (2 if sys.platform == "linux" else 0)
         for other in (vector, sharded):
             assert other.to_csv_text() == result.to_csv_text()
             assert_same_samples(result, other)
@@ -1030,31 +1029,9 @@ class TestLoneSlowProblem:
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """How each shard process a study starts, in order: "fork" for every
-    shard forked by ``experiments``, and the start method of every shard
-    pool's context."""
-    made = []
-    real_fork = experiments.os.fork
-    real_pool = concurrent.futures.process.ProcessPoolExecutor
-
-    def fork():
-        made.append("fork")
-        return real_fork()
-
-    class Spy(real_pool):
-        def __init__(self, *args, mp_context=None, **kwargs):
-            made.append(mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
-
-    monkeypatch.setattr(experiments.os, "fork", fork)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Spy)
-    return made
-
-
-@pytest.fixture
 def forked(monkeypatch):
-    """The pid of every child that ``experiments`` forks."""
+    """The pid of every child that ``experiments`` forks, in order: the only
+    way a study starts a process."""
     pids = []
     real_fork = experiments.os.fork
 
@@ -1069,9 +1046,9 @@ def forked(monkeypatch):
 
 
 def assert_reaped(pids):
-    # every forked shard has been waited for: no zombie is left; other
-    # children of this process, such as a spawn pool's resource tracker,
-    # may still run, so waitpid(-1) would not tell
+    # every forked shard has been waited for: no zombie is left.  Each pid
+    # is asked for, as waitpid(-1) would also count children of this
+    # process that no study started
     assert pids
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -1088,25 +1065,18 @@ def usable_cpus(monkeypatch, count):
 
 @pytest.mark.usefixtures("shard_any_work")
 class TestShardProcesses:
-    def test_one_usable_cpu_runs_in_process(self, monkeypatch, pools, dist_result):
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch, forked, dist_result):
         usable_cpus(monkeypatch, 1)
         result = run_power_vs_distance(DIST_CFG, workers=4)
-        assert pools == []
+        assert forked == []
         assert result.to_csv_text() == dist_result.to_csv_text()
         assert_same_samples(dist_result, result)
 
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert experiments._usable_cpus() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert experiments._usable_cpus() == 1
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="fork is the Linux start method")
-    def test_shards_fork_on_linux(self, monkeypatch, pools, dist_result):
+    @pytest.mark.skipif(sys.platform != "linux", reason="shards are forked on Linux")
+    def test_shards_fork_on_linux(self, monkeypatch, forked, dist_result):
         usable_cpus(monkeypatch, 2)
         result = run_power_vs_distance(DIST_CFG, workers=2)
-        assert pools == ["fork", "fork"]
+        assert len(forked) == 2
         assert result.to_csv_text() == dist_result.to_csv_text()
         assert_same_samples(dist_result, result)
 
@@ -1115,16 +1085,20 @@ class TestShardProcesses:
         (run_power_vs_n, N_CFG, "n_result"),
         (run_interference_vs_n, INT_CFG, "int_result"),
     ], ids=["distance", "n", "interference"])
-    def test_spawned_shards_match_one_worker(self, monkeypatch, pools, request, runner, cfg,
-                                             serial):
-        # the start method of every platform but Linux
-        monkeypatch.setattr(experiments, "_START_METHOD", "spawn")
-        usable_cpus(monkeypatch, 2)
-        result = runner(cfg, workers=2)
-        assert pools == ["spawn"]
+    def test_off_linux_runs_in_process(self, monkeypatch, forked, request, runner, cfg, serial):
+        # fork is missing on Windows and unsafe on macOS, and shards are only
+        # forked: there a study runs in process, whatever its workers and CPUs
         one = request.getfixturevalue(serial)
+        usable_cpus(monkeypatch, 4)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        result = runner(cfg, workers=4)
+        assert forked == []
         assert result.to_csv_text() == one.to_csv_text()
         assert_same_samples(one, result)
+
+    def test_off_linux_fresh_run_forks_nothing(self):
+        # set after the imports, as the shard count reads it when a study runs
+        assert fresh_study_forks("sys.platform = 'darwin'\n") == ["0"]
 
 
 class TestShardPlan:
@@ -1138,13 +1112,13 @@ class TestShardPlan:
         (run_power_vs_n, "power-vs-n", N_CFG, "n_result"),
         (run_interference_vs_n, "interference-vs-n", INT_CFG, "int_result"),
     ], ids=["distance", "n", "interference"])
-    def test_study_below_its_shard_work_runs_in_process(self, monkeypatch, pools, request,
+    def test_study_below_its_shard_work_runs_in_process(self, monkeypatch, forked, request,
                                                         runner, study, cfg, serial):
         # a shard process costs more than it saves on less than shard_work
         usable_cpus(monkeypatch, 2)
         assert experiments._study_work(cfg) < 2 * experiments.STUDIES[study].shard_work
         result = runner(cfg, workers=2)
-        assert pools == []
+        assert forked == []
         one = request.getfixturevalue(serial)
         assert result.to_csv_text() == one.to_csv_text()
         assert_same_samples(one, result)
@@ -1153,7 +1127,7 @@ class TestShardPlan:
         (4, 4, 3, 3), (2, 4, 3, 2), (4, 2, 3, 2), (3, 4, 5, 3), (4, 4, 1, 1), (2, 2, 0, 1),
     ])
     def test_shards_are_the_fewest_of_workers_cpus_and_work_shares(
-            self, monkeypatch, pools, dist_result, workers, cpus, shares, shards):
+            self, monkeypatch, forked, dist_result, workers, cpus, shares, shards):
         usable_cpus(monkeypatch, cpus)
         work = experiments._study_work(DIST_CFG)
         shard_work = work // shares if shares else work + 1
@@ -1162,7 +1136,7 @@ class TestShardPlan:
         monkeypatch.setitem(experiments.STUDIES, "power-vs-distance",
                             spec._replace(shard_work=shard_work))
         result = run_power_vs_distance(DIST_CFG, workers=workers)
-        assert pools == (["fork"] * shards if shards > 1 else [])
+        assert len(forked) == (shards if shards > 1 and sys.platform == "linux" else 0)
         assert result.to_csv_text() == dist_result.to_csv_text()
         assert_same_samples(dist_result, result)
 
@@ -1209,7 +1183,7 @@ class TestForkedShards:
         (run_power_vs_n, N_CFG, "n_result"),
         (run_interference_vs_n, INT_CFG, "int_result"),
     ], ids=["distance", "n", "interference"])
-    def test_shards_get_the_runs_links(self, monkeypatch, pools, request, workers, runner, cfg,
+    def test_shards_get_the_runs_links(self, monkeypatch, forked, request, workers, runner, cfg,
                                        serial):
         # the run builds every sweep value's links before its shards start,
         # in process or forked: a shard that built its sweep's scenarios or
@@ -1225,7 +1199,7 @@ class TestForkedShards:
 
         before_each_shard(monkeypatch, act)
         result = runner(cfg, workers=workers)
-        assert pools == ["fork"] * (workers - 1) * 2
+        assert len(forked) == (workers - 1) * 2
         assert result.to_csv_text() == one.to_csv_text()
 
     def test_child_exit_without_result_names_its_status(self, monkeypatch, forked):
@@ -1259,31 +1233,39 @@ class TestForkedShards:
         assert_reaped(forked)
         assert open_fds() == fds
 
-    def test_buffered_output_is_written_once(self, monkeypatch, capfd, pools):
+    def test_buffered_output_is_written_once(self, monkeypatch, capfd, forked):
         # every shard flushes the stdout it inherited: only what the parent
         # had not flushed before forking could be written twice
         before_each_shard(monkeypatch, lambda start: sys.stdout.flush())
         with open(os.dup(1), "w") as stdout, contextlib.redirect_stdout(stdout):
             print("written before the study", end="|")
             run_power_vs_distance(DIST_CFG, workers=2)
-        assert pools == ["fork", "fork"]
+        assert len(forked) == 2
         assert capfd.readouterr().out == "written before the study|"
 
     def test_imports_no_process_pool(self):
-        code = (
-            "import os, sys\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "forks = []\n"
-            "real_fork = os.fork\n"
-            "os.fork = lambda: forks.append(1) or real_fork()\n"
-            "from irslink.experiments import STUDIES, ExperimentConfig, run_power_vs_distance\n"
-            "STUDIES.update({k: s._replace(shard_work=1) for k, s in STUDIES.items()})\n"
-            "run_power_vs_distance(ExperimentConfig(n_realizations=20), workers=2)\n"
-            "print(len(forks), *sorted(m for m in sys.modules\n"
-            "      if m.startswith(('multiprocessing', 'concurrent'))))\n"
-        )
-        src = str(Path(experiments.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=120, check=True).stdout
-        assert out.split() == ["2"]
+        assert fresh_study_forks("") == ["2"]
+
+
+def fresh_study_forks(setup: str) -> list[str]:
+    """The forks of a power-vs-distance study at two workers and two CPUs,
+    and every multiprocessing or concurrent module loaded, in a fresh
+    interpreter that runs ``setup`` after its imports."""
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks = []\n"
+        "real_fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or real_fork()\n"
+        "from irslink.experiments import STUDIES, ExperimentConfig, run_power_vs_distance\n"
+        "STUDIES.update({k: s._replace(shard_work=1) for k, s in STUDIES.items()})\n"
+        f"{setup}"
+        "run_power_vs_distance(ExperimentConfig(n_realizations=20), workers=2)\n"
+        "print(len(forks), *sorted(m for m in sys.modules\n"
+        "      if m.startswith(('multiprocessing', 'concurrent'))))\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    return out.split()
