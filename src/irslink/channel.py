@@ -54,8 +54,9 @@ class ScenarioConfig:
     Every number must be finite; ``c0_db``, ``noise_power_dbm`` and the
     path-loss gain of each link in dB must lie within ``DB_LIMIT``, and
     the antenna spacing within (0, 1000] wavelengths.  The two counts are
-    integers (Python's or numpy's): at most ``MAX_ANTENNAS`` antennas and
-    ``MAX_ELEMENTS`` elements.
+    integers (Python's or numpy's, not bools): at most ``MAX_ANTENNAS``
+    antennas and ``MAX_ELEMENTS`` elements.  Values are stored as plain
+    ints and floats, points as tuples of floats.
     """
 
     bs_position: Point = (0.0, 0.0)
@@ -72,8 +73,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for count in ("m_antennas", "n_elements"):
-            if not isinstance(getattr(self, count), (int, np.integer)):
-                raise ValueError(f"{count} must be an integer, got {getattr(self, count)!r}")
+            value = getattr(self, count)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{count} must be an integer, got {value!r}")
         if not 1 <= self.m_antennas <= MAX_ANTENNAS:
             raise ValueError(f"m_antennas must be in [1, {MAX_ANTENNAS}], got {self.m_antennas}")
         if not 0 <= self.n_elements <= MAX_ELEMENTS:
@@ -103,6 +105,11 @@ class ScenarioConfig:
                     f"{pair} link gain {gain_db:g} dB is beyond +-{DB_LIMIT:g} dB "
                     f"(distance {d:g} m, exponent {exponent:g})"
                 )
+        # plain numbers, as parse_config reads what serialize_config writes
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            plain = tuple(map(float, value)) if kind is tuple else kind(value)
+            object.__setattr__(self, f.name, plain)
 
     def bs_irs_distance(self) -> float:
         return _dist(self.bs_position, self.irs_position)
@@ -174,8 +181,6 @@ def gen_bs_irs_los(cfg: ScenarioConfig) -> np.ndarray:
     if cfg.n_elements < 1:
         raise ValueError("gen_bs_irs_los requires at least one reflecting element")
     d = cfg.bs_irs_distance()
-    if d <= 0:
-        raise ValueError("degenerate geometry: transmitter and surface coincide")
     pl = path_loss(d, cfg.pl_exponent_bs_irs, cfg.c0_db)
     cos_dep = (cfg.irs_position[0] - cfg.bs_position[0]) / d
     cos_arr = (cfg.bs_position[0] - cfg.irs_position[0]) / d

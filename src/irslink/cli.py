@@ -230,6 +230,8 @@ def _solve_once(cfg: ExperimentConfig) -> int:
 def run(inv: CliInvocation) -> int:
     """Execute one invocation; returns the process exit code."""
     try:
+        if inv.subcommand not in (*STUDIES, "solve-once"):
+            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown subcommand {inv.subcommand!r}")
         cfg = parse_config(inv.config_path, experiment=inv.subcommand)
         # both overrides in one replace: one more validation, not one per override
         overrides = {"master_seed": inv.seed_override, "n_realizations": inv.realizations_override}

@@ -19,16 +19,16 @@ hold every value of its run at once.  A sweep value's arrays are the
 shared line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r``
 (R, N) and ``h_d`` (R, M).  Both power studies share one metric,
 ``_power_samples``: the required powers of :func:`_sweep_power_gains`,
-the closed form that the rank-one ``g`` allows, computed for each sweep
-value in turn and serving every power scheme.  Power-versus-N keeps every
-swept N's lattice arrays and refines each bit width once for the run, the
-rows of all its swept N in one loop.  The interference study's swept
-surfaces are nested, each the first N elements of the largest, so it
-forms the run's largest arrays once; free-amplitude nulling is the disk's
-closed-form value, and unit-modulus nulling runs the block's rows at
-every swept N of the run in one loop.  Every realization gets the same
-values as it would alone, and the tests check them against the general
-per-realization solvers of ``beamforming``.
+which forms each sweep value's block in turn, takes the closed forms that
+the rank-one ``g`` allows for every power scheme and drops the block; for
+the lattice schemes it keeps every swept N's coefficients, packed, and
+refines each bit width once for the run, all its rows in one loop.  The
+interference study's swept surfaces are nested, each the first N elements
+of the largest, so it forms the run's largest arrays once; free-amplitude
+nulling is the disk's closed-form value, and unit-modulus nulling runs the
+block's rows at every swept N of the run in one loop.  Every realization
+gets the same values as it would alone, and the tests check them against
+the general per-realization solvers of ``beamforming``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class ConfigError(ValueError):
 
 
 def _require_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(ConfigErrorCode.INVALID_VALUE,
                           f"{name} must be an integer, got {value!r}")
 
@@ -105,7 +105,7 @@ class ResultRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of one Monte Carlo study."""
+    """Inputs of one Monte Carlo study, its numbers stored as plain ints and floats."""
 
     scenario: ScenarioConfig = ScenarioConfig()
     sweep: tuple[str, tuple[float, ...]] = ("d", _DEFAULT_DISTANCES)
@@ -156,6 +156,11 @@ class ExperimentConfig:
                     ConfigErrorCode.INVALID_VALUE,
                     f"{level} must be finite and within +-{DB_LIMIT:g}, got {getattr(self, level)}",
                 )
+        # plain numbers, as parse_config reads what serialize_config writes
+        for key, kind in (("n_realizations", int), ("master_seed", int),
+                          ("snr_target_db", float), ("interferer_power_dbm", float)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
+        object.__setattr__(self, "sweep", (name, tuple(map(float, values))))
         # not a field, so outside ==, hash, repr and serialization; replace() rebuilds it
         object.__setattr__(self, "_scenarios", _sweep_scenarios(self))
 
@@ -259,24 +264,6 @@ def _power_gains(
     return _sweep_power_gains([ScenarioLinks(g, 1.0, 1.0)], h_r, h_d, schemes)[0]
 
 
-class _Lattice(NamedTuple):
-    """What the lattice schemes of one sweep value need after its block is
-    dropped: t and a of ``direct_and_cascade`` at w* (both times ||q||),
-    with a a view of the sweep's packed (R, N) coefficients, f, so that
-    s = conj(sum_n f_n v_n), and the direct links and beam to re-match."""
-
-    t: np.ndarray
-    a: np.ndarray
-    f: np.ndarray
-    h_d: np.ndarray
-    b: np.ndarray
-
-    def gains(self, v: np.ndarray) -> np.ndarray:
-        """The gain of each row's state v under the re-matched beam."""
-        s = np.conj(np.sum(self.f * v, axis=1))
-        return np.linalg.norm(self.h_d + _mul(s[:, None], self.b), axis=1) ** 2
-
-
 def _sweep_power_gains(links: list[ScenarioLinks], fading_r: np.ndarray, fading_d: np.ndarray,
                        schemes) -> list[dict[str, np.ndarray]]:
     """:func:`_power_gains` of one block of realizations at every sweep
@@ -284,69 +271,67 @@ def _sweep_power_gains(links: list[ScenarioLinks], fading_r: np.ndarray, fading_
     fading.
 
     Each value's block is formed in turn and dropped once its closed forms
-    are taken; for the lattice schemes its t, a and f are kept, every
-    value's a packed end to end, row by row.  Then each bit width is
-    refined once, by :func:`_refine_rows` over the rows of every value, in
-    one state buffer that the widths reuse: the loop runs for the steps
-    of the slowest row of the sweep, not for their sum over the values,
-    and each row gets the bits it gets alone.
+    are taken.  For the lattice schemes each value keeps t and a of
+    ``direct_and_cascade`` at w* (both times ||q||), every value's a packed
+    end to end, row by row; f, so that s = conj(sum_n f_n v_n); and the
+    direct links and beam to re-match.  Then each bit width is refined
+    once, by :func:`_refine_rows` over the rows of every value, in one
+    state buffer that the widths reuse: the loop runs for the steps of the
+    slowest row of the sweep, not for their sum over the values, and each
+    row gets the bits it gets alone.
     """
     lattice = [scheme for scheme in schemes if scheme in ("b1", "b2")]
     rows, sizes = len(fading_r), [len(link.g_bs_irs) for link in links]
     packed = np.empty(rows * sum(sizes) if lattice else 0, dtype=np.complex128)
-    out, problems = [], []
-    for link, a in zip(links, _groups(packed, rows, sizes)[0] if lattice else [None] * len(links)):
-        # the block is formed in the call, so it is dropped when the call returns
-        gains, problem = _closed_form_gains(*link.block(fading_r, fading_d), schemes, a)
+    coefficients = _groups(packed, rows, sizes)[0] if lattice else [None] * len(links)
+    out, kept = [], []  # kept: (t, f, h_d, b) of each value, for the lattice schemes
+    for link, a in zip(links, coefficients):
+        g, h_r, h_d = link.block(fading_r, fading_d)
+        norm_d = np.linalg.norm(h_d, axis=1)
+        r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
+        b = _rank_one_beam(g) if len(g) else None
+        p = np.sum(_mul(h_d, np.conj(b)), axis=1) if len(g) else np.zeros(len(h_d), np.complex128)
+        c = np.abs(p)
+        joint = norm_d**2 + r**2 + 2.0 * r * c
+        gains: dict[str, np.ndarray | None] = {}
+        for scheme in schemes:
+            if scheme in ("joint", "continuous"):
+                gains[scheme] = joint
+            elif scheme == "bs_user_mrt":
+                if not norm_d.all():
+                    raise ValueError("MRT undefined for an all-zero channel")
+                gains[scheme] = (norm_d + r * c / norm_d) ** 2
+            elif scheme == "bs_irs_mrt":
+                gains[scheme] = (c + r) ** 2
+            elif scheme == "no_irs":
+                gains[scheme] = norm_d**2
+            elif scheme in ("b1", "b2"):
+                gains[f"{scheme}_quant"] = gains[scheme] = None  # slots: keys keep the listed order
+        if lattice:
+            f = _mul(np.conj(h_r), g @ b)  # so that s = conj(sum_n f_n v_n)
+            # h_d^H q = ||h_d||^2 + r|p| and b^H q = p + r e^{j arg p}
+            a[:] = _mul(f, (p + r * unit_phases(p))[:, None])
+            kept.append((norm_d**2 + r * c, f, h_d, b))
         out.append(gains)
-        problems.append(problem)
+        # the block goes before the next one is formed, the last before the states
+        del h_r, h_d, norm_d, r, p, c, joint
     if lattice:
+        def matched(f, h_d, b, v):  # each row's gain at state v under the re-matched beam
+            s = np.conj(np.sum(f * v, axis=1))
+            return np.linalg.norm(h_d + _mul(s[:, None], b), axis=1) ** 2
+
         state = np.empty_like(packed)
         states = _groups(state, rows, sizes)[0]
         for scheme in lattice:
             bits = int(scheme[1:])
-            for gains, problem, v in zip(out, problems, states):
+            for gains, a, v, (_, f, h_d, b) in zip(out, coefficients, states, kept):
                 # the phases aligned to w* (t is real and >= 0), on the lattice
-                v[:] = unit_phases(np.conj(problem.a), bits)
-                gains[f"{scheme}_quant"] = problem.gains(v)
-            _refine_rows([problem.t for problem in problems], packed, state, rows, sizes, bits)
-            for gains, problem, v in zip(out, problems, states):
-                gains[scheme] = problem.gains(v)
+                v[:] = unit_phases(np.conj(a), bits)
+                gains[f"{scheme}_quant"] = matched(f, h_d, b, v)
+            _refine_rows([t for t, *_ in kept], packed, state, rows, sizes, bits)
+            for gains, v, (_, f, h_d, b) in zip(out, states, kept):
+                gains[scheme] = matched(f, h_d, b, v)
     return out
-
-
-def _closed_form_gains(g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes,
-                       a: np.ndarray | None) -> tuple[dict[str, np.ndarray], _Lattice | None]:
-    """The closed-form gains of :func:`_power_gains` per key, with the
-    lattice schemes' keys in place, still None; and, if there are lattice
-    schemes, their :class:`_Lattice`, its a written into ``a``."""
-    norm_d = np.linalg.norm(h_d, axis=1)
-    r = np.sum(np.abs(h_r) * np.linalg.norm(g, axis=1), axis=1)
-    b = _rank_one_beam(g) if len(g) else None
-    p = np.sum(_mul(h_d, np.conj(b)), axis=1) if len(g) else np.zeros(len(h_d), np.complex128)
-    c = np.abs(p)
-    joint = norm_d**2 + r**2 + 2.0 * r * c
-    gains: dict[str, np.ndarray | None] = {}
-    problem = None  # the lattice schemes' terms, made by the first of them
-    for scheme in schemes:
-        if scheme in ("joint", "continuous"):
-            gains[scheme] = joint
-        elif scheme == "bs_user_mrt":
-            if not norm_d.all():
-                raise ValueError("MRT undefined for an all-zero channel")
-            gains[scheme] = (norm_d + r * c / norm_d) ** 2
-        elif scheme == "bs_irs_mrt":
-            gains[scheme] = (c + r) ** 2
-        elif scheme == "no_irs":
-            gains[scheme] = norm_d**2
-        elif scheme in ("b1", "b2"):
-            if problem is None:
-                f = _mul(np.conj(h_r), g @ b)  # so that s = conj(sum_n f_n v_n)
-                # h_d^H q = ||h_d||^2 + r|p| and b^H q = p + r e^{j arg p}
-                a[:] = _mul(f, (p + r * unit_phases(p))[:, None])
-                problem = _Lattice(norm_d**2 + r * c, a, f, h_d, b)
-            gains[f"{scheme}_quant"] = gains[scheme] = None
-    return gains, problem
 
 
 def _interference_gains(

@@ -55,7 +55,8 @@ class TestScenarioConfig:
             ScenarioConfig(n_elements=-1)
 
     @pytest.mark.parametrize("field, value", [("n_elements", 2.5), ("n_elements", 40.0),
-                                              ("m_antennas", 2.5)])
+                                              ("m_antennas", 2.5), ("m_antennas", True),
+                                              ("n_elements", False)])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ScenarioConfig(**{field: value})

@@ -7,7 +7,6 @@ import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,6 +292,14 @@ class TestRun:
         assert a == b
         assert a.startswith(b"sweep_value,scheme,metric_value,metric_unit,")
 
+    def test_unknown_subcommand_is_exit_1(self, tmp_path, capsys):
+        # main refuses it in argparse; run is also called directly
+        inv = self._invocation(tmp_path, sub="power-vs-m", name="m.csv")
+        assert run(inv) == 1
+        assert "config error: [invalid_value] unknown subcommand 'power-vs-m'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "m.csv").exists()
+
     def test_csv_identical_under_parallel_execution(self, tmp_path, shard_any_work):
         inv1 = self._invocation(tmp_path, name="serial.csv", quiet=True, workers=1)
         inv4 = self._invocation(tmp_path, name="parallel.csv", quiet=True, workers=4)
@@ -442,13 +449,13 @@ class TestMain:
     )
     def test_runners_reject_workers_below_one(self, monkeypatch, shard_any_work, runner):
         # a study that two CPUs would shard, so that each value is refused
-        # before the shard count, where 2.0 and 1.5 would meet range() and
-        # "2" would meet <
+        # before the shard count, where 2.0 and 1.5 would meet range(), "2"
+        # would meet < and True would run as one worker
         study = {run_power_vs_distance: "power-vs-distance", run_power_vs_n: "power-vs-n",
                  run_interference_vs_n: "interference-vs-n"}[runner]
         cfg = replace(STUDIES[study].defaults, n_realizations=2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        for workers in (0, 2.0, 1.5, "2"):
+        for workers in (0, 2.0, 1.5, "2", True):
             with pytest.raises(ConfigError, match="workers") as caught:
                 runner(cfg, workers=workers)
             assert caught.value.code is ConfigErrorCode.INVALID_VALUE

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import beamforming, experiments
+from irslink.cli import parse_config, serialize_config
 from irslink.channel import (
     ChannelRealization,
     ScenarioConfig,
@@ -122,7 +123,8 @@ class TestExperimentConfig:
             ExperimentConfig(master_seed=1 << 64)
 
     @pytest.mark.parametrize("field, value", [("n_realizations", 2.5), ("n_realizations", 3.0),
-                                              ("master_seed", 1.5), ("master_seed", "7")])
+                                              ("master_seed", 1.5), ("master_seed", "7"),
+                                              ("n_realizations", True), ("master_seed", False)])
     def test_rejects_non_integer_counts_and_seeds(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer") as info:
             ExperimentConfig(**{field: value})
@@ -132,6 +134,24 @@ class TestExperimentConfig:
         cfg = replace(DIST_CFG, n_realizations=3)
         same = replace(cfg, n_realizations=np.int64(3), master_seed=np.uint64(cfg.master_seed))
         assert run_power_vs_distance(same).to_csv_text() == run_power_vs_distance(cfg).to_csv_text()
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(ExperimentConfig(n_realizations=np.int64(7), master_seed=np.uint64(5)),
+                     id="int64-uint64"),
+        pytest.param(ExperimentConfig(
+            scenario=ScenarioConfig(m_antennas=np.int64(4), n_elements=np.int32(9),
+                                    user_position=(np.float64(50.0), 0.0)),
+            snr_target_db=np.float64(20.5), sweep=("d", (np.float64(20.0), 30.0))), id="float64"),
+        pytest.param(ExperimentConfig(
+            scenario=ScenarioConfig(c0_db=np.float32(-30.1), irs_position=(np.float32(45.3), 3.0)),
+            interferer_power_dbm=np.float32(27.1), sweep=("d", (np.float32(20.1), 30.0))),
+            id="float32"),
+    ])
+    def test_numpy_scalars_round_trip(self, tmp_path, cfg):
+        # stored as plain numbers, so serialize_config writes what parse_config reads
+        path = tmp_path / "cfg.txt"
+        path.write_text(serialize_config(cfg))
+        assert parse_config(str(path)) == cfg
 
     def test_rejects_sweep_values_printing_the_same_key(self):
         with pytest.raises(ConfigError, match="colliding"):
@@ -661,6 +681,31 @@ class TestQuantizedGains:
         for key, gains in apart.items():
             assert both[key].tobytes() == gains.tobytes(), key
         assert both["continuous"].tobytes() == both["joint"].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_keys_follow_the_listed_scheme_order(self, m):
+        # each lattice scheme's '_quant' key comes right before its own, and
+        # a study's rows and samples follow the keys
+        scen = ScenarioConfig(m_antennas=m, n_elements=40, user_position=(50.0, 0.0))
+        block = stacked([realize(scen, SeededRng(83, i)) for i in range(6)])
+        listed = ("b2", "continuous", "b1")
+        reordered = experiments._power_gains(*block, listed)
+        default = experiments._power_gains(*block, ("continuous", "b1", "b2"))
+        assert list(reordered) == ["b2_quant", "b2", "continuous", "b1_quant", "b1"]
+        for key, gains in default.items():
+            assert reordered[key].tobytes() == gains.tobytes(), key
+        cfg = replace(experiments.STUDIES["power-vs-n"].defaults, scenario=scen,
+                      sweep=("n", (10.0, 40.0)), n_realizations=30, master_seed=83)
+        base, result = run_power_vs_n(cfg), run_power_vs_n(replace(cfg, schemes=listed))
+        assert result.to_csv_text() == base.to_csv_text()
+        assert result.samples.keys() == base.samples.keys()
+        for key, samples in base.samples.items():
+            assert result.samples[key].tobytes() == samples.tobytes(), key
+        for n in (10.0, 40.0):
+            assert [row.scheme for row in result.rows if row.sweep_value == n] == [
+                "b2_quant", "b2", "continuous", "b1_quant", "b1",
+                "loss_b2_quant", "loss_b2", "loss_b1_quant", "loss_b1"]
+        assert list(result.samples) == [(n, key) for n in (10.0, 40.0) for key in reordered]
 
 
 class TestRaggedSweep:
