@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,10 @@ from .numerics import (
     as_complex_matrix,
     as_complex_vector,
     db_to_linear,
+    integer,
+    invalid,
+    number,
+    point,
     sample_cscg,
     sample_cscg_rows,
 )
@@ -43,6 +48,8 @@ DB_LIMIT = 300.0
 # for arrays too large to allocate: a study holds (block, N) arrays.
 MAX_ELEMENTS = 10_000
 MAX_ANTENNAS = 1_000
+_COUNT_RULES = {"m_antennas": partial(integer, lo=1, hi=MAX_ANTENNAS),
+                "n_elements": partial(integer, lo=0, hi=MAX_ELEMENTS)}
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,9 @@ class ScenarioConfig:
     path-loss gain of each link in dB must lie within ``DB_LIMIT``, and
     the antenna spacing within (0, 1000] wavelengths.  The two counts are
     integers (Python's or numpy's, not bools): at most ``MAX_ANTENNAS``
-    antennas and ``MAX_ELEMENTS`` elements.  Values are stored as plain
-    ints and floats, points as tuples of floats.
+    antennas and ``MAX_ELEMENTS`` elements.  A point is exactly two
+    numbers.  Values are stored as plain ints and floats, points as tuples
+    of floats; a value that breaks a rule raises ``ConfigError``.
     """
 
     bs_position: Point = (0.0, 0.0)
@@ -72,25 +80,19 @@ class ScenarioConfig:
     antenna_spacing_wavelengths: float = 0.5
 
     def __post_init__(self) -> None:
-        for count in ("m_antennas", "n_elements"):
-            value = getattr(self, count)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{count} must be an integer, got {value!r}")
-        if not 1 <= self.m_antennas <= MAX_ANTENNAS:
-            raise ValueError(f"m_antennas must be in [1, {MAX_ANTENNAS}], got {self.m_antennas}")
-        if not 0 <= self.n_elements <= MAX_ELEMENTS:
-            raise ValueError(f"n_elements must be in [0, {MAX_ELEMENTS}], got {self.n_elements}")
+        # one pass: each value by its rule, stored as a plain int, float or
+        # point, as parse_config reads what serialize_config writes
         for f in fields(self):
-            if not all(math.isfinite(x) for x in np.ravel(getattr(self, f.name))):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            rule = _COUNT_RULES.get(f.name) or (point if type(f.default) is tuple else number)
+            object.__setattr__(self, f.name, rule(f.name, getattr(self, f.name)))
         for name in ("c0_db", "noise_power_dbm"):
             if abs(getattr(self, name)) > DB_LIMIT:
-                raise ValueError(f"{name} must be within +-{DB_LIMIT:g}, got {getattr(self, name)}")
+                raise invalid(f"{name} must be within +-{DB_LIMIT:g}, got {getattr(self, name)}")
         for name in ("pl_exponent_bs_irs", "pl_exponent_bs_user", "pl_exponent_irs_user"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+                raise invalid(f"{name} must be > 0")
         if not 0 < self.antenna_spacing_wavelengths <= 1e3:
-            raise ValueError("antenna_spacing_wavelengths must be in (0, 1000]")
+            raise invalid("antenna_spacing_wavelengths must be in (0, 1000]")
         for a, b, pair, exponent in (
             (self.bs_position, self.irs_position, "bs/irs", self.pl_exponent_bs_irs),
             (self.bs_position, self.user_position, "bs/user", self.pl_exponent_bs_user),
@@ -98,18 +100,11 @@ class ScenarioConfig:
         ):
             d = _dist(a, b)
             if d <= 0.0:
-                raise ValueError(f"coincident {pair} positions: {a} / {b}")
+                raise invalid(f"coincident {pair} positions: {a} / {b}")
             gain_db = self.c0_db - 10.0 * exponent * math.log10(d)
             if not abs(gain_db) <= DB_LIMIT:
-                raise ValueError(
-                    f"{pair} link gain {gain_db:g} dB is beyond +-{DB_LIMIT:g} dB "
-                    f"(distance {d:g} m, exponent {exponent:g})"
-                )
-        # plain numbers, as parse_config reads what serialize_config writes
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            plain = tuple(map(float, value)) if kind is tuple else kind(value)
-            object.__setattr__(self, f.name, plain)
+                raise invalid(f"{pair} link gain {gain_db:g} dB is beyond +-{DB_LIMIT:g} dB "
+                              f"(distance {d:g} m, exponent {exponent:g})")
 
     def bs_irs_distance(self) -> float:
         return _dist(self.bs_position, self.irs_position)

@@ -21,15 +21,13 @@ from .beamforming import alternating_optimize, min_power_for_snr
 from .channel import ScenarioConfig, realize
 from .experiments import (
     STUDIES,
-    ConfigError,
-    ConfigErrorCode,
     ExperimentConfig,
     ExperimentResult,
     run_interference_vs_n,
     run_power_vs_distance,
     run_power_vs_n,
 )
-from .numerics import SeededRng
+from .numerics import ConfigError, ConfigErrorCode, SeededRng, integer, invalid
 from .reflection import ConstraintSet
 
 _MAX_SWEEP_STEPS = 10_000
@@ -88,22 +86,14 @@ def _parse_sweep(text: str, line: int) -> tuple[str, tuple[float, ...]]:
         step = values[-1] - values[-2]
         end = _number(end_text, "sweep", line)
         if step <= 0 or end <= values[-1]:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE, "'...' continuation must ascend", line
-            )
+            raise invalid("'...' continuation must ascend", line)
         n_steps = (end - values[-1]) / step
         if not n_steps <= _MAX_SWEEP_STEPS:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE,
-                f"'...' would add {n_steps:g} values; at most {_MAX_SWEEP_STEPS} allowed",
-                line,
+            raise invalid(
+                f"'...' would add {n_steps:g} values; at most {_MAX_SWEEP_STEPS} allowed", line
             )
         if abs(n_steps - round(n_steps)) > 1e-9:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE,
-                f"end value {end:g} is not reachable with step {step:g}",
-                line,
-            )
+            raise invalid(f"end value {end:g} is not reachable with step {step:g}", line)
         # the k-th new value is last + k * step, so that rounding does
         # not build up, and the final one is the end as written
         last = values[-1]
@@ -176,10 +166,7 @@ def parse_config(path: str | None, experiment: str | None = None) -> ExperimentC
             else:
                 raise ConfigError(ConfigErrorCode.UNKNOWN_KEY, f"unknown key {key!r}", lineno)
 
-    try:
-        scenario = replace(defaults.scenario, **scen_kwargs)
-    except ValueError as exc:
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, str(exc)) from None
+    scenario = replace(defaults.scenario, **scen_kwargs)
     return replace(defaults, scenario=scenario, **top_kwargs)
 
 
@@ -231,7 +218,7 @@ def run(inv: CliInvocation) -> int:
     """Execute one invocation; returns the process exit code."""
     try:
         if inv.subcommand not in (*STUDIES, "solve-once"):
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown subcommand {inv.subcommand!r}")
+            raise invalid(f"unknown subcommand {inv.subcommand!r}")
         cfg = parse_config(inv.config_path, experiment=inv.subcommand)
         # both overrides in one replace: one more validation, not one per override
         overrides = {"master_seed": inv.seed_override, "n_realizations": inv.realizations_override}
@@ -239,9 +226,8 @@ def run(inv: CliInvocation) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
         if inv.subcommand != "solve-once" and inv.out_path is None:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, "--out is required for experiment subcommands")
-        if inv.workers < 1:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"workers must be >= 1, got {inv.workers}")
+            raise invalid("--out is required for experiment subcommands")
+        integer("workers", inv.workers, 1)
         if inv.subcommand == "solve-once":
             return _solve_once(cfg)
         # built at call time from this module's names, so that a wrapper bound

@@ -33,7 +33,6 @@ the general per-realization solvers of ``beamforming``.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import pickle
@@ -53,7 +52,8 @@ from .beamforming import (
     nulling_residual,
 )
 from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
-from .numerics import db_to_linear
+# ConfigError and ConfigErrorCode are importable from here too
+from .numerics import _MASK64, ConfigError, ConfigErrorCode, db_to_linear, integer, invalid, number
 from .reflection import unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
@@ -63,35 +63,6 @@ _DEFAULT_DISTANCES = (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0)
 # run (by the summed N) by it.
 _ELEMENT_BUDGET = 1 << 17
 _MIN_ROWS = 64
-
-
-class ConfigErrorCode(enum.Enum):
-    MISSING_FILE = "missing_file"
-    BAD_SYNTAX = "bad_syntax"
-    UNKNOWN_KEY = "unknown_key"
-    TYPE_MISMATCH = "type_mismatch"
-    INVALID_VALUE = "invalid_value"
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration, with a code and optional line."""
-
-    def __init__(self, code: ConfigErrorCode, message: str, line: int | None = None):
-        self.code = code
-        self.message = message
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"[{code.value}]{where} {message}")
-
-    def __reduce__(self):
-        # rebuilt from its own arguments, so it can cross from a shard process
-        return type(self), (self.code, self.message, self.line)
-
-
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE,
-                          f"{name} must be an integer, got {value!r}")
 
 
 class ResultRow(NamedTuple):
@@ -105,7 +76,8 @@ class ResultRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of one Monte Carlo study, its numbers stored as plain ints and floats."""
+    """Inputs of one Monte Carlo study, its numbers stored as plain ints and
+    floats, its schemes and sweep values as tuples."""
 
     scenario: ScenarioConfig = ScenarioConfig()
     sweep: tuple[str, tuple[float, ...]] = ("d", _DEFAULT_DISTANCES)
@@ -116,53 +88,36 @@ class ExperimentConfig:
     interferer_power_dbm: float = 30.0
 
     def __post_init__(self) -> None:
-        for count in ("n_realizations", "master_seed"):
-            _require_integer(count, getattr(self, count))
-        if self.n_realizations < 1:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE,
-                f"n_realizations must be >= 1, got {self.n_realizations}",
-            )
+        # plain numbers and tuples, as parse_config reads what serialize_config writes
+        store = partial(object.__setattr__, self)
+        store("n_realizations", integer("n_realizations", self.n_realizations, 1))
+        store("master_seed", integer("master_seed", self.master_seed, 0, _MASK64))
+        for level in ("snr_target_db", "interferer_power_dbm"):
+            store(level, number(level, getattr(self, level)))
+            if abs(getattr(self, level)) > DB_LIMIT:
+                raise invalid(f"{level} must be within +-{DB_LIMIT:g}, got {getattr(self, level)}")
+        if isinstance(self.schemes, str):
+            raise invalid(f"schemes must be a sequence of names, got {self.schemes!r}")
+        store("schemes", tuple(self.schemes))
         if not self.schemes:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, "schemes needs at least one scheme")
+            raise invalid("schemes needs at least one scheme")
         repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
         if repeated:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE, f"schemes lists {', '.join(repeated)} more than once"
-            )
+            raise invalid(f"schemes lists {', '.join(repeated)} more than once")
         name, values = self.sweep
         if name not in ("d", "n"):
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"unknown sweep variable {name!r}")
+            raise invalid(f"unknown sweep variable {name!r}")
         if len(values) == 0:
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, "sweep needs at least one value")
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"sweep values must be finite: {values}")
+            raise invalid("sweep needs at least one value")
+        values = tuple(number(f"sweep value {name}", v) for v in values)
+        store("sweep", (name, values))
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE, f"sweep values must be strictly increasing: {values}"
-            )
+            raise invalid(f"sweep values must be strictly increasing: {values}")
         keys = [_sweep_key(v) for v in values]
         if len(set(keys)) < len(keys):
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE, f"sweep values {values} print as colliding keys {keys}"
-            )
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE, f"master_seed must fit in 64 bits, got {self.master_seed}"
-            )
-        for level in ("snr_target_db", "interferer_power_dbm"):
-            if not abs(getattr(self, level)) <= DB_LIMIT:
-                raise ConfigError(
-                    ConfigErrorCode.INVALID_VALUE,
-                    f"{level} must be finite and within +-{DB_LIMIT:g}, got {getattr(self, level)}",
-                )
-        # plain numbers, as parse_config reads what serialize_config writes
-        for key, kind in (("n_realizations", int), ("master_seed", int),
-                          ("snr_target_db", float), ("interferer_power_dbm", float)):
-            object.__setattr__(self, key, kind(getattr(self, key)))
-        object.__setattr__(self, "sweep", (name, tuple(map(float, values))))
+            raise invalid(f"sweep values {values} print as colliding keys {keys}")
         # not a field, so outside ==, hash, repr and serialization; replace() rebuilds it
-        object.__setattr__(self, "_scenarios", _sweep_scenarios(self))
+        store("_scenarios", _sweep_scenarios(self))
 
 
 @dataclass(eq=False)
@@ -207,7 +162,7 @@ def _sweep_scenarios(cfg: ExperimentConfig) -> tuple[ScenarioConfig, ...]:
     """The scenario of each sweep value, kept as ``cfg._scenarios`` by validation.
 
     A fractional count or a scenario that fails its own validation raises
-    ConfigError.
+    ConfigError, which names the sweep value.
     """
     name, values = cfg.sweep
     scenarios = []
@@ -215,15 +170,13 @@ def _sweep_scenarios(cfg: ExperimentConfig) -> tuple[ScenarioConfig, ...]:
         try:
             if name == "d":
                 y = cfg.scenario.user_position[1]
-                scenarios.append(replace(cfg.scenario, user_position=(float(value), y)))
-            elif float(value).is_integer():
+                scenarios.append(replace(cfg.scenario, user_position=(value, y)))
+            elif value.is_integer():
                 scenarios.append(replace(cfg.scenario, n_elements=int(value)))
             else:
-                raise ValueError("element counts must be integers")
-        except ValueError as exc:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE, f"sweep value {name} = {value:g}: {exc}"
-            ) from None
+                raise invalid("element counts must be integers")
+        except ConfigError as exc:
+            raise invalid(f"sweep value {name} = {value:g}: {exc.message}") from None
     return tuple(scenarios)
 
 
@@ -617,31 +570,22 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
     no process.
     """
     spec = STUDIES[study]
-    _require_integer("workers", workers)
-    if workers < 1:
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"workers must be >= 1, got {workers}")
+    workers = integer("workers", workers, 1)
     if spec.single_antenna and cfg.scenario.m_antennas != 1:
-        raise ConfigError(
-            ConfigErrorCode.INVALID_VALUE,
-            f"{study} requires m_antennas = 1, got {cfg.scenario.m_antennas}",
-        )
+        raise invalid(f"{study} requires m_antennas = 1, got {cfg.scenario.m_antennas}")
     defaults = spec.defaults
     unknown = [s for s in cfg.schemes if s not in defaults.schemes]
     if unknown:
-        raise ConfigError(
-            ConfigErrorCode.INVALID_VALUE,
-            f"unknown scheme(s) {unknown}; allowed: {list(defaults.schemes)}",
-        )
+        raise invalid(f"unknown scheme(s) {unknown}; allowed: {list(defaults.schemes)}")
     name, values = cfg.sweep
     if name != defaults.sweep[0]:
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE, f"{study} sweeps {defaults.sweep[0]!r}")
+        raise invalid(f"{study} sweeps {defaults.sweep[0]!r}")
     # the beam at the surface link and the surface's phase resolutions are
     # defined by its elements: without any, these schemes have no row
     bare = min(scen.n_elements for scen in cfg._scenarios) == 0
     surface = [s for s in cfg.schemes if s in ("bs_irs_mrt", "continuous", "b1", "b2")]
     if bare and surface:
-        raise ConfigError(ConfigErrorCode.INVALID_VALUE,
-                          f"scheme(s) {surface} need a surface: n_elements must be >= 1, got 0")
+        raise invalid(f"scheme(s) {surface} need a surface: n_elements must be >= 1, got 0")
     if spec.metric is _power_samples and cfg.scenario.m_antennas == 1:
         # a power row is the mean of 1/gain: a gain of |h_d|^2 is then
         # exponential, and the mean of its inverse is infinite; with elements,
@@ -649,10 +593,9 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
         direct = [s for s in cfg.schemes
                   if s == "no_irs" or (bare and s in ("joint", "bs_user_mrt"))]
         if direct:
-            raise ConfigError(
-                ConfigErrorCode.INVALID_VALUE,
+            raise invalid(
                 f"scheme(s) {direct} at m_antennas = 1{' and n_elements = 0' if bare else ''} "
-                "have the gain |h_d|^2, whose required power 1/|h_d|^2 has no finite mean",
+                "have the gain |h_d|^2, whose required power 1/|h_d|^2 has no finite mean"
             )
 
     # built once, before any shard is forked, so that every shard inherits them

@@ -1,4 +1,12 @@
-"""Complex-array validation, seedable random streams, and dB conversions.
+"""Input rules, complex-array validation, seedable random streams, and dB
+conversions.
+
+Every configuration value is checked by one of three rules, and a value
+that breaks one raises :class:`ConfigError` (a ``ValueError``) where it is
+checked: :func:`integer` (Python's or numpy's integers, not bools, within
+a range, stored as ``int``; a seed is its [0, 2^64 - 1] case),
+:func:`number` (real numbers, not bools or strings, finite, stored as
+``float``) and :func:`point` (exactly two numbers).
 
 Complex vectors and matrices are plain ``numpy`` arrays of dtype
 ``complex128``; the validators below enforce the invariants (finite
@@ -20,12 +28,73 @@ only draws here never loads it.
 
 from __future__ import annotations
 
+import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+
+class ConfigErrorCode(enum.Enum):
+    MISSING_FILE = "missing_file"
+    BAD_SYNTAX = "bad_syntax"
+    UNKNOWN_KEY = "unknown_key"
+    TYPE_MISMATCH = "type_mismatch"
+    INVALID_VALUE = "invalid_value"
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration, with a code and optional line."""
+
+    def __init__(self, code: ConfigErrorCode, message: str, line: int | None = None):
+        self.code = code
+        self.message = message
+        self.line = line
+        where = f" (line {line})" if line is not None else ""
+        super().__init__(f"[{code.value}]{where} {message}")
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it can cross from a shard process
+        return type(self), (self.code, self.message, self.line)
+
+
+def invalid(message: str, line: int | None = None) -> ConfigError:
+    """The ConfigError of a value that breaks a rule."""
+    return ConfigError(ConfigErrorCode.INVALID_VALUE, message, line)
+
+
+def integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int: an integer of Python's or numpy's, not a bool,
+    and at least ``lo`` and at most ``hi`` where given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise invalid(f"{name} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise invalid(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
+def number(name: str, value) -> float:
+    """``value`` as a float: a finite real number of Python's or numpy's, not
+    a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise invalid(f"{name} must be a number, got {value!r}")
+    beyond = isinstance(value, int) and abs(value) > sys.float_info.max  # float() overflows
+    if beyond or not math.isfinite(value):
+        raise invalid(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def point(name: str, value) -> tuple[float, float]:
+    """``value`` as an (x, y) point: exactly two numbers (see :func:`number`)."""
+    try:
+        x, y = () if isinstance(value, str) else value  # a string is no pair of numbers
+    except (TypeError, ValueError):
+        raise invalid(f"{name} must be an (x, y) point, got {value!r}") from None
+    return number(name, x), number(name, y)
 
 
 def _splitmix64(x):
@@ -445,9 +514,7 @@ class SeededRng:
 
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < 1 << 64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0, _MASK64))
 
     def split(self, index: int) -> "SeededRng":
         """Derive the ``index``-th substream of this stream."""
@@ -478,10 +545,8 @@ def sample_cscg_rows(master_seed: int, stream_ids, n: int) -> np.ndarray:
     numpy's Philox, keyed by :func:`_philox_keys` and computed by
     :func:`_normal_rows` without ``numpy.random``.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be >= 0, got {n}")
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
+    n = integer("sample count", n, 0)
+    master_seed = integer("master_seed", master_seed, 0, _MASK64)
     ids = np.array(stream_ids, dtype=np.uint64)
     raw = _normal_rows(_philox_keys(master_seed, ids), 2 * n)
     return (raw[:, 0::2] + 1j * raw[:, 1::2]) * np.sqrt(0.5)

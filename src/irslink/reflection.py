@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .numerics import as_complex_vector
+from .numerics import as_complex_vector, integer
 
 _FEAS_TOL = 1e-9
 # The finest phase lattice.  One refinement step holds 2^bits candidates for
@@ -41,7 +41,7 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         if self.kind is ConstraintKind.DISCRETE_PHASE:
-            if self.bits is None or self.bits < 1:
+            if self.bits is None or integer("bits", self.bits) < 1:
                 raise ValueError(f"discrete phase control needs bits >= 1, got {self.bits}")
             if self.bits > _MAX_BITS:
                 raise ValueError(f"discrete phase control takes at most {_MAX_BITS} bits, "

@@ -16,7 +16,7 @@ from irslink.channel import (
     realize,
     scenario_links,
 )
-from irslink.numerics import SeededRng, sample_cscg
+from irslink.numerics import ConfigError, ConfigErrorCode, SeededRng, sample_cscg
 
 # analytic gain drop for doubling the distance at exponent 3.2
 DOUBLING_DROP_DB = 3.2 * 10.0 * np.log10(2.0)  # = 9.632959861247397
@@ -60,6 +60,29 @@ class TestScenarioConfig:
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs, field", [
+        # a point is exactly two numbers, and a number is not a string
+        (dict(user_position=(50.0, 0.0, 7.0)), "user_position"),
+        (dict(user_position=(50.0,)), "user_position"),
+        (dict(irs_position=50.0), "irs_position"),
+        (dict(user_position="50"), "user_position"),
+        (dict(bs_position=("0", 0.0)), "bs_position"),
+        (dict(c0_db="-30"), "c0_db"),
+        (dict(noise_power_dbm=None), "noise_power_dbm"),
+        (dict(pl_exponent_bs_user=True), "pl_exponent_bs_user"),
+        (dict(m_antennas=0), "m_antennas"), (dict(n_elements=2.5), "n_elements"),
+        (dict(c0_db=301.0), "c0_db"), (dict(antenna_spacing_wavelengths=0.0), "antenna_spacing"),
+        (dict(pl_exponent_bs_irs=-1.0), "pl_exponent_bs_irs"),
+        (dict(user_position=(0.0, 0.0)), "coincident bs/user"),
+        (dict(irs_position=(float("nan"), 0.0)), "irs_position"),
+    ])
+    def test_refusals_are_config_errors_naming_their_field(self, kwargs, field):
+        # raised where the value is checked, so a library caller gets what
+        # parse_config raises
+        with pytest.raises(ConfigError, match=field) as info:
+            ScenarioConfig(**kwargs)
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
 
     def test_accepts_numpy_integer_counts(self):
         cfg = ScenarioConfig(m_antennas=np.int64(4), n_elements=np.int32(10))

@@ -300,6 +300,25 @@ class TestRun:
             capsys.readouterr().err)
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["2", True, 2.0])
+    def test_non_integer_workers_is_exit_1(self, tmp_path, capsys, workers):
+        # run is called directly, where no argparse has read the count
+        inv = self._invocation(tmp_path, sub="solve-once", workers=workers)
+        assert run(inv) == 1
+        assert "config error: [invalid_value] workers must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("user_position = 0,0", "coincident bs/user positions: (0.0, 0.0) / (0.0, 0.0)"),
+        ("sweep = d:0,10", "sweep value d = 0: coincident bs/user positions: (0.0, 0.0) / (0.0, 0.0)"),
+    ])
+    def test_scenario_refusal_prints_one_code(self, tmp_path, capsys, text, message):
+        # the scenario raises ConfigError itself; the sweep adds only its value
+        out = tmp_path / "x.csv"
+        inv = CliInvocation("power-vs-distance", write(tmp_path, text + "\n"), str(out))
+        assert run(inv) == 1
+        assert capsys.readouterr().err == f"config error: [invalid_value] {message}\n"
+        assert not out.exists()
+
     def test_csv_identical_under_parallel_execution(self, tmp_path, shard_any_work):
         inv1 = self._invocation(tmp_path, name="serial.csv", quiet=True, workers=1)
         inv4 = self._invocation(tmp_path, name="parallel.csv", quiet=True, workers=4)

@@ -124,7 +124,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field, value", [("n_realizations", 2.5), ("n_realizations", 3.0),
                                               ("master_seed", 1.5), ("master_seed", "7"),
-                                              ("n_realizations", True), ("master_seed", False)])
+                                              ("n_realizations", True), ("master_seed", False),
+                                              ("master_seed", np.float64(1.0))])
     def test_rejects_non_integer_counts_and_seeds(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer") as info:
             ExperimentConfig(**{field: value})
@@ -146,12 +147,35 @@ class TestExperimentConfig:
             scenario=ScenarioConfig(c0_db=np.float32(-30.1), irs_position=(np.float32(45.3), 3.0)),
             interferer_power_dbm=np.float32(27.1), sweep=("d", (np.float32(20.1), 30.0))),
             id="float32"),
+        pytest.param(ExperimentConfig(
+            scenario=ScenarioConfig(user_position=np.array([45.0, 1.5]), bs_position=[0.0, 0.5]),
+            schemes=["joint", "no_irs"], sweep=("d", [20.0, np.float64(30.0)])),
+            id="lists-and-arrays"),
     ])
     def test_numpy_scalars_round_trip(self, tmp_path, cfg):
         # stored as plain numbers, so serialize_config writes what parse_config reads
         path = tmp_path / "cfg.txt"
         path.write_text(serialize_config(cfg))
         assert parse_config(str(path)) == cfg
+
+    def test_stores_schemes_as_a_tuple(self):
+        # a list would leave the frozen config unhashable
+        cfg = ExperimentConfig(schemes=["joint", "no_irs"])
+        assert cfg.schemes == ("joint", "no_irs")
+        assert hash(cfg) == hash(ExperimentConfig(schemes=("joint", "no_irs")))
+
+    def test_rejects_a_bare_scheme_string(self):
+        # "joint" would run as the five schemes j, o, i, n and t
+        with pytest.raises(ConfigError, match="schemes must be a sequence of names") as info:
+            ExperimentConfig(schemes="joint")
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
+    @pytest.mark.parametrize("kwargs", [dict(sweep=("d", ("20", 30.0))), dict(snr_target_db="20"),
+                                        dict(interferer_power_dbm=True)])
+    def test_rejects_strings_and_bools_as_numbers(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))) as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
 
     def test_rejects_sweep_values_printing_the_same_key(self):
         with pytest.raises(ConfigError, match="colliding"):

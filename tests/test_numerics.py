@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 
 from irslink import numerics
 from irslink.numerics import (
+    ConfigError,
+    ConfigErrorCode,
     SeededRng,
     _mix64,
     _philox_keys,
     as_complex_matrix,
     as_complex_vector,
     db_to_linear,
+    integer,
     linear_to_db,
+    number,
+    point,
     sample_cscg,
     sample_cscg_rows,
 )
@@ -67,8 +73,10 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(0, 1 << 64)
 
+    # a bool is no seed either: True would run as seed 1
     @pytest.mark.parametrize("field, pair", [("master_seed", (1.5, 0)), ("master_seed", (1.0, 0)),
-                                             ("stream_id", (0, 2.5))])
+                                             ("stream_id", (0, 2.5)), ("master_seed", (True, 0)),
+                                             ("stream_id", (0, False))])
     def test_rejects_non_integer_seed(self, field, pair):
         with pytest.raises(ValueError, match=field):
             SeededRng(*pair)
@@ -87,6 +95,16 @@ class TestSampleCscg:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             sample_cscg(SeededRng(1, 0), -1)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2"])
+    def test_non_integer_count_rejected(self, n):
+        # True would draw one sample
+        with pytest.raises(ValueError, match="sample count must be an integer"):
+            sample_cscg(SeededRng(1, 0), n)
+
+    def test_rows_reject_bool_seed(self):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            sample_cscg_rows(True, [0], 2)
 
     def test_unit_power(self):
         # |x|^2 is Exp(1): the sample mean over 1e5 draws has sigma ~ 3.2e-3,
@@ -345,3 +363,57 @@ class TestValidators:
     def test_matrix_rejects_vector(self):
         with pytest.raises(ValueError):
             as_complex_matrix(np.zeros(3))
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint64(3), np.int8(3)])
+    def test_integer_stores_a_plain_int(self, value):
+        got = integer("count", value, 0, 5)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, False, 3.0, "3", None, np.float64(3.0), np.bool_(True)])
+    def test_integer_refuses_other_kinds(self, value):
+        with pytest.raises(ConfigError, match="count must be an integer") as info:
+            integer("count", value)
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
+    @pytest.mark.parametrize("value, lo, hi, bounds", [(0, 1, None, ">= 1"), (6, 0, 5, "in [0, 5]"),
+                                                       (-1, 0, 5, "in [0, 5]")])
+    def test_integer_bounds(self, value, lo, hi, bounds):
+        with pytest.raises(ConfigError, match=re.escape(f"count must be {bounds}, got {value}")):
+            integer("count", value, lo, hi)
+        integer("count", value)  # no bounds: any integer
+
+    def test_seed_range_is_64_bits(self):
+        assert integer("seed", 2**64 - 1, 0, 2**64 - 1) == 2**64 - 1
+        with pytest.raises(ConfigError):
+            integer("seed", 2**64, 0, 2**64 - 1)
+
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int64(2), np.float64(-1e300)])
+    def test_number_stores_a_plain_float(self, value):
+        got = number("x", value)
+        assert got == float(value) and type(got) is float
+
+    @pytest.mark.parametrize("value", [True, "2.5", b"2", None, 1j, np.array([2.5]), (2.5,)])
+    def test_number_refuses_other_kinds(self, value):
+        # a string is refused, not read: float("20") would pass as 20.0
+        with pytest.raises(ConfigError, match="x must be a number"):
+            number("x", value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf), 10**400])
+    def test_number_refuses_non_finite(self, value):
+        with pytest.raises(ConfigError, match="x must be"):
+            number("x", value)
+
+    @pytest.mark.parametrize("value", [(1, 2.5), [1.0, 2.5], np.array([1.0, 2.5]),
+                                       (np.float32(1.0), np.int64(2))])
+    def test_point_is_two_plain_floats(self, value):
+        got = point("p", value)
+        assert type(got) is tuple and all(type(c) is float for c in got)
+        assert got == tuple(float(c) for c in value)
+
+    @pytest.mark.parametrize("value", [(1.0, 2.0, 3.0), (1.0,), (), 1.0, None, "12", "1,2",
+                                       np.zeros((2, 2))])
+    def test_point_refuses_other_shapes(self, value):
+        with pytest.raises(ConfigError, match="p must be"):
+            point("p", value)

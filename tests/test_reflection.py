@@ -39,6 +39,14 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet.discrete_phase(0)
 
+    @pytest.mark.parametrize("bits", [True, 2.0, 1.5, "2"])
+    def test_bits_must_be_an_integer(self, bits):
+        # True would be a 1-bit lattice; 2.0 would fail later in phase_levels
+        for make in (ConstraintSet.discrete_phase,
+                     lambda b: ConstraintSet(ConstraintKind.DISCRETE_PHASE, b)):
+            with pytest.raises(ValueError, match="bits must be an integer"):
+                make(bits)
+
     def test_lattice_size_is_bounded(self):
         # 2^16 levels still round to the nearest level exactly; one more bit
         # is refused, by the class method and by the constructor
