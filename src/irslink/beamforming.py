@@ -1,14 +1,16 @@
 """Transmit and reflect beamforming optimizers.
 
 Covers the closed-form pieces (maximum-ratio transmission, coherent phase
-alignment, the rank-one transmitter-surface beam, the disk value of
-free-amplitude interference nulling), the alternating joint optimizer,
-elementwise refinement of discrete phases and the cyclic unit-modulus
-nulling heuristic, codebook selection, and the SNR-to-transmit-power
-mapping.  The one-realization solvers call the same private kernels as
-the studies: refinement over rows of several lengths laid end to end,
-nulling over several element counts of one batch, each a prefix of its
-elements, each row getting the bits it gets alone.
+alignment, the rank-one transmitter-surface beam, the joint
+transmit/reflect optimum it allows, the disk value of free-amplitude
+interference nulling), elementwise refinement of discrete phases and the
+cyclic unit-modulus nulling heuristic, codebook selection, and the
+SNR-to-transmit-power mapping.  Every transmitter-surface matrix must be
+rank one, as the line-of-sight model draws it; :func:`_rank_one_beam`
+refuses any other.  The one-realization solvers call the same private
+kernels as the studies: refinement over rows of several lengths laid end
+to end, nulling over several element counts of one batch, each a prefix
+of its elements, each row getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .reflection import (
     absorb_state,
     effective_channel,
     project,
+    unit_phases,
 )
 
 # Elements each row of _refine_rows scans per step.  Against 32, in medians
@@ -34,14 +37,10 @@ from .reflection import (
 # rows) and even on the default study's (436 rows); 48 and 64 were even on
 # the former and 20-23% slower on the latter.
 _WINDOW = 32
-# Stopping rules, one per solver, as the studies use them: the alternating
-# optimizer stops after the first outer iteration that raises the gain by
-# less than _ALTERNATE_TOL times its previous value, or after
-# _ALTERNATE_ITERS iterations; refinement makes at most _REFINE_PASSES full
-# passes; nulling stops after the first pass that lowers the residual power
-# by at most _NULL_TOL times its previous value, or after _NULL_PASSES passes.
-_ALTERNATE_TOL = 1e-4
-_ALTERNATE_ITERS = 100
+# Stopping rules, one per solver, as the studies use them: refinement makes
+# at most _REFINE_PASSES full passes; nulling stops after the first pass that
+# lowers the residual power by at most _NULL_TOL times its previous value, or
+# after _NULL_PASSES passes.
 _REFINE_PASSES = 20
 _NULL_TOL = 1e-14
 _NULL_PASSES = 400
@@ -65,25 +64,18 @@ class BeamformingSolution:
     """Result of one optimization run.
 
     ``gain_linear`` is the channel power gain |<h_eff, w>|^2 achieved by
-    the unit-norm beamformer ``w`` together with the reflection state;
-    ``trace`` holds the objective after each outer iteration and is
-    non-decreasing.
+    the unit-norm beamformer ``w`` together with the reflection state.
     """
 
     w: np.ndarray
     refl: ReflectionState
     gain_linear: float
-    trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
         w = as_complex_vector(self.w, "w")
         if abs(np.linalg.norm(w) - 1.0) > 1e-10:
             raise ValueError("beamformer must be unit norm")
         object.__setattr__(self, "w", w)
-        tr = tuple(float(x) for x in self.trace)
-        if any(b < a * (1.0 - 1e-12) - 1e-300 for a, b in zip(tr, tr[1:])):
-            raise ValueError("objective trace must be non-decreasing")
-        object.__setattr__(self, "trace", tr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,70 +144,55 @@ def align_phases(ch: ChannelRealization, w: np.ndarray, c: ConstraintSet) -> Ref
 
 
 def _rank_one_beam(g: np.ndarray) -> np.ndarray:
-    # For G = u v^H every nonzero row is a multiple of v^H, so the conjugate
-    # of the largest-norm row is the principal right singular vector.
-    return mrt(np.conj(g[np.argmax(np.linalg.norm(g, axis=1))]))
+    """The unit principal right singular vector b of a rank-one ``g``.
+
+    For G = u v^H every nonzero row is a multiple of v^H, so the conjugate
+    of the largest-norm row is b.  A ``g`` with ||G - (G b) b^H|| above
+    1e-9 ||G|| is not rank one, and raises ValueError.
+    """
+    b = mrt(np.conj(g[np.argmax(np.linalg.norm(g, axis=1))]))
+    if np.linalg.norm(g - np.outer(g @ b, np.conj(b))) > 1e-9 * np.linalg.norm(g):
+        raise ValueError("the transmitter-surface matrix must be rank one")
+    return b
 
 
 def alternating_optimize(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
-    """Joint transmit/reflect optimization by alternating closed forms.
+    """Joint transmit/reflect optimization of one realization, in the closed
+    form of the power studies (Wu & Zhang, IEEE TWC 2019).
 
-    Repeats (i) refl <- align_phases(ch, w, c) and (ii) w <- mrt(h_eff)
-    until an iteration raises the gain by less than ``_ALTERNATE_TOL``
-    times its previous value, or for ``_ALTERNATE_ITERS`` iterations.  The
-    run is started once from the direct-link MRT beamformer and once from
-    the transmitter-surface beam, and the better fixed point is returned,
-    which makes the result dominate both heuristic baselines on every
-    realization.
+    With b = :func:`_rank_one_beam` of ``g_bs_irs``, p = b^H h_d and
+    r = sum_n |h_r,n| ||G_n||, the beam w* = mrt(h_d + r e^{j arg p} b) and
+    the phases aligned to it reach the optimum ||h_d||^2 + r^2 + 2r|p|
+    under free and under unit amplitudes.  Under a b-bit lattice the
+    aligned phases are refined at w* by :func:`discrete_refine` and the
+    beam is re-matched to the state, as the studies' ``b{b}`` row is.
+    Without elements, or with the surface absorbing, the beam is the
+    direct link's MRT.
     """
-    direct_norm = np.linalg.norm(ch.h_bs_user)
     if ch.n_elements == 0 or c.kind is ConstraintKind.ABSORB:
         w = mrt(ch.h_bs_user)
         refl = absorb_state(ch.n_elements) if c.kind is ConstraintKind.ABSORB else ReflectionState(
             np.zeros(0, dtype=np.complex128), c
         )
-        gain = received_gain(ch, refl, w)
-        return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
-
-    starts = []
-    if direct_norm > 0.0:
-        starts.append(mrt(ch.h_bs_user))
-    starts.append(_rank_one_beam(ch.g_bs_irs))
-
-    best: BeamformingSolution | None = None
-    for w0 in starts:
-        w = w0
-        trace: list[float] = []
-        refl = None
-        for _ in range(_ALTERNATE_ITERS):
-            candidate = align_phases(ch, w, c)
-            h_eff = effective_channel(ch, candidate)
-            gain = float(np.linalg.norm(h_eff) ** 2)
-            if trace and gain < trace[-1]:
-                # possible only under discrete levels; keep the best iterate
-                break
-            refl = candidate
-            w = mrt(h_eff)
-            trace.append(gain)
-            if len(trace) >= 2 and trace[-1] - trace[-2] < _ALTERNATE_TOL * trace[-2]:
-                break
-        sol = BeamformingSolution(w=w, refl=refl, gain_linear=trace[-1], trace=tuple(trace))
-        if best is None or sol.gain_linear > best.gain_linear:
-            best = sol
-    return best
+        return BeamformingSolution(w=w, refl=refl, gain_linear=received_gain(ch, refl, w))
+    b = _rank_one_beam(ch.g_bs_irs)
+    p = np.vdot(b, ch.h_bs_user)
+    r = np.sum(np.abs(ch.h_irs_user) * np.linalg.norm(ch.g_bs_irs, axis=1))
+    w = mrt(ch.h_bs_user + r * unit_phases(p) * b)
+    refl = align_phases(ch, w, c)
+    if c.kind is ConstraintKind.DISCRETE_PHASE:
+        refl = discrete_refine(ch, w, refl, c.bits)
+        w = mrt(effective_channel(ch, refl))
+    return BeamformingSolution(w=w, refl=refl, gain_linear=received_gain(ch, refl, w))
 
 
 def bs_irs_mrt(ch: ChannelRealization, c: ConstraintSet) -> BeamformingSolution:
-    """Beam at the transmitter-surface channel, then align phases.
-
-    Assumes a rank-one ``g_bs_irs``, as the line-of-sight model draws.
-    """
+    """Beam at the rank-one transmitter-surface channel, then align phases."""
     if ch.n_elements == 0:
         raise ValueError("transmitter-surface MRT needs at least one element")
     w = _rank_one_beam(ch.g_bs_irs)
     refl = align_phases(ch, w, c)
-    gain = received_gain(ch, refl, w)
-    return BeamformingSolution(w=w, refl=refl, gain_linear=gain, trace=(gain,))
+    return BeamformingSolution(w=w, refl=refl, gain_linear=received_gain(ch, refl, w))
 
 
 def _groups(buffer: np.ndarray, rows: int, sizes) -> tuple[list, np.ndarray, np.ndarray]:

@@ -124,9 +124,8 @@ def _dist(a: Point, b: Point) -> float:
 class ChannelRealization:
     """One draw of the three links: g_bs_irs is N x M, vectors are N and M.
 
-    ``bs_irs_mrt`` and the transmitter-surface start of
-    ``alternating_optimize`` assume ``g_bs_irs`` is rank one, as
-    ``realize`` draws it.
+    ``bs_irs_mrt`` and ``alternating_optimize`` take ``g_bs_irs`` to be
+    rank one, as ``realize`` draws it, and refuse any other.
     """
 
     g_bs_irs: np.ndarray

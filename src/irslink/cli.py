@@ -210,7 +210,6 @@ def _solve_once(cfg: ExperimentConfig) -> int:
     print(f"gain_linear = {sol.gain_linear:.6e}")
     print(f"gain_db = {10 * math.log10(sol.gain_linear):.6f}")
     print(f"required_power_dbm = {power:.6f}")
-    print(f"iterations = {len(sol.trace)}")
     return 0
 
 

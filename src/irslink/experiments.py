@@ -53,7 +53,8 @@ from .beamforming import (
 )
 from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
 # ConfigError and ConfigErrorCode are importable from here too
-from .numerics import _MASK64, ConfigError, ConfigErrorCode, db_to_linear, integer, invalid, number
+from .numerics import (_MASK64, ConfigError, ConfigErrorCode, db_to_linear, integer, invalid, number,
+                       sequence)
 from .reflection import unit_phases
 
 POWER_DISTANCE_SCHEMES = ("joint", "bs_user_mrt", "bs_irs_mrt", "no_irs")
@@ -90,23 +91,27 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # plain numbers and tuples, as parse_config reads what serialize_config writes
         store = partial(object.__setattr__, self)
+        if not isinstance(self.scenario, ScenarioConfig):
+            raise invalid(f"scenario must be a ScenarioConfig, got {self.scenario!r}")
         store("n_realizations", integer("n_realizations", self.n_realizations, 1))
         store("master_seed", integer("master_seed", self.master_seed, 0, _MASK64))
         for level in ("snr_target_db", "interferer_power_dbm"):
             store(level, number(level, getattr(self, level)))
             if abs(getattr(self, level)) > DB_LIMIT:
                 raise invalid(f"{level} must be within +-{DB_LIMIT:g}, got {getattr(self, level)}")
-        if isinstance(self.schemes, str):
-            raise invalid(f"schemes must be a sequence of names, got {self.schemes!r}")
-        store("schemes", tuple(self.schemes))
+        store("schemes", sequence("schemes", self.schemes, "names"))
         if not self.schemes:
             raise invalid("schemes needs at least one scheme")
         repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
         if repeated:
             raise invalid(f"schemes lists {', '.join(repeated)} more than once")
-        name, values = self.sweep
+        try:
+            name, values = () if isinstance(self.sweep, str) else self.sweep
+        except (TypeError, ValueError):
+            raise invalid(f"sweep must be a (variable, values) pair, got {self.sweep!r}") from None
         if name not in ("d", "n"):
             raise invalid(f"unknown sweep variable {name!r}")
+        values = sequence("sweep values", values, "numbers")
         if len(values) == 0:
             raise invalid("sweep needs at least one value")
         values = tuple(number(f"sweep value {name}", v) for v in values)

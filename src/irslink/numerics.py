@@ -97,6 +97,17 @@ def point(name: str, value) -> tuple[float, float]:
     return number(name, x), number(name, y)
 
 
+def sequence(name: str, value, of: str) -> tuple:
+    """``value`` as a tuple: a sequence of ``of``, not a string (whose
+    characters would pass as its entries)."""
+    try:
+        if not isinstance(value, str):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise invalid(f"{name} must be a sequence of {of}, got {value!r}")
+
+
 def _splitmix64(x):
     # Finalizer of the splitmix64 generator: a 64-bit avalanche bijection.
     # Takes an int or a uint64 array, whose arithmetic wraps at 2^64.
@@ -517,7 +528,10 @@ class SeededRng:
             object.__setattr__(self, name, integer(name, getattr(self, name), 0, _MASK64))
 
     def split(self, index: int) -> "SeededRng":
-        """Derive the ``index``-th substream of this stream."""
+        """Derive the ``index``-th substream of this stream, for an index in
+        [0, 2^64 - 2]: the indices whose b + 1 in :func:`_mix64` does not
+        wrap to 0 (which at stream 0 gives stream 0 back)."""
+        index = integer("index", index, 0, _MASK64 - 1)
         return SeededRng(self.master_seed, _mix64(self.stream_id, index))
 
     def generator(self) -> np.random.Generator:

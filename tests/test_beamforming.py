@@ -135,13 +135,6 @@ class TestAlternatingOptimize:
         assert sol.gain_linear == pytest.approx(np.linalg.norm(ch.h_bs_user) ** 2, rel=1e-12)
         np.testing.assert_allclose(sol.w, mrt(ch.h_bs_user))
 
-    def test_single_antenna_converges_in_one_outer_iteration(self):
-        ch = make_channel(m=1, n=10, seed=5)
-        sol = alternating_optimize(ch, UNIT)
-        # after the first alignment the objective is already maximal
-        assert len(sol.trace) <= 2
-        assert sol.trace[-1] == pytest.approx(sol.trace[0], rel=1e-12)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_dominates_heuristic_baselines(self, seed):
         ch = make_channel(m=2, n=2, seed=200 + seed)
@@ -152,13 +145,6 @@ class TestAlternatingOptimize:
         no_irs = float(np.linalg.norm(ch.h_bs_user) ** 2)
         floor = max(bs_user, bs_irs, no_irs)
         assert joint >= floor - 1e-9 * floor
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_trace_non_decreasing(self, seed):
-        ch = make_channel(m=5, n=30, seed=300 + seed, d=50.0)
-        sol = alternating_optimize(ch, UNIT)
-        diffs = np.diff(sol.trace)
-        assert np.all(diffs >= -1e-12 * np.abs(sol.trace[:-1]))
 
     def test_deterministic(self):
         ch = make_channel(m=3, n=9, seed=6)
@@ -224,6 +210,25 @@ class TestBsIrsMrt:
         sol = bs_irs_mrt(ch, UNIT)
         s_max = np.linalg.svd(ch.g_bs_irs, compute_uv=False)[0]
         assert np.linalg.norm(ch.g_bs_irs @ sol.w) == pytest.approx(s_max, rel=1e-12)
+
+    def test_refuses_a_matrix_that_is_not_rank_one(self):
+        # the closed forms hold only for G = u v^H; a full-rank G is refused
+        # by both solvers, while one antenna and an outer product pass
+        g = np.random.default_rng(12)
+        h_r = g.standard_normal(8) + 1j * g.standard_normal(8)
+        h_d = g.standard_normal(4) + 1j * g.standard_normal(4)
+        full = ChannelRealization(g.standard_normal((8, 4)) + 1j * g.standard_normal((8, 4)),
+                                  h_r, h_d)
+        for solver in (alternating_optimize, bs_irs_mrt):
+            with pytest.raises(ValueError, match="rank one"):
+                solver(full, UNIT)
+        u = g.standard_normal(8) + 1j * g.standard_normal(8)
+        u[0] = 0.0
+        outer = np.outer(u, h_d.conj())
+        for g_bs_irs, h_bs_user in ((full.g_bs_irs[:, :1], h_d[:1]), (outer, h_d)):
+            ch = ChannelRealization(g_bs_irs, h_r, h_bs_user)
+            for solver in (alternating_optimize, bs_irs_mrt):
+                assert solver(ch, UNIT).gain_linear > 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_beats_joint_optimization(self, seed):
@@ -1489,14 +1494,8 @@ class TestBeamformingSolution:
         refl = project(np.ones(2, complex), UNIT)
         with pytest.raises(ValueError):
             BeamformingSolution(
-                w=np.array([1.0, 1.0], complex), refl=refl, gain_linear=1.0, trace=(1.0,)
+                w=np.array([1.0, 1.0], complex), refl=refl, gain_linear=1.0
             )
-
-    def test_rejects_decreasing_trace(self):
-        refl = project(np.ones(2, complex), UNIT)
-        w = np.array([1.0, 0.0], complex)
-        with pytest.raises(ValueError):
-            BeamformingSolution(w=w, refl=refl, gain_linear=1.0, trace=(2.0, 1.0))
 
 
 class TestPowerScalingLaw:

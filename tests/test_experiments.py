@@ -170,6 +170,17 @@ class TestExperimentConfig:
             ExperimentConfig(schemes="joint")
         assert info.value.code is ConfigErrorCode.INVALID_VALUE
 
+    # a sweep that is no (variable, values) pair, sweep values or schemes
+    # that are no sequence, and a scenario that is no ScenarioConfig
+    @pytest.mark.parametrize("kwargs, field", [(dict(sweep="d"), "sweep"),
+                                               (dict(sweep=("d", 5.0)), "sweep values"),
+                                               (dict(schemes=5), "schemes"),
+                                               (dict(scenario=None), "scenario")])
+    def test_rejects_a_malformed_shape(self, kwargs, field):
+        with pytest.raises(ConfigError, match=f"{field} must be") as info:
+            ExperimentConfig(**kwargs)
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
     @pytest.mark.parametrize("kwargs", [dict(sweep=("d", ("20", 30.0))), dict(snr_target_db="20"),
                                         dict(interferer_power_dbm=True)])
     def test_rejects_strings_and_bools_as_numbers(self, kwargs):
@@ -666,10 +677,13 @@ class TestQuantizedGains:
             sol = alternating_optimize(ch, unit)
             solved = {"continuous": sol.gain_linear}
             for b in (1, 2):
-                for key, state in ((f"b{b}_quant", project(sol.refl.coefficients,
-                                                           ConstraintSet.discrete_phase(b))),
+                lattice = ConstraintSet.discrete_phase(b)
+                for key, state in ((f"b{b}_quant", project(sol.refl.coefficients, lattice)),
                                    (f"b{b}", quantize_then_refine(ch, sol.w, sol.refl, b))):
                     solved[key] = np.linalg.norm(effective_channel(ch, state)) ** 2
+                # the solver's own lattice result is the row's b{b} gain too
+                gain = alternating_optimize(ch, lattice).gain_linear
+                assert abs(block[f"b{b}"][k] - gain) <= 1e-12 * gain, (b, k)
             assert solved.keys() == block.keys()
             for key, gain in solved.items():
                 assert abs(block[key][k] - gain) <= 1e-12 * gain, (key, k)

@@ -67,6 +67,18 @@ class TestSeededRng:
         assert rng.split(1) != rng.split(2)
         assert rng.split(1).master_seed == 9
 
+    # -1 and 2^64 - 1 wrap b + 1 to 0 in _mix64, which at stream 0 gives
+    # the parent stream back; True would split as 1
+    @pytest.mark.parametrize("index", [-1, 2**64 - 1, True])
+    def test_split_rejects_an_index_outside_its_range(self, index):
+        with pytest.raises(ConfigError, match="index") as info:
+            SeededRng(1, 0).split(index)
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
+    def test_split_takes_the_largest_index(self):
+        rng = SeededRng(1, 0)
+        assert rng.split(2**64 - 2).stream_id == _mix64(0, 2**64 - 2) != rng.stream_id
+
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError):
             SeededRng(-1, 0)
