@@ -32,11 +32,17 @@ from .reflection import (
     unit_phases,
 )
 
-# Elements each row of _refine_rows scans per step.  Against 32, in medians
-# of alternating runs: 16 was 26% slower on the benchmark study's blocks (40
-# rows) and even on the default study's (436 rows); 48 and 64 were even on
-# the former and 20-23% slower on the latter.
+# The elements each live row of _refine_rows scans per step: the longest
+# live row, but at most _STEP_CANDIDATES / (live rows * 2^bits) and never
+# fewer than _WINDOW.  So a step that widens holds at most _STEP_CANDIDATES
+# candidates, and from 5 bits on every step is _WINDOW wide.  A fixed width
+# of 32, in medians of alternating runs: 16 was 26% slower on the benchmark
+# study's blocks (40 rows) and even on the default study's (436 rows); 48
+# and 64 were even on the former and 20-23% slower on the latter.  Widening
+# as rows finish took the benchmark study's steps from 337 to 261 (and from
+# 5599 to 4411 over its 16 seeds); 2048 and 4096 candidates were slower.
 _WINDOW = 32
+_STEP_CANDIDATES = 1024
 # Stopping rules, one per solver, as the studies use them: refinement makes
 # at most _REFINE_PASSES full passes; nulling stops after the first pass that
 # lowers the residual power by at most _NULL_TOL times its previous value, or
@@ -224,18 +230,21 @@ def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -
     such a pass (or after ``_REFINE_PASSES`` full passes).
 
     Each row keeps its own first and stop index, cursor and pass count, and
-    scans from its cursor a window of ``_WINDOW`` elements at a time,
-    whatever pass it is in.  A row's running total moves only when one of
-    its elements changes, so the decisions of a window's elements up to the
-    row's first change are the ones the element-by-element loop takes; all
-    of them are computed at once, with the loop's arithmetic.  Only that
-    first change is applied and the cursor moves just past it; a window
-    without a change moves the cursor by its width.  So each row gets the
-    bits it gets alone, and rows of several lengths are refined in one loop
-    that runs for the steps of the slowest row, not for their sum.
+    scans from its cursor a window of elements at a time, whatever pass it
+    is in.  All rows share the window's width, which is set whenever a row
+    leaves the loop: the longest live row, capped so that a step holds at
+    most ``_STEP_CANDIDATES`` candidates, but at least ``_WINDOW``.  So the
+    few rows left at the end of a block scan many elements per step.  A
+    row's running total moves only when one of its elements changes, so
+    the decisions of a window's elements up to the row's first change are
+    the ones the element-by-element loop takes, at any width; all of them
+    are computed at once, with the loop's arithmetic.  Only that first
+    change is applied and the cursor moves just past it; a window without a
+    change moves the cursor by its width.  So each row gets the bits it
+    gets alone, and rows of several lengths are refined in one loop that
+    runs for about the steps of the slowest row, not for their sum.
     """
     levels = np.exp(1j * ConstraintSet.discrete_phase(bits).phase_levels())
-    offsets = np.arange(_WINDOW)
     # per live row: its running total, the flat index of its first element,
     # of the next element it scans and one past its last element, its pass
     # and whether that pass has changed it
@@ -245,7 +254,12 @@ def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -
     cursor = begin.copy()
     passes = np.ones(cursor.size, dtype=np.intp)
     changed = np.zeros(cursor.size, dtype=bool)
+    width = 0  # set again whenever a row leaves
     while cursor.size:
+        if not width:
+            width = max(_WINDOW, min(int((stop - begin).max()),
+                                     _STEP_CANDIDATES // (cursor.size << bits)))
+            offsets = np.arange(width)
         at = cursor[:, None] + offsets
         # a window reaching past a row's end reads the next row's elements
         # (the last row's are clipped); they are masked out of the decisions
@@ -274,7 +288,7 @@ def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -
         v[cursor[moved] + step] = levels[best]
         total[moved] = candidates[best, moved, step]
         changed[moved] = True
-        cursor += np.where(hit, first + 1, _WINDOW)
+        cursor += np.where(hit, first + 1, width)
         done = cursor >= stop
         if done.any():
             again = done & changed & (passes < _REFINE_PASSES)
@@ -282,8 +296,10 @@ def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -
             passes[again] += 1
             changed[again] = False
             stay = ~done | again
-            cursor, begin, stop, passes, changed, total = (
-                x[stay] for x in (cursor, begin, stop, passes, changed, total))
+            if not stay.all():
+                width = 0
+                cursor, begin, stop, passes, changed, total = (
+                    x[stay] for x in (cursor, begin, stop, passes, changed, total))
 
 
 def discrete_refine(

@@ -148,8 +148,10 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+        # encoded here, not by a text file: str.encode's built-in ASCII path
+        # spares the first write in a process the import of the ascii codec
+        with open(path, "wb") as fh:
+            fh.write(self.to_csv_text().encode("ascii"))
 
     def value(self, sweep_value: float, scheme: str) -> float:
         for row in self.rows:

@@ -19,9 +19,10 @@ from .channel import ChannelRealization
 from .numerics import as_complex_vector, integer
 
 _FEAS_TOL = 1e-9
-# The finest phase lattice.  One refinement step holds 2^bits candidates for
-# each of the 32 elements a row scans, about 50 MB at 16 bits, and rounding
-# takes level indices as machine integers, which overflow from 63 bits on.
+# The finest phase lattice.  From 5 bits on, one refinement step holds 2^bits
+# candidates for each of the 32 elements a row scans, about 50 MB at 16 bits,
+# and rounding takes level indices as machine integers, which overflow from
+# 63 bits on.
 _MAX_BITS = 16
 
 
@@ -148,7 +149,12 @@ def unit_phases(v: np.ndarray, bits: int | None = None) -> np.ndarray:
 def _round_to_lattice(phases: np.ndarray, bits: int) -> np.ndarray:
     """The index k of the lattice level delta * k nearest to each phase."""
     nlev = 1 << bits
-    q = np.mod(phases, 2.0 * np.pi) / (2.0 * np.pi / nlev)
+    # np.mod's wrap at a third of its cost: the exact remainder, plus 2*pi
+    # once where it is negative, as np.mod adds it (and 0.0 elsewhere, which
+    # changes no value but -0, to +0 as np.mod has it)
+    m = np.fmod(phases, 2.0 * np.pi)
+    m += 2.0 * np.pi * (m < 0)
+    q = m / (2.0 * np.pi / nlev)
     k0 = np.floor(q)
     frac = q - k0
     k = k0.astype(np.intp)

@@ -415,6 +415,7 @@ def lockstep_refine(t, a, start, bits, passes, log=None):
 
 
 K = beamforming._WINDOW
+CANDIDATES = beamforming._STEP_CANDIDATES
 
 
 def flips_at(n, wrong):
@@ -460,28 +461,41 @@ def changes_by_pass(log, row):
     return [passes[p] for p in sorted(passes)]
 
 
-def steps_per_pass(changes, n, passes):
-    """Steps that a row scanning windows of K elements from its own cursor
-    takes in each pass it runs: one per change, at the window holding it,
-    and one per window without a change; a pass that changes nothing ends
-    the row, as does the last of ``passes`` passes."""
-    per_pass = []
-    for p in range(min(len(changes) + 1, passes)):
-        cursor, steps = 0, 0
-        for e in changes[p] if p < len(changes) else []:
-            steps += (e - cursor) // K + 1
-            cursor = e + 1
-        steps += -(-(n - cursor) // K)
-        per_pass.append(steps)
-    return per_pass
+def pass_ends(changes, lengths, bits, passes=20):
+    """The step at which each row ends each pass it runs, for rows of
+    ``lengths`` whose pass p changes the elements ``changes[r][p]``, scanned
+    from their own cursors in one window: at each step every live row scans
+    max(K, min(longest live row, CANDIDATES // (live rows * 2^bits)))
+    elements and stops just past its first change among them.  A pass that
+    changes nothing ends the row, as does the last of ``passes`` passes."""
+    ends = [[] for _ in lengths]
+    cursor = [0] * len(lengths)
+    live = list(range(len(lengths)))
+    step = 0
+    while live:
+        step += 1
+        width = max(K, min(max(lengths[r] for r in live), CANDIDATES // (len(live) << bits)))
+        for r in list(live):
+            p = len(ends[r])
+            todo = changes[r][p] if p < len(changes[r]) else []
+            e = next((e for e in todo if e >= cursor[r]), lengths[r])
+            cursor[r] = min(e + 1, cursor[r] + width)
+            if cursor[r] >= lengths[r]:
+                ends[r].append(step)
+                cursor[r] = 0
+                if not todo or p + 1 == passes:
+                    live.remove(r)
+    return ends
 
 
 class StepCounter:
     """Stands in for numpy in ``beamforming`` and counts the steps of
-    :func:`_refine_rows`' scan, which calls ``flatnonzero`` once a step."""
+    :func:`_refine_rows`' scan, which calls ``flatnonzero`` once a step,
+    and the most candidates (level, row, element) that one step holds."""
 
     def __init__(self):
         self.steps = 0
+        self.candidates = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -489,6 +503,11 @@ class StepCounter:
     def flatnonzero(self, x):
         self.steps += 1
         return np.flatnonzero(x)
+
+    def abs(self, x):
+        if x.ndim == 3:
+            self.candidates = max(self.candidates, x.size)
+        return np.abs(x)
 
 
 def tied_rows(n):
@@ -587,8 +606,8 @@ class TestRefineLevels:
 
     @pytest.mark.parametrize("bits", [1, 2])
     def test_each_row_steps_from_its_own_cursor(self, monkeypatch, bits):
-        # the scan takes as many steps as its slowest row needs alone, and
-        # some step holds rows in different passes
+        # the scan takes the steps of pass_ends' schedule, and some step
+        # holds rows in different passes
         t, a, start = cursor_batch(bits)
         n = a.shape[1]
         log = []
@@ -597,14 +616,46 @@ class TestRefineLevels:
         assert changes[0][0] == [K - 1, n - 1]
         assert changes[1][0] == [0]
         assert changes[2][0] == list(range(n))
-        steps = [steps_per_pass(c, n, 20) for c in changes]
+        ends = pass_ends(changes, [n] * len(t), bits)
         # row 1 starts pass 2 before row 2 ends pass 1
-        assert steps[1][0] < steps[2][0]
-        assert len({len(x) for x in steps}) >= 3
+        assert ends[1][0] < ends[2][0]
+        assert len({len(x) for x in ends}) >= 3
         counter = StepCounter()
         monkeypatch.setattr(beamforming, "np", counter)
         refine_batch(t, a, start, bits)
-        assert counter.steps == max(sum(x) for x in steps)
+        assert counter.steps == max(x[-1] for x in ends)
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("wrong", [[], [3, 4, 10], [K - 1, K, 199]])
+    def test_lone_row_ends_each_pass_in_one_step(self, monkeypatch, bits, wrong):
+        # up to 4 bits a lone row of up to CANDIDATES / 2^bits elements
+        # scans all of them in a step: a step per change, one more to end
+        # a pass whose last change is not on the last element, and one for
+        # the pass that changes nothing
+        n = 200
+        assert n <= CANDIDATES >> bits
+        t, a, start = flips_at(n, wrong)
+        counter = StepCounter()
+        monkeypatch.setattr(beamforming, "np", counter)
+        got = refine_batch(np.array([t]), a[None], start[None], bits)
+        assert got.tobytes() == loop_refine(t, a, start, bits, 20).tobytes()
+        assert counter.steps == len(wrong) + bool(wrong and wrong[-1] != n - 1) + 1
+        assert counter.candidates == n << bits
+
+    @pytest.mark.parametrize("bits", [5, 16])
+    def test_steps_from_5_bits_hold_k_elements_per_row(self, monkeypatch, bits):
+        # a lone 100-element row at its fixed point (real and aligned with
+        # t, so every level but 0 is strictly worse) scans K elements per
+        # step, as a fixed window did: 2^16 * K candidates at 16 bits
+        n = 100
+        start = np.ones((1, n), complex)
+        a = np.linspace(0.5, 1.0, n)[None].astype(complex)
+        counter = StepCounter()
+        monkeypatch.setattr(beamforming, "np", counter)
+        got = refine_batch(np.array([complex(n)]), a, start, bits)
+        assert got.tobytes() == start.tobytes()
+        assert counter.steps == -(-n // K)
+        assert counter.candidates == K << bits
 
     @pytest.mark.parametrize("bits", [1, 2])
     @pytest.mark.parametrize("batch", [*(f"refinement-{seed}" for seed in range(6)), "cursor"])
@@ -760,6 +811,11 @@ class TestRefineRows:
     @pytest.mark.parametrize("bits", [1, 2])
     def test_steps_are_the_slowest_rows(self, monkeypatch, bits):
         rows = ragged_rows(bits)
+        changes = []
+        for t, a, start in rows:
+            log = []
+            lockstep_refine(np.array([t]), a[None], start[None], bits, 20, log)
+            changes.append(changes_by_pass(log, 0))
         counter = StepCounter()
         monkeypatch.setattr(beamforming, "np", counter)
         alone = []
@@ -769,16 +825,23 @@ class TestRefineRows:
             alone.append(counter.steps - before)
         counter.steps = 0
         refine_packed(rows, bits)
-        assert counter.steps == max(alone)
+        ends = pass_ends(changes, [len(a) for _, a, _ in rows], bits)
+        assert counter.steps == max(x[-1] for x in ends)
+        # alone a row scans at least as many elements per step
+        assert counter.steps >= max(alone)
         # each length refined in its own call would take the sum of their slowest
-        slowest = {}
-        for (_, a, _), steps in zip(rows, alone):
-            slowest[len(a)] = max(steps, slowest.get(len(a), 0))
-        assert sum(slowest.values()) > counter.steps
+        by_length = {}
+        for row in rows:
+            by_length.setdefault(len(row[1]), []).append(row)
+        counter.steps = 0
+        for group in by_length.values():
+            refine_packed(group, bits)
+        assert counter.steps > max(x[-1] for x in ends)
 
     def test_study_steps_are_the_slowest_values_per_bit_width(self, monkeypatch):
-        # the benchmark's power_n study at its acceptance seed: 337 steps,
-        # against 456 when each swept N was refined in its own call
+        # the benchmark's power_n study at its acceptance seed: 261 steps,
+        # against 363 when each swept N was refined in its own call (and
+        # 337 and 456 with a fixed K-element window)
         cfg = experiments.ExperimentConfig(
             scenario=ScenarioConfig(m_antennas=5, user_position=(50.0, 0.0)),
             sweep=("n", (150.0, 300.0)), schemes=("continuous", "b1", "b2"),
@@ -798,7 +861,7 @@ class TestRefineRows:
             experiments.run_power_vs_n(replace(cfg, sweep=("n", sweep)))
         for bits in (1, 2):
             assert steps[(150.0, 300.0), bits] == max(steps[(150.0,), bits], steps[(300.0,), bits])
-        assert steps[(150.0, 300.0), 1] + steps[(150.0, 300.0), 2] == 337
+        assert steps[(150.0, 300.0), 1] + steps[(150.0, 300.0), 2] == 261
 
 
 class TestNullInterference:

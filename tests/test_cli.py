@@ -42,6 +42,15 @@ def keyed(cfg):
     return out
 
 
+def run_python(*args):
+    """``python *args`` in a fresh process that imports irslink from this
+    checkout's ``src``; fails unless it exits 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
 def write(tmp_path, text, name="cfg.txt"):
     p = tmp_path / name
     p.write_text(text)
@@ -258,17 +267,33 @@ class TestParseConfig:
             "    realize(ScenarioConfig(), irslink.SeededRng(7, 3))\n"
             "print(sorted(m for m in ('numpy.random', 'secrets', 'numpy.ma') if m in sys.modules))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-X", "importtime", "-c", code, str(tmp_path / "out.csv")],
-                              env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=120, check=True)
+        done = run_python("-X", "importtime", "-c", code, str(tmp_path / "out.csv"))
         assert done.stdout.split("\n") == ["False", "[]", ""]
         imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
                     if line.startswith("import time:")}
         assert "irslink.experiments" in imported
         refused = [["secrets"], ["numpy", "random"], ["numpy", "ma"]]
         assert sorted(m for m in imported if m.split(".")[:2] in refused) == []
+
+    def test_a_study_loads_no_module(self, tmp_path):
+        # once irslink.cli is imported and a config parsed, as a study's
+        # process has them before its clock starts, running a study with one
+        # worker imports nothing more: an import inside the study (such as
+        # the codec of a text file opened as 'ascii') costs its time in
+        # every process.  run, not main: argparse loads gettext and locale
+        code = (
+            "import sys\n"
+            "import irslink.cli\n"
+            "from irslink.experiments import STUDIES\n"
+            "irslink.cli.parse_config(None, experiment='power-vs-n')\n"
+            "loaded = set(sys.modules)\n"
+            "for study in STUDIES:\n"
+            "    inv = irslink.cli.CliInvocation(study, out_path=sys.argv[1], quiet=True,\n"
+            "                                    realizations_override=8)\n"
+            "    assert irslink.cli.run(inv) == 0\n"
+            "print(sorted(set(sys.modules) - loaded))\n"
+        )
+        assert run_python("-c", code, str(tmp_path / "out.csv")).stdout == "[]\n"
 
 
 class TestRun:
