@@ -28,7 +28,9 @@ of the largest, so it forms the run's largest arrays once; free-amplitude
 nulling is the disk's closed-form value, and unit-modulus nulling runs the
 block's rows at every swept N of the run in one loop.  Every realization
 gets the same values as it would alone, and the tests check them against
-the general per-realization solvers of ``beamforming``.
+the general per-realization solvers of ``beamforming``.  Every study's rows
+follow :func:`_rows`: the mean of each realization's ``Study.contribution``
+(linear) in dB, -300 for an exact zero, and ``loss_*`` rows as differences.
 """
 
 from __future__ import annotations
@@ -130,7 +132,12 @@ class ExperimentResult:
     """Aggregated rows, and the per-realization samples behind them.
 
     A study's result always carries its samples: one array per (sweep
-    value, key), in realization order.
+    value, key), in realization order.  In the power studies a key is a
+    scheme, ``b{b}_quant`` included, and a sample its required power in
+    dBm; in the interference study, its residual interference power over
+    the noise power (linear), and under ``margin``, sum|f_n| - |t|, a
+    sample with no row.  A row is the mean of its key's samples in linear
+    units, in dB (:func:`_rows`); a ``loss_*`` row, a difference of rows.
     """
 
     rows: list[ResultRow]
@@ -368,32 +375,15 @@ def _interference_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
     ]
 
 
-def _power_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
-    mean = {scheme: float(10.0 * np.log10(np.mean(db_to_linear(powers_dbm))))
-            for scheme, powers_dbm in samples.items()}
-    rows = [(scheme, value, "dBm") for scheme, value in mean.items()]
-    if "continuous" in mean:
-        rows += [(f"loss_{scheme}", value - mean["continuous"], "dB")
-                 for scheme, value in mean.items() if scheme != "continuous"]
-    return rows
-
-
-def _interference_rows(samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
-    # a perfect null, a mean of exactly zero, would be -inf dB: it prints as -300
-    means = ((scheme, float(np.mean(values))) for scheme, values in samples.items()
-             if scheme != "margin")
-    return [(scheme, float(10.0 * np.log10(mean)) if mean else -300.0, "dB")
-            for scheme, mean in means]
-
-
 class Study(NamedTuple):
     """What sets one Monte Carlo study apart from the others.
 
     ``metric`` maps one block of realizations at a run of consecutive
     sweep values to its samples per key (a scheme) at each of them, in
     sweep order; each row must be what the realization gives alone.
-    ``rows`` turns those values, stacked over all realizations of one
-    sweep value, into (scheme, metric, unit) rows.  A metric may hold
+    ``contribution`` maps those values, stacked over one sweep value's
+    realizations, to what each adds to its row in linear units, and ``unit``
+    is the unit of its scheme rows (:func:`_rows`).  A metric may hold
     every value of its run at once: :func:`_sweep_samples` sizes runs by
     their summed N.
     ``defaults`` is the configuration of a run that sets nothing: only its
@@ -408,29 +398,45 @@ class Study(NamedTuple):
     defaults: ExperimentConfig
     single_antenna: bool
     metric: Callable[..., list[dict[str, np.ndarray]]]  # (links, fading_r, fading_d, cfg)
-    rows: Callable[[dict[str, np.ndarray]], list[tuple[str, float, str]]]
+    contribution: Callable[[np.ndarray], np.ndarray]
+    unit: str
     shard_work: int
 
 
 STUDIES = {
     "power-vs-distance": Study(
         defaults=ExperimentConfig(), single_antenna=False, metric=_power_samples,
-        rows=_power_rows, shard_work=1 << 19,
+        contribution=db_to_linear, unit="dBm", shard_work=1 << 19,
     ),
     "power-vs-n": Study(
         defaults=ExperimentConfig(sweep=("n", (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)),
                                   schemes=("continuous", "b1", "b2")),
-        single_antenna=False, metric=_power_samples, rows=_power_rows, shard_work=1 << 14,
+        single_antenna=False, metric=_power_samples, contribution=db_to_linear, unit="dBm",
+        shard_work=1 << 14,
     ),
     "interference-vs-n": Study(
         defaults=ExperimentConfig(scenario=ScenarioConfig(m_antennas=1),
                                   sweep=("n", (20.0, 40.0, 60.0, 80.0, 100.0)),
                                   schemes=("joint_amp_phase", "phase_only", "no_irs"),
                                   n_realizations=200),
-        single_antenna=True, metric=_interference_samples, rows=_interference_rows,
-        shard_work=1 << 14,
+        single_antenna=True, metric=_interference_samples, contribution=np.asarray,
+        unit="dB", shard_work=1 << 14,
     ),
 }
+
+
+def _rows(spec: Study, samples: dict[str, np.ndarray]) -> list[tuple[str, float, str]]:
+    """One sweep value's rows: every key's but 'margin', its mean contribution
+    in dB; with 'continuous', each other key's 'loss_*' row, the difference."""
+    means = {key: float(np.mean(spec.contribution(values)))
+             for key, values in samples.items() if key != "margin"}
+    # a perfect null, a mean of exactly zero, would be -inf dB: it prints as -300
+    level = {key: float(10.0 * np.log10(mean)) if mean else -300.0 for key, mean in means.items()}
+    rows = [(key, value, spec.unit) for key, value in level.items()]
+    if "continuous" in level:
+        rows += [(f"loss_{key}", value - level["continuous"], "dB")
+                 for key, value in level.items() if key != "continuous"]
+    return rows
 
 
 def _block_rows(per_row: int) -> int:
@@ -622,18 +628,14 @@ def _run_study(cfg: ExperimentConfig, study: str, workers: int) -> ExperimentRes
         blocks = [block for s in shards for block in s[k]]
         stacked = {key: np.concatenate([b.pop(key) for b in blocks]) for key in list(blocks[0])}
         rows += [ResultRow(float(value), scheme, metric, unit, n, cfg.master_seed)
-                 for scheme, metric, unit in spec.rows(stacked)]
+                 for scheme, metric, unit in _rows(spec, stacked)]
         samples.update({(float(value), key): arr for key, arr in stacked.items()})
     return ExperimentResult(rows=rows, samples=samples)
 
 
 def run_power_vs_distance(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Minimum transmit power (dBm) to hit the SNR target, versus distance.
-
-    For each swept user distance the requested schemes are evaluated on
-    the same channel realizations and the per-realization required powers
-    are averaged in the linear domain.
-    """
+    """Minimum transmit power (dBm) to hit the SNR target, versus distance,
+    of every scheme on the same channel realizations."""
     return _run_study(cfg, "power-vs-distance", workers)
 
 
@@ -652,7 +654,5 @@ def run_interference_vs_n(cfg: ExperimentConfig, workers: int = 1) -> Experiment
     """Interference power at the user, normalized by noise power, versus N.
 
     The interferer transmits at ``interferer_power_dbm`` through a single
-    antenna; the surface is driven to cancel.  Reported in dB after
-    linear-domain averaging across realizations.
-    """
+    antenna; the surface is driven to cancel."""
     return _run_study(cfg, "interference-vs-n", workers)

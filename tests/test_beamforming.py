@@ -315,6 +315,12 @@ class TestDiscreteRefine:
         with pytest.raises(ValueError):
             discrete_refine(ch, w, start, bits=1)
 
+    def test_requires_a_start_of_the_channel_size(self):
+        ch = make_channel(n=4)
+        start = project(np.ones(5), ConstraintSet.discrete_phase(1))
+        with pytest.raises(ValueError, match="start state dimension does not match"):
+            discrete_refine(ch, mrt(ch.h_bs_user), start, 1)
+
     @pytest.mark.parametrize("n", [10, 40, 150])
     @pytest.mark.parametrize("bits", [1, 2])
     def test_matches_elementwise_loop(self, n, bits):

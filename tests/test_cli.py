@@ -401,6 +401,17 @@ class TestRun:
         )
         assert run(inv) == 2
 
+    def test_study_failure_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a failure inside a study that is not a config mistake
+        def metric(*args):
+            raise FloatingPointError("metric failed")
+
+        monkeypatch.setitem(STUDIES, "power-vs-n", STUDIES["power-vs-n"]._replace(metric=metric))
+        inv = self._invocation(tmp_path, name="failed.csv", quiet=True)
+        assert run(inv) == 2
+        assert "runtime error: metric failed" in capsys.readouterr().err
+        assert not (tmp_path / "failed.csv").exists()
+
     def test_summary_printed_unless_quiet(self, tmp_path, capsys):
         inv = self._invocation(tmp_path, name="e.csv")
         assert run(inv) == 0
@@ -617,6 +628,11 @@ CONFIG_MISTAKES = [
     ("power-vs-distance", "m_antennas = 1\nschemes = no_irs"),
     ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = joint"),
     ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = bs_user_mrt"),
+    # a sweep without ':', '...' without two values before it or one after, no values
+    ("power-vs-distance", "sweep = d20,30"),
+    ("power-vs-distance", "sweep = d:20,...,40"),
+    ("power-vs-distance", "sweep = d:20,25,..."),
+    ("power-vs-n", "sweep = n:"),
 ]
 
 

@@ -275,6 +275,36 @@ def int_result():
     return run_interference_vs_n(INT_CFG)
 
 
+@pytest.mark.parametrize("fixture", ["dist_result", "n_result", "int_result"])
+def test_rows_are_mean_contributions_in_db(request, fixture):
+    # the row rule, recomputed from the samples without Study.contribution
+    result = request.getfixturevalue(fixture)
+    power = fixture != "int_result"
+    rows = {(row.sweep_value, row.scheme): row for row in result.rows}
+    assert len(rows) == len(result.rows)
+    for value in sorted({value for value, _ in result.samples}):
+        keys = [key for v, key in result.samples if v == value]
+        level = {}
+        for key in keys:
+            samples = result.samples[(value, key)]
+            if key == "margin":
+                assert (value, key) not in rows
+                continue
+            mean = float(np.mean(10.0 ** (samples / 10.0) if power else samples))
+            level[key] = float(10.0 * np.log10(mean)) if mean else -300.0
+            assert rows[(value, key)].metric_value == level[key], (value, key)
+            assert rows[(value, key)].metric_unit == ("dBm" if power else "dB")
+        losses = [f"loss_{key}" for key in level if "continuous" in level and key != "continuous"]
+        for key in losses:
+            row = rows[(value, key)]
+            assert row.metric_value == level[key[5:]] - level["continuous"], (value, key)
+            assert row.metric_unit == "dB"
+        # the keys' rows in sample order, then their losses
+        assert [row.scheme for row in result.rows if row.sweep_value == value] == [*level, *losses]
+    assert any(key == "margin" for _, key in result.samples) == (not power)
+    assert any(key.startswith("loss_") for _, key in rows) == (fixture == "n_result")
+
+
 class TestPowerVsDistance:
     def test_reproducible_and_worker_invariant(self, dist_result, shard_any_work):
         again = run_power_vs_distance(DIST_CFG)
@@ -391,6 +421,13 @@ class TestSignalSchemeGains:
             # one realization alone gets the bits it gets in the block
             row = alone(experiments._power_gains, ch, schemes)
             assert all(row[s] == block[s][k] for s in schemes), k
+
+    def test_bs_user_mrt_refuses_a_zero_direct_link(self):
+        g, h_r, h_d = stacked([realize(ScenarioConfig(), SeededRng(78, i)) for i in range(3)])
+        h_d[1] = 0.0
+        assert experiments._power_gains(g, h_r, h_d, ("joint",))["joint"][1] > 0.0
+        with pytest.raises(ValueError, match="MRT undefined for an all-zero channel"):
+            experiments._power_gains(g, h_r, h_d, ("joint", "bs_user_mrt"))
 
 
 class TestRequiredPowers:

@@ -68,6 +68,12 @@ class TestConstraintSet:
         levels = ConstraintSet.discrete_phase(2).phase_levels()
         np.testing.assert_allclose(levels, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=0)
 
+    @pytest.mark.parametrize("c", [ConstraintSet.ideal_continuous(), ConstraintSet.unit_modulus(),
+                                   ConstraintSet.absorb()])
+    def test_phase_levels_only_for_discrete_phase(self, c):
+        with pytest.raises(ValueError, match="only for discrete phase"):
+            c.phase_levels()
+
     def test_membership_checks(self):
         unit = ConstraintSet.unit_modulus()
         assert unit.contains(np.exp(1j * np.array([0.3, 2.0])))
