@@ -543,11 +543,21 @@ def codebook_sweep(
     return best_idx, best_gain
 
 
-def min_power_for_snr(gain_linear: float, snr_target_db: float, noise_dbm: float) -> float:
-    """Transmit power (dBm) needed to hit the SNR target over this gain."""
-    if gain_linear <= 0:
-        raise ValueError(f"channel gain must be > 0 to reach any SNR, got {gain_linear}")
-    return snr_target_db + noise_dbm - 10.0 * math.log10(gain_linear)
+def min_power_for_snr(gain_linear, snr_target_db: float, noise_dbm: float):
+    """Transmit power (dBm) needed to hit the SNR target over this gain: a
+    float for a float (or a 0-d array), else an array of the gains' shape.
+
+    Each log10 is ``math.log10`` of one element, so that an element gets the
+    same bits in an array as alone: ``np.log10``'s SIMD loops can round
+    differently.  The first gain that is not > 0 is refused; nan passes.
+    """
+    gains = np.asarray(gain_linear)
+    bad = gains[gains <= 0]
+    if bad.size:
+        raise ValueError(f"channel gain must be > 0 to reach any SNR, got {bad[0]}")
+    logs = np.fromiter(map(math.log10, gains.ravel().tolist()), float, gains.size)
+    powers = snr_target_db + noise_dbm - 10.0 * logs.reshape(gains.shape)
+    return float(powers) if gains.ndim == 0 else powers
 
 
 def quantization_loss_bound(bits: int) -> float:

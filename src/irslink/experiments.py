@@ -18,24 +18,24 @@ consecutive sweep values whose summed N fits the budget, so a metric may
 hold every value of its run at once.  A sweep value's arrays are the
 shared line-of-sight matrix ``g`` (N, M) and the stacked links ``h_r``
 (R, N) and ``h_d`` (R, M).  Both power studies share one metric,
-``_power_samples``: the required powers of :func:`_sweep_power_gains`,
-which forms each sweep value's block in turn, takes the closed forms that
-the rank-one ``g`` allows for every power scheme and drops the block; for
-the lattice schemes it keeps every swept N's coefficients, packed, and
-refines each bit width once for the run, all its rows in one loop.  The
-interference study's swept surfaces are nested, each the first N elements
-of the largest, so it forms the run's largest arrays once; free-amplitude
-nulling is the disk's closed-form value, and unit-modulus nulling runs the
-block's rows at every swept N of the run in one loop.  Every realization
-gets the same values as it would alone, and the tests check them against
-the general per-realization solvers of ``beamforming``.  Every study's rows
-follow :func:`_rows`: the mean of each realization's ``Study.contribution``
+``_power_samples``: ``min_power_for_snr`` of the gains of
+:func:`_sweep_power_gains`, which forms each sweep value's block in turn,
+takes the closed forms that the rank-one ``g`` allows for every power
+scheme and drops the block; for the lattice schemes it keeps every swept
+N's coefficients, packed, and refines each bit width once for the run,
+all its rows in one loop.  The interference study's swept surfaces are
+nested, each the first N elements of the largest, so it forms the run's
+largest arrays once; free-amplitude nulling is the disk's closed-form
+value, and unit-modulus nulling runs the block's rows at every swept N
+of the run in one loop.  Every realization gets the same values as it
+would alone, and the tests check them against the general
+per-realization solvers of ``beamforming``.  Every study's rows follow
+:func:`_rows`: the mean of each realization's ``Study.contribution``
 (linear) in dB, -300 for an exact zero, and ``loss_*`` rows as differences.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import sys
@@ -51,6 +51,7 @@ from .beamforming import (
     _null_prefixes,
     _rank_one_beam,
     _refine_rows,
+    min_power_for_snr,
     nulling_residual,
 )
 from .channel import DB_LIMIT, ScenarioConfig, ScenarioLinks, draw_fading_rows, scenario_links
@@ -104,6 +105,9 @@ class ExperimentConfig:
         store("schemes", sequence("schemes", self.schemes, "names"))
         if not self.schemes:
             raise invalid("schemes needs at least one scheme")
+        stray = [s for s in self.schemes if not isinstance(s, str)]
+        if stray:
+            raise invalid(f"schemes must be strings, got {stray[0]!r}")
         repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
         if repeated:
             raise invalid(f"schemes lists {', '.join(repeated)} more than once")
@@ -202,16 +206,18 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
-def _power_gains(
-    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, schemes
-) -> dict[str, np.ndarray]:
-    """Channel power gain per scheme of a block of realizations that share
-    one rank-one ``g`` = gamma b^H, in closed form, stacked per key.
+def _sweep_power_gains(links: list[ScenarioLinks], fading_r: np.ndarray, fading_d: np.ndarray,
+                       schemes) -> list[dict[str, np.ndarray]]:
+    """Channel power gain per scheme of one block of realizations at every
+    sweep value, in closed form, stacked per key: a dict per value, whose
+    ``links`` form its ``(g, h_r, h_d)`` from the block's fading (unit
+    amplitudes, ``ScenarioLinks(g, 1.0, 1.0)``, keep the fading bit for bit).
 
-    b is the unit principal right vector of G; per row, p = b^H h_d,
-    r = sum_n |h_r,n| ||G[n, :]|| (both 0 without elements) and c = |p|.
-    For a fixed beam w, aligned phases give the gain
-    (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2, so the schemes' gains are
+    Each value's ``g`` = gamma b^H is rank one: b is the unit principal
+    right vector of G; per row, p = b^H h_d, r = sum_n |h_r,n| ||G[n, :]||
+    (both 0 without elements) and c = |p|.  For a fixed beam w, aligned
+    phases give the gain (|h_d^H w| + sum_n |h_r,n| |(G w)_n|)^2, so the
+    schemes' gains are
 
     - joint and continuous: ||h_d||^2 + r^2 + 2rc, the joint optimum (Wu
       & Zhang, IEEE TWC 2019), reached by w* = mrt(q), q = h_d + r e^{j
@@ -225,23 +231,11 @@ def _power_gains(
       s = sum_n conj(gamma_n v_n) h_r,n.
 
     Row reductions, not matrix products, so that each row gets the bits it
-    gets alone.  The one-value call of :func:`_sweep_power_gains`, whose
-    unit amplitudes keep ``h_r`` and ``h_d`` bit for bit.
-    """
-    return _sweep_power_gains([ScenarioLinks(g, 1.0, 1.0)], h_r, h_d, schemes)[0]
-
-
-def _sweep_power_gains(links: list[ScenarioLinks], fading_r: np.ndarray, fading_d: np.ndarray,
-                       schemes) -> list[dict[str, np.ndarray]]:
-    """:func:`_power_gains` of one block of realizations at every sweep
-    value, whose ``links`` form its ``(g, h_r, h_d)`` from the block's
-    fading.
-
-    Each value's block is formed in turn and dropped once its closed forms
-    are taken.  For the lattice schemes each value keeps t and a of
-    ``direct_and_cascade`` at w* (both times ||q||), every value's a packed
-    end to end, row by row; f, so that s = conj(sum_n f_n v_n); and the
-    direct links and beam to re-match.  Then each bit width is refined
+    gets alone.  Each value's block is formed in turn and dropped once its
+    closed forms are taken.  For the lattice schemes each value keeps t and
+    a of ``direct_and_cascade`` at w* (both times ||q||), every value's a
+    packed end to end, row by row; f, so that s = conj(sum_n f_n v_n); and
+    the direct links and beam to re-match.  Then each bit width is refined
     once, by :func:`_refine_rows` over the rows of every value, in one
     state buffer that the widths reuse: the loop runs for the steps of the
     slowest row of the sweep, not for their sum over the values, and each
@@ -337,27 +331,10 @@ def _interference_gains(
     return out
 
 
-def _required_powers(gains: dict[str, np.ndarray],
-                     cfg: ExperimentConfig) -> dict[str, np.ndarray]:
-    """``min_power_for_snr`` of every row's gain per key.
-
-    Each log10 is ``math.log10`` of one element, as ``min_power_for_snr``
-    takes it: ``np.log10``'s SIMD loops can round differently.
-    """
-    level = cfg.snr_target_db + cfg.scenario.noise_power_dbm
-    powers = {}
-    for scheme, values in gains.items():
-        bad = values[values <= 0]
-        if len(bad):
-            raise ValueError(f"channel gain must be > 0 to reach any SNR, got {bad[0]}")
-        logs = np.fromiter(map(math.log10, values.tolist()), float, len(values))
-        powers[scheme] = level - 10.0 * logs
-    return powers
-
-
 def _power_samples(links, fading_r: np.ndarray, fading_d: np.ndarray,
                    cfg: ExperimentConfig) -> list[dict[str, np.ndarray]]:
-    return [_required_powers(gains, cfg)
+    level = (cfg.snr_target_db, cfg.scenario.noise_power_dbm)
+    return [{key: min_power_for_snr(values, *level) for key, values in gains.items()}
             for gains in _sweep_power_gains(links, fading_r, fading_d, cfg.schemes)]
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from irslink.beamforming import (
 from irslink.channel import (
     ChannelRealization,
     ScenarioConfig,
+    ScenarioLinks,
     draw_fading_rows,
     realize,
     scenario_links,
@@ -720,9 +723,10 @@ class TestRefineLevels:
             calls["refined"] = v.reshape(rows, -1).copy()
 
         monkeypatch.setattr(experiments, "_refine_rows", spy)
-        experiments._power_gains(channels[0].g_bs_irs,
-                                 np.array([ch.h_irs_user for ch in channels]),
-                                 np.array([ch.h_bs_user for ch in channels]), (f"b{bits}",))
+        links = [ScenarioLinks(channels[0].g_bs_irs, 1.0, 1.0)]
+        experiments._sweep_power_gains(links, np.array([ch.h_irs_user for ch in channels]),
+                                       np.array([ch.h_bs_user for ch in channels]),
+                                       (f"b{bits}",))
         t, a, start = calls["problem"]
         want = lockstep_refine(t, a, start, bits, 20)
         assert calls["refined"].tobytes() == want.tobytes()
@@ -1534,6 +1538,45 @@ class TestMinPowerForSnr:
     def test_unreachable_snr_rejected(self):
         with pytest.raises(ValueError):
             min_power_for_snr(0.0, 20.0, -80.0)
+
+    def test_powers_are_min_power_for_snr_per_row(self):
+        # an array gets, per element, the bits of a scalar call and of the
+        # formula in Python floats, over gains from 1e-300 to 1e300
+        rng = np.random.default_rng(4)
+        gains = np.concatenate([np.exp(rng.uniform(-60.0, 10.0, 2000)),
+                                10.0 ** rng.uniform(-300.0, 300.0, 2000),
+                                [1e-300, 5e-324, 1.0, 1e300, np.finfo(float).max]])
+        powers = min_power_for_snr(gains, 17.3, -94.0)
+        alone = np.array([min_power_for_snr(x, 17.3, -94.0) for x in gains])
+        formula = np.array([17.3 + -94.0 - 10.0 * math.log10(x) for x in gains.tolist()])
+        assert powers.shape == gains.shape
+        assert powers.tobytes() == alone.tobytes() == formula.tobytes()
+        # any shape, element by element
+        square = min_power_for_snr(gains[:16].reshape(4, 4), 17.3, -94.0)
+        assert square.shape == (4, 4) and square.tobytes() == powers[:16].tobytes()
+
+    @pytest.mark.parametrize("gain", [1e-6, np.float64(1e-6), np.array(1e-6), np.array([1e-6])[0]],
+                             ids=["float", "float64", "0-d", "element"])
+    def test_a_scalar_gives_a_python_float(self, gain):
+        power = min_power_for_snr(gain, 20.0, -80.0)
+        assert type(power) is float and power == 20.0 + -80.0 - 10.0 * math.log10(1e-6)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, -0.0])
+    def test_non_positive_gain_raises(self, bad):
+        message = re.escape(f"channel gain must be > 0 to reach any SNR, got {bad}") + "$"
+        with pytest.raises(ValueError, match=message):
+            min_power_for_snr(bad, 20.0, -80.0)
+        # an array names its first such entry, wherever it stands
+        with pytest.raises(ValueError, match=message):
+            min_power_for_snr(np.array([1.0, 2.0, bad, 0.0, -5.0]), 20.0, -80.0)
+        with pytest.raises(ValueError, match=message):
+            min_power_for_snr(np.array([[1.0, bad], [-5.0, 3.0]]), 20.0, -80.0)
+
+    def test_nan_passes_through(self):
+        assert math.isnan(min_power_for_snr(math.nan, 20.0, -80.0))
+        powers = min_power_for_snr(np.array([1e-6, math.nan, 1e-7]), 20.0, -80.0)
+        assert math.isnan(powers[1]) and powers[0] == min_power_for_snr(1e-6, 20.0, -80.0)
+        assert powers[2] == min_power_for_snr(1e-7, 20.0, -80.0)
 
 
 class TestQuantizationLossBound:

@@ -605,39 +605,42 @@ class TestMain:
 
 
 # Configuration mistakes: each must exit 1 before a study runs, not 0 with
-# inf/nan rows, 2 with a runtime error, or an uncaught exception.
+# inf/nan rows, 2 with a runtime error, or an uncaught exception; and with
+# its own code, not a later check's.
+INVALID, TYPE = ConfigErrorCode.INVALID_VALUE, ConfigErrorCode.TYPE_MISMATCH
 CONFIG_MISTAKES = [
-    ("power-vs-distance", "noise_power_dbm = inf"),
-    ("power-vs-distance", "snr_target_db = nan"),
-    ("interference-vs-n", "interferer_power_dbm = inf"),
-    ("power-vs-distance", "c0_db = nan"),
-    ("power-vs-distance", "pl_exponent_bs_user = inf"),
-    ("power-vs-distance", "sweep = d:0,10"),
-    ("power-vs-distance", "n_elements = 0"),
-    ("power-vs-distance", "sweep = d:50,50.000000001"),
-    ("power-vs-distance", "sweep = d:20,25,...,inf"),
-    ("power-vs-distance", "n_elements = 1000000000000"),
-    ("power-vs-distance", "m_antennas = 1001"),
-    ("power-vs-n", "sweep = n:100,10001"),
-    ("power-vs-distance", "n_elements = 40\nn_elements = 80"),
-    ("power-vs-distance", "schemes = joint,joint"),
-    ("power-vs-distance", "user_position = nan,0"),
-    ("power-vs-distance", "antenna_spacing_wavelengths = inf"),
+    ("power-vs-distance", "noise_power_dbm = inf", INVALID),
+    ("power-vs-distance", "snr_target_db = nan", INVALID),
+    ("interference-vs-n", "interferer_power_dbm = inf", INVALID),
+    ("power-vs-distance", "c0_db = nan", INVALID),
+    ("power-vs-distance", "pl_exponent_bs_user = inf", INVALID),
+    ("power-vs-distance", "sweep = d:0,10", INVALID),
+    ("power-vs-distance", "n_elements = 0", INVALID),
+    ("power-vs-distance", "sweep = d:50,50.000000001", INVALID),
+    ("power-vs-distance", "sweep = d:20,25,...,inf", INVALID),
+    ("power-vs-distance", "n_elements = 1000000000000", INVALID),
+    ("power-vs-distance", "m_antennas = 1001", INVALID),
+    ("power-vs-n", "sweep = n:100,10001", INVALID),
+    ("power-vs-distance", "n_elements = 40\nn_elements = 80", ConfigErrorCode.BAD_SYNTAX),
+    ("power-vs-distance", "schemes = joint,joint", INVALID),
+    ("power-vs-distance", "user_position = nan,0", INVALID),
+    ("power-vs-distance", "antenna_spacing_wavelengths = inf", INVALID),
     # one antenna: the direct-link gain |h_d|^2 has an inverse without a mean
-    ("power-vs-distance", "m_antennas = 1"),
-    ("power-vs-distance", "m_antennas = 1\nschemes = no_irs"),
-    ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = joint"),
-    ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = bs_user_mrt"),
+    ("power-vs-distance", "m_antennas = 1", INVALID),
+    ("power-vs-distance", "m_antennas = 1\nschemes = no_irs", INVALID),
+    ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = joint", INVALID),
+    ("power-vs-distance", "m_antennas = 1\nn_elements = 0\nschemes = bs_user_mrt", INVALID),
     # a sweep without ':', '...' without two values before it or one after, no values
-    ("power-vs-distance", "sweep = d20,30"),
-    ("power-vs-distance", "sweep = d:20,...,40"),
-    ("power-vs-distance", "sweep = d:20,25,..."),
-    ("power-vs-n", "sweep = n:"),
+    ("power-vs-distance", "sweep = d20,30", TYPE),
+    ("power-vs-distance", "sweep = d:20,...,40", TYPE),
+    ("power-vs-distance", "sweep = d:20,25,...", TYPE),
+    ("power-vs-n", "sweep = n:", INVALID),
 ]
 
 
 def assert_rejected_early(tmp_path, capsys, sub, config_path):
-    """run() exits 1 with a config error and no CSV, under 1 MiB allocated."""
+    """run() exits 1 with a config error and no CSV, under 1 MiB allocated;
+    the error as printed."""
     out = tmp_path / "x.csv"
     inv = CliInvocation(subcommand=sub, config_path=config_path,
                         out_path=str(out), realizations_override=2, quiet=True)
@@ -648,13 +651,17 @@ def assert_rejected_early(tmp_path, capsys, sub, config_path):
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
     assert not out.exists()
+    return err
 
 
-@pytest.mark.parametrize("sub, text", CONFIG_MISTAKES, ids=[t for _, t in CONFIG_MISTAKES])
-def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text):
-    assert_rejected_early(tmp_path, capsys, sub, write(tmp_path, text + "\n"))
+@pytest.mark.parametrize("sub, text, code", CONFIG_MISTAKES,
+                         ids=[text for _, text, _ in CONFIG_MISTAKES])
+def test_config_mistake_is_exit_1(tmp_path, capsys, sub, text, code):
+    err = assert_rejected_early(tmp_path, capsys, sub, write(tmp_path, text + "\n"))
+    assert f"[{code.value}]" in err
 
 
 def padded_config(size):

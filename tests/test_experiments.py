@@ -20,6 +20,7 @@ from irslink.cli import parse_config, serialize_config
 from irslink.channel import (
     ChannelRealization,
     ScenarioConfig,
+    ScenarioLinks,
     draw_fading_rows,
     realize,
     scenario_links,
@@ -84,6 +85,12 @@ def stacked(channels):
 def one_row(ch):
     """The one-row block of one realization."""
     return ch.g_bs_irs, ch.h_irs_user[None, :], ch.h_bs_user[None, :]
+
+
+def power_gains(g, h_r, h_d, schemes):
+    """``experiments._sweep_power_gains`` of the block ``(g, h_r, h_d)`` at
+    its one sweep value, whose unit amplitudes keep ``h_r`` and ``h_d``."""
+    return experiments._sweep_power_gains([ScenarioLinks(g, 1.0, 1.0)], h_r, h_d, schemes)[0]
 
 
 def interference_gains(g, h_r, h_d, schemes):
@@ -168,6 +175,15 @@ class TestExperimentConfig:
         # "joint" would run as the five schemes j, o, i, n and t
         with pytest.raises(ConfigError, match="schemes must be a sequence of names") as info:
             ExperimentConfig(schemes="joint")
+        assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
+    @pytest.mark.parametrize("schemes", [[["joint"], ["joint"]], (1,), (None, "joint"),
+                                         (b"no_irs",)], ids=["lists", "int", "none", "bytes"])
+    def test_rejects_a_scheme_that_is_no_string(self, schemes):
+        # refused here, not as an unknown scheme once a study runs, nor as
+        # an unhashable one by the repeat check
+        with pytest.raises(ConfigError, match="schemes must be strings") as info:
+            ExperimentConfig(schemes=schemes)
         assert info.value.code is ConfigErrorCode.INVALID_VALUE
 
     # a sweep that is no (variable, values) pair, sweep values or schemes
@@ -406,7 +422,7 @@ class TestSignalSchemeGains:
         channels = [realize(scen, SeededRng(77, i)) for i in range(6)]
         schemes = POWER_DISTANCE_SCHEMES if n else ("joint", "bs_user_mrt", "no_irs")
         g, h_r, h_d = stacked(channels)
-        block = experiments._power_gains(g, h_r, h_d, schemes)
+        block = power_gains(g, h_r, h_d, schemes)
         for k, ch in enumerate(channels):
             w = mrt(ch.h_bs_user)
             solved = {
@@ -419,32 +435,33 @@ class TestSignalSchemeGains:
             for scheme, gain in solved.items():
                 assert abs(block[scheme][k] - gain) <= 1e-12 * gain, (scheme, k)
             # one realization alone gets the bits it gets in the block
-            row = alone(experiments._power_gains, ch, schemes)
+            row = alone(power_gains, ch, schemes)
             assert all(row[s] == block[s][k] for s in schemes), k
 
     def test_bs_user_mrt_refuses_a_zero_direct_link(self):
         g, h_r, h_d = stacked([realize(ScenarioConfig(), SeededRng(78, i)) for i in range(3)])
         h_d[1] = 0.0
-        assert experiments._power_gains(g, h_r, h_d, ("joint",))["joint"][1] > 0.0
+        assert power_gains(g, h_r, h_d, ("joint",))["joint"][1] > 0.0
         with pytest.raises(ValueError, match="MRT undefined for an all-zero channel"):
-            experiments._power_gains(g, h_r, h_d, ("joint", "bs_user_mrt"))
+            power_gains(g, h_r, h_d, ("joint", "bs_user_mrt"))
 
 
-class TestRequiredPowers:
-    def test_powers_are_min_power_for_snr_per_row(self):
-        gains = np.exp(np.random.default_rng(4).uniform(-60.0, 10.0, 2000))
-        cfg = ExperimentConfig(snr_target_db=17.3, schemes=("joint", "no_irs"))
-        powers = experiments._required_powers({s: gains for s in cfg.schemes}, cfg)
-        want = np.array([min_power_for_snr(x, 17.3, cfg.scenario.noise_power_dbm) for x in gains])
-        assert powers.keys() == {"joint", "no_irs"}
-        assert all(p.tobytes() == want.tobytes() for p in powers.values())
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-3])
-    def test_non_positive_gain_raises(self, bad):
-        # checked for every key, not only the first
-        gains = {"joint": np.array([1.0, 2.0, 3.0]), "b1": np.array([1.0, bad, 2.0])}
-        with pytest.raises(ValueError, match="gain must be > 0"):
-            experiments._required_powers(gains, ExperimentConfig())
+def test_power_samples_are_min_power_for_snr_of_every_key(monkeypatch):
+    gains = np.exp(np.random.default_rng(4).uniform(-60.0, 10.0, 200))
+    cfg = ExperimentConfig(snr_target_db=17.3, schemes=("joint", "no_irs"))
+    level = (17.3, cfg.scenario.noise_power_dbm)
+    sweep = [{"joint": gains, "no_irs": gains[::-1]}, {"joint": gains[:3], "no_irs": gains[3:]}]
+    monkeypatch.setattr(experiments, "_sweep_power_gains", lambda *args: sweep)
+    samples = experiments._power_samples(None, None, None, cfg)
+    assert [list(powers) for powers in samples] == [["joint", "no_irs"]] * 2
+    for powers, block in zip(samples, sweep):
+        for key, values in block.items():
+            want = np.array([min_power_for_snr(x, *level) for x in values])
+            assert powers[key].tobytes() == want.tobytes(), key
+    # checked for every key, not only the first
+    sweep[1]["no_irs"] = np.array([1.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match="gain must be > 0 to reach any SNR, got 0.0"):
+        experiments._power_samples(None, None, None, cfg)
 
 
 def assert_same_channel(block, k, want):
@@ -689,7 +706,7 @@ class TestPowerVsN:
         for i in (block - 1, block, 2 * block + 2):
             scen = replace(cfg.scenario, n_elements=8)
             ch = realize(scen, SeededRng(cfg.master_seed, i))
-            gains = alone(experiments._power_gains, ch, cfg.schemes)
+            gains = alone(power_gains, ch, cfg.schemes)
             for scheme, gain in gains.items():
                 power = min_power_for_snr(gain, cfg.snr_target_db, scen.noise_power_dbm)
                 assert long.samples[(8.0, scheme)][i] == power, (i, scheme)
@@ -708,7 +725,7 @@ class TestQuantizedGains:
         h_d[1] = 0.0  # a blocked direct link
         h_r[2] = 0.0  # a surface that reaches the user with nothing
         schemes = ("continuous", "b1", "b2")
-        block = experiments._power_gains(g, h_r, h_d, schemes)
+        block = power_gains(g, h_r, h_d, schemes)
         for k in range(len(h_r)):
             ch = ChannelRealization(g, h_r[k], h_d[k])
             sol = alternating_optimize(ch, unit)
@@ -725,7 +742,7 @@ class TestQuantizedGains:
             for key, gain in solved.items():
                 assert abs(block[key][k] - gain) <= 1e-12 * gain, (key, k)
             # one realization alone gets the bits it gets in the block
-            row = alone(experiments._power_gains, ch, schemes)
+            row = alone(power_gains, ch, schemes)
             assert all(row[key] == block[key][k] for key in block), k
 
     @pytest.mark.parametrize("seed", [1, 7, 20240811])
@@ -737,7 +754,7 @@ class TestQuantizedGains:
         for n in (1, 2, 3, 8, 40, 300):
             scen = ScenarioConfig(m_antennas=m, n_elements=n)
             g, h_r, h_d = scenario_links(scen).block(*draw_fading_rows(seed, range(200), m, n))
-            gains = experiments._power_gains(g, h_r, h_d, ("no_irs", "b1", "b2"))
+            gains = power_gains(g, h_r, h_d, ("no_irs", "b1", "b2"))
             for b in (1, 2):
                 quant, refined = gains[f"b{b}_quant"], gains[f"b{b}"]
                 assert np.all(quant >= gains["no_irs"] * (1 - 1e-12)), (n, b)
@@ -748,9 +765,9 @@ class TestQuantizedGains:
         scen = ScenarioConfig(m_antennas=m, n_elements=40, user_position=(50.0, 0.0))
         block = stacked([realize(scen, SeededRng(79, i)) for i in range(6)])
         n_schemes = experiments.STUDIES["power-vs-n"].defaults.schemes
-        both = experiments._power_gains(*block, POWER_DISTANCE_SCHEMES + n_schemes)
-        apart = {**experiments._power_gains(*block, POWER_DISTANCE_SCHEMES),
-                 **experiments._power_gains(*block, n_schemes)}
+        both = power_gains(*block, POWER_DISTANCE_SCHEMES + n_schemes)
+        apart = {**power_gains(*block, POWER_DISTANCE_SCHEMES),
+                 **power_gains(*block, n_schemes)}
         assert list(both) == list(apart)
         assert list(apart)[-5:] == ["continuous", "b1_quant", "b1", "b2_quant", "b2"]
         for key, gains in apart.items():
@@ -764,8 +781,8 @@ class TestQuantizedGains:
         scen = ScenarioConfig(m_antennas=m, n_elements=40, user_position=(50.0, 0.0))
         block = stacked([realize(scen, SeededRng(83, i)) for i in range(6)])
         listed = ("b2", "continuous", "b1")
-        reordered = experiments._power_gains(*block, listed)
-        default = experiments._power_gains(*block, ("continuous", "b1", "b2"))
+        reordered = power_gains(*block, listed)
+        default = power_gains(*block, ("continuous", "b1", "b2"))
         assert list(reordered) == ["b2_quant", "b2", "continuous", "b1_quant", "b1"]
         for key, gains in default.items():
             assert reordered[key].tobytes() == gains.tobytes(), key
