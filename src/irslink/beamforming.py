@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .numerics import as_complex_vector
+from .numerics import as_complex_vector, integer
 from .reflection import (
     ConstraintKind,
     ConstraintSet,
@@ -33,9 +33,9 @@ from .reflection import (
 )
 
 # The elements each live row of _refine_rows scans per step: the longest
-# live row, but at most _STEP_CANDIDATES / (live rows * 2^bits) and never
-# fewer than _WINDOW.  So a step that widens holds at most _STEP_CANDIDATES
-# candidates, and from 5 bits on every step is _WINDOW wide.  A fixed width
+# live row, but at most the larger of _WINDOW and _STEP_CANDIDATES / (live
+# rows * 2^bits), so a step wider than _WINDOW holds at most
+# _STEP_CANDIDATES candidates.  A fixed width
 # of 32, in medians of alternating runs: 16 was 26% slower on the benchmark
 # study's blocks (40 rows) and even on the default study's (436 rows); 48
 # and 64 were even on the former and 20-23% slower on the latter.  Widening
@@ -232,9 +232,10 @@ def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -
     Each row keeps its own first and stop index, cursor and pass count, and
     scans from its cursor a window of elements at a time, whatever pass it
     is in.  All rows share the window's width, which is set whenever a row
-    leaves the loop: the longest live row, capped so that a step holds at
-    most ``_STEP_CANDIDATES`` candidates, but at least ``_WINDOW``.  So the
-    few rows left at the end of a block scan many elements per step.  A
+    leaves the loop: the longest live row, capped at ``_WINDOW`` or at the
+    width where a step holds ``_STEP_CANDIDATES`` candidates, whichever is
+    more.  So the few rows left at the end of a block scan many elements
+    per step, and a window is never wider than the longest live row.  A
     row's running total moves only when one of its elements changes, so
     the decisions of a window's elements up to the row's first change are
     the ones the element-by-element loop takes, at any width; all of them
@@ -257,8 +258,8 @@ def _refine_rows(t, a: np.ndarray, v: np.ndarray, rows: int, sizes, bits: int) -
     width = 0  # set again whenever a row leaves
     while cursor.size:
         if not width:
-            width = max(_WINDOW, min(int((stop - begin).max()),
-                                     _STEP_CANDIDATES // (cursor.size << bits)))
+            width = min(int((stop - begin).max()),
+                        max(_WINDOW, _STEP_CANDIDATES // (cursor.size << bits)))
             offsets = np.arange(width)
         at = cursor[:, None] + offsets
         # a window reaching past a row's end reads the next row's elements
@@ -566,7 +567,5 @@ def quantization_loss_bound(bits: int) -> float:
     Equals -20*log10(E[cos d]) with d uniform on one quantization cell,
     i.e. -20*log10((2^b / pi) * sin(pi / 2^b)).
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    nlev = 1 << bits
+    nlev = 1 << integer("bits", bits, 1)
     return -20.0 * math.log10(nlev / math.pi * math.sin(math.pi / nlev))

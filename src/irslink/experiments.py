@@ -120,7 +120,7 @@ class ExperimentConfig:
         values = sequence("sweep values", values, "numbers")
         if len(values) == 0:
             raise invalid("sweep needs at least one value")
-        values = tuple(number(f"sweep value {name}", v) for v in values)
+        values = tuple(number(f"sweep value {name}", v) + 0.0 for v in values)  # -0 prints as 0
         store("sweep", (name, values))
         if any(b <= a for a, b in zip(values, values[1:])):
             raise invalid(f"sweep values must be strictly increasing: {values}")

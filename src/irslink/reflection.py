@@ -20,9 +20,9 @@ from .numerics import as_complex_vector, integer
 
 _FEAS_TOL = 1e-9
 # The finest phase lattice.  From 5 bits on, one refinement step holds 2^bits
-# candidates for each of the 32 elements a row scans, about 50 MB at 16 bits,
-# and rounding takes level indices as machine integers, which overflow from
-# 63 bits on.
+# candidates for each of the at most 32 elements a row scans, up to about 50 MB
+# at 16 bits, and rounding takes level indices as machine integers, which
+# overflow from 63 bits on.
 _MAX_BITS = 16
 
 
@@ -42,11 +42,7 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         if self.kind is ConstraintKind.DISCRETE_PHASE:
-            if self.bits is None or integer("bits", self.bits) < 1:
-                raise ValueError(f"discrete phase control needs bits >= 1, got {self.bits}")
-            if self.bits > _MAX_BITS:
-                raise ValueError(f"discrete phase control takes at most {_MAX_BITS} bits, "
-                                 f"got {self.bits}")
+            object.__setattr__(self, "bits", integer("bits", self.bits, 1, _MAX_BITS))
         elif self.bits is not None:
             raise ValueError(f"{self.kind.value} takes no bit count")
 
@@ -85,11 +81,11 @@ class ConstraintSet:
             return False
         if self.kind is ConstraintKind.UNIT_MODULUS:
             return True
-        nlev = 1 << self.bits
-        # distance of each phase to the nearest lattice point, wrap-aware
-        steps = np.angle(v) * nlev / (2.0 * np.pi)
-        dist_rad = np.abs(steps - np.round(steps)) * 2.0 * np.pi / nlev
-        return bool(np.all(dist_rad <= _FEAS_TOL))
+        # each phase's distance to the level k that project rounds it to:
+        # phase - 2*pi*k / 2^bits is near 0, or near -2*pi for a negative phase
+        phases = np.angle(v)
+        off = phases - 2.0 * np.pi * _round_to_lattice(phases, self.bits) / (1 << self.bits)
+        return bool(np.all(np.minimum(np.abs(off), np.abs(off + 2.0 * np.pi)) <= _FEAS_TOL))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from irslink.channel import (
     realize,
     scenario_links,
 )
-from irslink.numerics import SeededRng
+from irslink.numerics import ConfigError, SeededRng
 from irslink.reflection import ConstraintSet, ReflectionState, effective_channel, project
 
 IDEAL = ConstraintSet.ideal_continuous()
@@ -308,7 +308,7 @@ class TestDiscreteRefine:
         out = discrete_refine(ch, np.ones(1), start, 16)
         assert out.constraint == c
         assert np.array_equal(out.coefficients, start.coefficients)
-        with pytest.raises(ValueError, match="at most 16 bits"):
+        with pytest.raises(ValueError, match=r"bits must be in \[1, 16\], got 17"):
             discrete_refine(ch, np.ones(1), start, 17)
 
     def test_requires_matching_start(self):
@@ -666,6 +666,21 @@ class TestRefineLevels:
         assert counter.steps == -(-n // K)
         assert counter.candidates == K << bits
 
+    @pytest.mark.parametrize("bits", [5, 8])
+    def test_window_is_never_wider_than_the_longest_row(self, monkeypatch, bits):
+        # a lone 3-element row scans 3 elements per step, not K: at 5 bits
+        # 3 * 32 = 96 candidates, not K * 32 = 1024
+        g = np.random.default_rng(bits)
+        t = complex(g.standard_normal(), g.standard_normal())
+        a = g.standard_normal(3) + 1j * g.standard_normal(3)
+        start = np.ones(3, complex)
+        counter = StepCounter()
+        monkeypatch.setattr(beamforming, "np", counter)
+        got = refine_batch(np.array([t]), a[None], start[None], bits)
+        assert got[0].tobytes() == loop_refine(t, a, start, bits, 20).tobytes()
+        assert not np.array_equal(got[0], start)
+        assert counter.candidates == 3 << bits
+
     @pytest.mark.parametrize("bits", [1, 2])
     @pytest.mark.parametrize("batch", [*(f"refinement-{seed}" for seed in range(6)), "cursor"])
     def test_rows_match_the_elementwise_loop(self, batch, bits):
@@ -761,10 +776,10 @@ class TestRefineLevels:
         # as in discrete_refine, which checks bits also without elements
         ch = synthetic_channel(1.0, np.ones(n, complex))
         start = ReflectionState(np.ones(n, complex), ConstraintSet.discrete_phase(1))
-        with pytest.raises(ValueError, match="bits >= 1"):
+        with pytest.raises(ValueError, match=r"bits must be in \[1, 16\], got 0"):
             discrete_refine(ch, np.ones(1), start, 0)
         if n:
-            with pytest.raises(ValueError, match="bits >= 1"):
+            with pytest.raises(ValueError, match=r"bits must be in \[1, 16\], got 0"):
                 refine_batch(np.ones(2), np.ones((2, n), complex), np.ones((2, n), complex), 0)
 
     def test_no_elements(self):
@@ -1488,12 +1503,14 @@ class TestCodebookSweep:
         w = mrt(ch.h_bs_user)
         aligned = align_phases(ch, w, ConstraintSet.discrete_phase(2))
         book = Codebook(self._book(ch, 15, seed=1).entries + (aligned,))
+        assert len(book) == 16
         idx, gain = codebook_sweep(ch, w, book)
         assert gain >= received_gain(ch, aligned, w) * (1 - 1e-12)
 
     def test_single_entry(self):
         ch = make_channel(m=2, n=6, seed=11)
         book = self._book(ch, 1)
+        assert len(book) == 1
         idx, gain = codebook_sweep(ch, mrt(ch.h_bs_user), book)
         assert idx == 0
         assert gain == pytest.approx(received_gain(ch, book.entries[0], mrt(ch.h_bs_user)))
@@ -1599,6 +1616,12 @@ class TestQuantizationLossBound:
     def test_rejects_zero_bits(self):
         with pytest.raises(ValueError):
             quantization_loss_bound(0)
+
+    @pytest.mark.parametrize("bits", [True, 1.5, 0, "2"])
+    def test_bits_take_the_integer_rule(self, bits):
+        # True was the 1-bit loss and 1.5 a TypeError
+        with pytest.raises(ConfigError, match="bits must be"):
+            quantization_loss_bound(bits)
 
 
 class TestBeamformingSolution:

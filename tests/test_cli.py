@@ -422,6 +422,18 @@ class TestRun:
         assert run(inv_q) == 0
         assert capsys.readouterr().out == ""
 
+    def test_negative_zero_sweep_value_prints_as_zero(self, tmp_path, capsys):
+        outputs = []
+        for sweep in ("-0", "0"):
+            cfg = write(tmp_path, f"sweep = n:{sweep},20\nn_realizations = 4\n")
+            out = tmp_path / f"{sweep}.csv"
+            assert run(CliInvocation("interference-vs-n", cfg, str(out))) == 0
+            outputs.append((out.read_text(), capsys.readouterr().out.replace(str(out), "")))
+        assert outputs[0] == outputs[1]
+        csv, summary = outputs[0]
+        assert [row.split(",")[0] for row in csv.splitlines()[1:]] == ["0"] * 3 + ["20"] * 3
+        assert summary.startswith(" 0: ")
+
     def test_solve_once_prints_solution(self, tmp_path, capsys):
         cfg = write(tmp_path, "master_seed = 5\nn_elements = 8\n")
         inv = CliInvocation(subcommand="solve-once", config_path=cfg)

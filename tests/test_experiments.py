@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irslink import beamforming, experiments
-from irslink.cli import parse_config, serialize_config
+from irslink.cli import CliInvocation, parse_config, run, serialize_config
 from irslink.channel import (
     ChannelRealization,
     ScenarioConfig,
@@ -203,6 +204,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=next(iter(kwargs))) as info:
             ExperimentConfig(**kwargs)
         assert info.value.code is ConfigErrorCode.INVALID_VALUE
+
+    def test_stores_negative_zero_as_zero(self):
+        # else -0 keys the CSV rows and the summary as '-0'
+        cfg = ExperimentConfig(sweep=("n", (-0.0, 20.0)))
+        assert math.copysign(1.0, cfg.sweep[1][0]) == 1.0
+        assert cfg.sweep == ("n", (0.0, 20.0))
 
     def test_rejects_sweep_values_printing_the_same_key(self):
         with pytest.raises(ConfigError, match="colliding"):
@@ -1362,6 +1369,34 @@ class TestForkedShards:
         assert len(forked) == 2
         assert_reaped(forked)
         assert open_fds() == fds
+
+    def test_failed_fork_kills_the_shards_started(self, monkeypatch, forked, tmp_path, capfd):
+        # the second fork of three fails: the first shard is killed and
+        # reaped, both ends of the second shard's pipe are closed, and the
+        # command reports a runtime error
+        usable_cpus(monkeypatch, 3)
+        before_each_shard(monkeypatch, lambda start: time.sleep(600))
+        fork = os.fork  # the fixture's, which records each child
+
+        def second_fork_fails():
+            if forked:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        monkeypatch.setattr(experiments.os, "fork", second_fork_fails)
+        config = tmp_path / "cfg.txt"
+        config.write_text(serialize_config(DIST_CFG))
+        out = tmp_path / "out.csv"
+        fds = open_fds()
+        began = time.monotonic()
+        inv = CliInvocation("power-vs-distance", str(config), str(out), quiet=True, workers=3)
+        assert run(inv) == 2
+        assert time.monotonic() - began < 60
+        assert capfd.readouterr().err == f"runtime error: [Errno {errno.EAGAIN}] fork refused\n"
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert open_fds() == fds
+        assert not out.exists()
 
     def test_success_leaves_no_child_and_no_pipe(self, forked, dist_result):
         fds = open_fds()

@@ -57,8 +57,15 @@ class TestConstraintSet:
         for make in (ConstraintSet.discrete_phase,
                      lambda bits: ConstraintSet(ConstraintKind.DISCRETE_PHASE, bits)):
             for bits in (17, 31, 63, 64):
-                with pytest.raises(ValueError, match="at most 16 bits"):
+                with pytest.raises(ValueError, match=rf"bits must be in \[1, 16\], got {bits}$"):
                     make(bits)
+
+    def test_bits_are_stored_as_a_python_int(self):
+        for make in (ConstraintSet.discrete_phase,
+                     lambda b: ConstraintSet(ConstraintKind.DISCRETE_PHASE, b)):
+            c = make(np.int64(2))
+            assert type(c.bits) is int
+            assert c == ConstraintSet.discrete_phase(2)
 
     def test_bits_only_for_discrete(self):
         with pytest.raises(ValueError):
@@ -83,6 +90,38 @@ class TestConstraintSet:
         assert not b1.contains(np.array([1j]))
         assert ConstraintSet.absorb().contains(np.zeros(3, complex))
         assert not ConstraintSet.absorb().contains(np.array([1e-12 + 0j]))
+
+
+def rounded_contains(c, v):
+    """``contains`` for a discrete-phase set by the rule it had before it
+    measured phases against the levels ``project`` rounds them to: each
+    phase's distance to the lattice point that ``np.round`` takes, in steps
+    of the lattice."""
+    mod = np.abs(v)
+    if not np.all(np.abs(mod - 1.0) <= 1e-9):
+        return False
+    nlev = 1 << c.bits
+    steps = np.angle(v) * nlev / (2.0 * np.pi)
+    return bool(np.all(np.abs(steps - np.round(steps)) * 2.0 * np.pi / nlev <= 1e-9))
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 8, 16])
+def test_contains_keeps_every_decision_of_the_rounding_rule(bits):
+    # levels 0-15 and those beside pi and 2*pi, where the phase wraps, each
+    # off by a phase and a modulus offset on either side of the tolerances
+    c = ConstraintSet.discrete_phase(bits)
+    nlev = 1 << bits
+    k = np.unique(np.r_[0:min(nlev, 16), nlev // 2 - 1:nlev // 2 + 2, nlev - 2:nlev] % nlev)
+    half = np.pi / nlev
+    phase_offsets = [0.0, 0.5e-9, 0.9e-9, 0.99e-9, 1.01e-9, 1.1e-9, 1e-6, half]
+    decisions = []
+    for dp in (*phase_offsets, *(-x for x in phase_offsets)):
+        for dm in (0.0, 0.9e-9, 1.1e-9, -0.9e-9, -1.1e-9):
+            for v in (1.0 + dm) * np.exp(1j * (2.0 * np.pi * k / nlev + dp)):
+                got = c.contains(np.array([v]))
+                assert got == rounded_contains(c, np.array([v])), (v, dp, dm)
+                decisions.append(got)
+    assert any(decisions) and not all(decisions)
 
 
 class TestReflectionState:
